@@ -17,10 +17,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date
+from itertools import islice
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import InputError, ParseError, ValidationError
 
 #: Default correlating time of weekly attention data; search series must be
 #: at least twice this long so that moving windows are computable.
@@ -184,10 +185,112 @@ def _read_rows(path, expected_header: list[str]):
     return rows
 
 
+# Characters the two parsers read differently: csv unquotes '"', and numpy
+# strips \x1c-\x1f around a number as whitespace where float() rejects them.
+def _unsafe_for_numpy(line: str) -> bool:
+    return (
+        '"' in line or "\x1c" in line or "\x1d" in line
+        or "\x1e" in line or "\x1f" in line
+    )
+
+
+@dataclass(frozen=True)
+class _Scanned:
+    header: list[str]
+    row_numbers: list[int]
+    labels: list
+    values: np.ndarray
+
+
+def _scan_numeric_csv(path, header_ok, usecols=None, labels=True):
+    """Fast path of the loaders: a headered numeric CSV in one numpy pass.
+
+    One streaming pass over the lines checks that each non-blank line has
+    as many fields as the header and no character `_unsafe_for_numpy`
+    rejects, and parses the label column (the first) when `labels` is set.
+    Then one `np.loadtxt` call parses `usecols` (default: every column
+    after the first). Returns None when anything is unusual -- an
+    unreadable file, a header `header_ok` rejects, a ragged or quoted
+    line, an unparsable label or cell, a non-finite value, no data rows.
+
+    The row parsers stay as the fallback: they name the offending row in
+    each error, unquote quoted cells, and handle empty cells under
+    `forward_fill`. On input the fast path accepts, both produce the same
+    labels and bit-identical arrays.
+    """
+    row_numbers, parsed_labels = [], []
+    try:
+        with open(path, newline="") as fh:
+            header_line = fh.readline()
+            if header_line[:1] in ("", "\r", "\n") or _unsafe_for_numpy(
+                header_line
+            ):
+                return None
+            header = header_line.rstrip("\r\n").split(",")
+            if not header_ok(header):
+                return None
+            commas = len(header) - 1
+            for row_no, line in enumerate(fh, start=2):
+                if line[0] in "\r\n":
+                    continue
+                if line.count(",") != commas or _unsafe_for_numpy(line):
+                    return None
+                row_numbers.append(row_no)
+                if labels:
+                    parsed_labels.append(
+                        _parse_date(line[: line.index(",")], path, row_no)
+                    )
+        if not row_numbers:
+            return None
+        if usecols is None:
+            usecols = range(1, len(header))
+        values = np.loadtxt(
+            path, delimiter=",", skiprows=1, usecols=usecols, ndmin=2,
+            comments=None,
+        )
+    except (OSError, ValueError, ParseError):
+        return None
+    if len(values) != len(row_numbers) or not np.all(np.isfinite(values)):
+        return None
+    return _Scanned(header, row_numbers, parsed_labels, values)
+
+
+_INDEX_HEADER = ["date", "close", "volume"]
+
+
+def _index_header_ok(header) -> bool:
+    return [h.strip().lower() for h in header] == _INDEX_HEADER
+
+
 def load_index_series(path) -> IndexSeries:
     """Load an index.csv file, sorted by date."""
-    rows = _read_rows(path, ["date", "close", "volume"])
-    parsed = []
+    fast = _scan_numeric_csv(path, _index_header_ok)
+    if (
+        fast is not None
+        and np.all(fast.values[:, 0] > 0.0)
+        and np.all(fast.values[:, 1] >= 0.0)
+    ):
+        days, row_numbers = fast.labels, fast.row_numbers
+        close, volume = fast.values[:, 0], fast.values[:, 1]
+    else:
+        days, row_numbers, close, volume = _parse_index_rows(path)
+    order = sorted(range(len(days)), key=days.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if days[a] == days[b]:
+            raise ValidationError(
+                f"{path}: rows {row_numbers[a]} and {row_numbers[b]}: "
+                f"duplicate date {days[a]}"
+            )
+    return IndexSeries(
+        dates=tuple(days[i] for i in order),
+        close=close[order],
+        volume=volume[order],
+    )
+
+
+def _parse_index_rows(path):
+    rows = _read_rows(path, _INDEX_HEADER)
+    days, row_numbers, closes, volumes = [], [], [], []
     for row_no, (d, c, v) in rows:
         day = _parse_date(d, path, row_no)
         close = _parse_float(c, path, row_no, "close")
@@ -200,18 +303,11 @@ def load_index_series(path) -> IndexSeries:
             raise ValidationError(
                 f"{path}: row {row_no}: negative volume {volume}"
             )
-        parsed.append((day, close, volume, row_no))
-    parsed.sort(key=lambda item: item[0])
-    for (a, _, _, ra), (b, _, _, rb) in zip(parsed, parsed[1:]):
-        if a == b:
-            raise ValidationError(
-                f"{path}: rows {ra} and {rb}: duplicate date {a}"
-            )
-    return IndexSeries(
-        dates=tuple(item[0] for item in parsed),
-        close=np.array([item[1] for item in parsed]),
-        volume=np.array([item[2] for item in parsed]),
-    )
+        days.append(day)
+        row_numbers.append(row_no)
+        closes.append(close)
+        volumes.append(volume)
+    return days, row_numbers, np.array(closes), np.array(volumes)
 
 
 def log_returns(series: IndexSeries) -> ReturnSeries:
@@ -236,6 +332,14 @@ def load_sector_map(path) -> dict[str, str]:
     return sector_of
 
 
+def _panel_header_ok(header) -> bool:
+    tickers = {h.strip() for h in header[1:]}
+    return (
+        header[0].strip().lower() == "date"
+        and len(tickers) == len(header) - 1 > 0
+    )
+
+
 def load_returns_panel(path, sector_map_path, forward_fill: bool = False) -> ReturnsPanel:
     """Load a panel.csv of per-stock returns plus its sectors.csv.
 
@@ -243,6 +347,38 @@ def load_returns_panel(path, sector_map_path, forward_fill: bool = False) -> Ret
     gaps of at most 2 consecutive days per ticker.
     """
     sector_of = load_sector_map(sector_map_path)
+    fast = _scan_numeric_csv(path, _panel_header_ok)
+    if fast is not None:
+        labels, matrix = fast.labels, fast.values
+        tickers = tuple(h.strip() for h in fast.header[1:])
+    else:
+        labels, tickers, matrix = _parse_panel_rows(path, forward_fill)
+    if forward_fill and np.any(np.isnan(matrix)):
+        for col, ticker in enumerate(tickers):
+            gaps = np.isnan(matrix[:, col])
+            run = 0
+            for flag in gaps:
+                run = run + 1 if flag else 0
+                if run > 2:
+                    raise ValidationError(
+                        f"{path}: ticker {ticker!r} has a gap longer "
+                        f"than 2 days"
+                    )
+            matrix[gaps, col] = 0.0
+    for ticker in tickers:
+        if ticker not in sector_of:
+            raise ValidationError(
+                f"ticker {ticker!r} missing from sector map {sector_map_path}"
+            )
+    return ReturnsPanel(
+        dates=tuple(labels),
+        tickers=tickers,
+        sector_of={t: sector_of[t] for t in tickers},
+        matrix=matrix,
+    )
+
+
+def _parse_panel_rows(path, forward_fill: bool):
     try:
         fh = open(path, newline="")
     except FileNotFoundError:
@@ -284,30 +420,43 @@ def load_returns_panel(path, sector_map_path, forward_fill: bool = False) -> Ret
                 else:
                     values.append(_parse_float(token, path, row_no, ticker))
             cells.append(values)
-    matrix = np.asarray(cells, dtype=float)
-    if forward_fill and np.any(np.isnan(matrix)):
-        for col, ticker in enumerate(tickers):
-            gaps = np.isnan(matrix[:, col])
-            run = 0
-            for flag in gaps:
-                run = run + 1 if flag else 0
-                if run > 2:
-                    raise ValidationError(
-                        f"{path}: ticker {ticker!r} has a gap longer "
-                        f"than 2 days"
-                    )
-            matrix[gaps, col] = 0.0
-    for ticker in tickers:
-        if ticker not in sector_of:
-            raise ValidationError(
-                f"ticker {ticker!r} missing from sector map {sector_map_path}"
-            )
-    return ReturnsPanel(
-        dates=tuple(labels),
-        tickers=tickers,
-        sector_of={t: sector_of[t] for t in tickers},
-        matrix=matrix,
+    return labels, tickers, np.asarray(cells, dtype=float)
+
+
+def load_returns_column(path) -> np.ndarray:
+    """The second column of a headered CSV as floats: the aggregate return
+    R of a simulation's returns.csv (`day,R[,stock columns]`)."""
+    fast = _scan_numeric_csv(
+        path, lambda header: len(header) >= 2, usecols=(1,), labels=False
     )
+    values = fast.values[:, 0] if fast is not None else _parse_returns_rows(path)
+    if len(values) < 2:
+        raise InputError(f"{path}: no return rows")
+    return values
+
+
+def _parse_returns_rows(path) -> np.ndarray:
+    values = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or len(header) < 2:
+            raise InputError(f"{path}: expected a returns CSV with >= 2 columns")
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < 2:
+                raise InputError(
+                    f"{path}: row {row_no}: expected at least 2 fields, "
+                    f"got {len(row)}"
+                )
+            try:
+                values.append(float(row[1]))
+            except ValueError:
+                raise InputError(
+                    f"{path}: row {row_no}: cannot parse return {row[1]!r}"
+                ) from None
+    return np.asarray(values)
 
 
 def load_search_series(path, align: bool = True) -> list[SearchSeries]:
@@ -364,15 +513,36 @@ def save_index_series(series: IndexSeries, path) -> None:
             writer.writerow([day.isoformat(), repr(float(close)), repr(float(volume))])
 
 
-def save_returns_panel(panel: ReturnsPanel, path, sectors_path=None) -> None:
+_WRITE_BLOCK_ROWS = 1024
+
+
+def write_csv_table(path, header, labels, columns) -> None:
+    """Write `header`, then one row per label: the label followed by the
+    matching cell of each of the equal-length 1-D arrays in `columns`,
+    formatted by repr().
+
+    The bytes equal csv.writer's for cells that need no quoting
+    (comma-separated, `\r\n` after each row). Formatting a block of rows
+    column by column is several times faster than a `writerow` call per
+    row, and the block size bounds the memory held in Python strings.
+    """
+    labels = iter(labels)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + list(panel.tickers))
-        for i, label in enumerate(panel.dates):
-            label = label.isoformat() if isinstance(label, date) else label
-            writer.writerow(
-                [label] + [repr(float(v)) for v in panel.matrix[i]]
-            )
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            cells = [map(repr, column[start:stop].tolist()) for column in columns]
+            rows = zip(islice(labels, _WRITE_BLOCK_ROWS), *cells)
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
+def save_returns_panel(panel: ReturnsPanel, path, sectors_path=None) -> None:
+    write_csv_table(
+        path,
+        ["date"] + list(panel.tickers),
+        (d.isoformat() if isinstance(d, date) else str(d) for d in panel.dates),
+        np.asarray(panel.matrix, dtype=float).T,
+    )
     if sectors_path is not None:
         save_sector_map(panel.sector_of, sectors_path)
 

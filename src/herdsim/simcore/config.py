@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -83,6 +84,14 @@ class ModelConfig:
         return DEFAULT_K[model] if self.k is None else self.k
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name == "H_j" or (value is None and f.default is None):
+                continue
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
         if not 50 <= self.M <= 500:
@@ -154,6 +163,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         """Build a config from a dict with exactly the field names above."""
+        _require_object(data)
         known = {f.name for f in dataclasses.fields(cls)}
         extra = sorted(set(data) - known)
         if extra:
@@ -170,6 +180,7 @@ class ModelConfig:
         Keys that are not ModelConfig fields (beta, delta_r, delta_F, ...)
         are ignored, so a calibration report is directly loadable.
         """
+        _require_object(data)
         known = {f.name for f in dataclasses.fields(cls)}
         updates = {k: v for k, v in data.items() if k in known and v is not None}
         if updates.get("H_j") is not None:
@@ -178,6 +189,13 @@ class ModelConfig:
             updates["delta_R"] = int(updates["delta_R"])
         base = base if base is not None else cls()
         return dataclasses.replace(base, **updates)
+
+
+def _require_object(data) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(
+            f"config must be a JSON object, got {type(data).__name__}"
+        )
 
 
 def load_config(path: str) -> ModelConfig:

@@ -64,6 +64,25 @@ class TestSimulate:
         assert run(["simulate", "a", "--config", missing, "--out", tmp_path / "r"]) == 2
         assert "nope.json" in capsys.readouterr().err
 
+    def test_top_level_json_list_exits_2(self, tmp_path, capsys):
+        listed = tmp_path / "list.json"
+        listed.write_text(json.dumps([{"N": 1000}]))
+        assert run(["simulate", "a", "--config", listed, "--out", tmp_path / "r"]) == 2
+        assert "JSON object" in capsys.readouterr().err
+        assert run(["simulate", "a", "--config", small_config(tmp_path),
+                    "--calibration", listed, "--out", tmp_path / "r"]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, seed=-1)
+        assert run(["simulate", "a", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_string_agent_count_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, N="100")
+        assert run(["simulate", "a", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert "N must be a number" in capsys.readouterr().err
+
     def test_model_c_emits_panel_and_sectors(self, tmp_path):
         cfg = small_config(
             tmp_path, N=2000, n=10, n_sec=2, H_M=0.363,
@@ -143,6 +162,14 @@ class TestAnalyze:
             tmp_path / "flat.csv", ["day", "R"], [(i, 0) for i in range(1, 700)]
         )
         assert run(["analyze", "stats", "--in", path, "--out", tmp_path / "o"]) == 1
+
+
+    @pytest.mark.parametrize("what", ["stats", "lcurve"])
+    def test_single_field_row_exits_2(self, tmp_path, capsys, what):
+        path = tmp_path / "returns.csv"
+        path.write_text("day,R\n1,3\n2\n3,-4\n")
+        assert run(["analyze", what, "--in", path, "--out", tmp_path / "o"]) == 2
+        assert "row 3: expected at least 2 fields, got 1" in capsys.readouterr().err
 
 
 class TestCalibrateCommands:

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import business_dates, weekly_dates, write_csv
-from herdsim.errors import ParseError, ValidationError
+from herdsim.errors import InputError, ParseError, ValidationError
 from herdsim.ingest import (
     IndexSeries,
     ReturnsPanel,
     SearchSeries,
+    _scan_numeric_csv,
     load_index_series,
+    load_returns_column,
     load_returns_panel,
     load_search_series,
     log_returns,
@@ -310,3 +312,68 @@ class TestSearchSeries:
         assert back[0].ticker == "AAA"
         assert np.array_equal(back[0].volume, series[0].volume)
         assert back[1].weeks == series[1].weeks
+
+
+class TestNumpyFastPath:
+    """The loaders parse clean files with one numpy pass and hand anything
+    unusual to the row parser, whose errors name the row."""
+
+    @pytest.fixture
+    def sectors(self, tmp_path):
+        return write_csv(tmp_path / "s.csv", ["ticker", "sector_id"],
+                         [("AAA", "1"), ("BBB", "1")])
+
+    def test_clean_files_take_the_numpy_path(self, tmp_path, panel_files, index_csv):
+        returns = tmp_path / "returns.csv"
+        returns.write_text("day,R\r\n1,3\r\n\r\n2,-4\r\n")
+        for path in (panel_files[0], index_csv, returns):
+            assert _scan_numeric_csv(path, lambda header: True) is not None
+        assert load_returns_column(returns).tolist() == [3.0, -4.0]
+
+    @pytest.mark.parametrize("text", [
+        'date,AAA,BBB\n2020-01-01,"0.1",0.2\n2020-01-02,0.3,0.1\n',
+        "date,AAA,BBB\n2020-01-01,0.1,0.2\n2020-01-02,0.3,0.1\x1c\n",
+    ])
+    def test_quoted_and_control_cells_fall_back(self, tmp_path, sectors, text):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        assert _scan_numeric_csv(path, lambda header: True) is None
+        panel = load_returns_panel(path, sectors)
+        assert panel.matrix.tolist() == [[0.1, 0.2], [0.3, 0.1]]
+
+    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_cell_with_control_character_is_rejected(self, tmp_path, char):
+        path = tmp_path / "returns.csv"
+        path.write_text(f"day,R\n1,3\n2,4{char}\n")
+        with pytest.raises(InputError, match="row 3: cannot parse return"):
+            load_returns_column(path)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("date,AAA,BBB\n2020-01-01,0.1,0.2\n2020-01-02,#0.3,0.1\n",
+         ParseError, "row 3: cannot parse AAA '#0.3'"),
+        ("date,AAA,BBB\n2020-01-01,0.1,0.2\n\n2020-01-02,0.3,0.1,0.5\n",
+         ParseError, "row 4: ragged row with 4 fields"),
+        ("date,AAA,BBB\n2020-01-01,0.1,nan\n2020-01-02,0.3,0.1\n",
+         ValidationError, "row 2: non-finite BBB"),
+    ])
+    def test_panel_errors_name_the_row(self, tmp_path, sectors, text, error, message):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=message):
+            load_returns_panel(path, sectors)
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ("2020-01-01,100,10\n2020-01-02,-1.5,12\n",
+         ValidationError, "row 3: non-positive close -1.5"),
+        ("2020-01-01,100,10\n2020-01-02,101,-0.5\n",
+         ValidationError, "row 3: negative volume -0.5"),
+        ("2020-01-01,100,10\n2020-01-02,101\x1c,12\n",
+         ParseError, "row 3: cannot parse close"),
+        ("2020-01-02,100,10\r\n\r\n2020-01-03,100,10\r\n2020-01-02,101,12\r\n",
+         ValidationError, "rows 2 and 5: duplicate date 2020-01-02"),
+    ])
+    def test_index_errors_name_the_row(self, tmp_path, rows, error, message):
+        path = tmp_path / "i.csv"
+        path.write_bytes(("date,close,volume\n" + rows).encode())
+        with pytest.raises(error, match=message):
+            load_index_series(path)

@@ -1,4 +1,8 @@
-"""Property-based checks of the estimator invariants."""
+"""Property-based checks of the estimator invariants and the CSV loaders."""
+
+from contextlib import nullcontext
+from datetime import date, timedelta
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import write_csv
+from herdsim import ingest
 from herdsim.calibrate import herding_shift
 from herdsim.stats import (
     autocorrelation_abs,
@@ -66,3 +72,146 @@ def test_herding_shift_antisymmetric(seed):
     r = rng.normal(size=200)
     v = rng.uniform(0.1, 3.0, 200)
     assert herding_shift(-r, v) == pytest.approx(-herding_shift(r, v), abs=1e-12)
+
+
+# --- numpy fast path of the CSV loaders against the row parsers -------------
+
+POSITIVE_CELLS = st.floats(1e-3, 1e6).map(repr)
+SIGNED_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-1000, 1000).map(str),
+)
+# Cells numpy may parse, where the fast path has to decide like the row parser.
+SUBTLE_CELLS = st.sampled_from([
+    "nan", "inf", "-inf", "-0.0", "5e-324", "2.5e-310", "1e400", "+.5", "1e3",
+    "\x1c2", "2\x1f", "\x1d-1", "-1.5", "0",
+])
+# Cells numpy rejects; only the row parser decides them.
+BROKEN_CELLS = st.sampled_from([
+    "", "1_0", "#1", "# 2", '"1.5"', '"1,5"', "x", "1e", "0x10",
+])
+PADDING = st.sampled_from([(" ", ""), ("", " "), ("\t", "  "), ("  ", "\t")])
+ODD_LABELS = st.sampled_from([
+    "", " 3", "3 ", "1_0", "#4", '"2020-01-05"', "x", "2020-13-01", "-2",
+    "2020-01-03 ",
+])
+# The first header of each kind is the canonical one.
+HEADERS = {
+    "panel": [
+        ["date", "T1", "T2"], ["date", "T1"], [" Date", "T1 ", "T2", "T3"],
+        ["date", "T1", "T1"], ["day", "T1"], ["date"], ['"date"', "T1"],
+    ],
+    "index": [
+        ["date", "close", "volume"], [" DATE", "Close ", "volume"],
+        ["date", "close"], ["date", "close", "volume", "x"],
+    ],
+    "returns": [
+        ["day", "R"], ["day", "R", "S001", "S002"], ["day"], ["t", " R "],
+    ],
+}
+
+
+@st.composite
+def csv_text(draw, kind):
+    """A small CSV file of `kind`. Each kind of mutation is switched on for
+    about a quarter of the files, so files with one kind alone are common."""
+    def rate():
+        return draw(st.sampled_from([0, 0, 0, draw(st.sampled_from([1, 3]))]))
+
+    def sometimes(rate):
+        return draw(st.integers(0, 9)) < rate
+
+    header = HEADERS[kind][0]
+    if draw(st.integers(0, 3)) == 0:
+        header = draw(st.sampled_from(HEADERS[kind]))
+    signed, subtle, broken, ragged, spaced = (rate() for _ in range(5))
+    order = draw(st.sampled_from(["sorted"] * 3 + ["permuted", "duplicates"]))
+    width = len(header) - 1
+    start = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        labels = [str(start + i) for i in range(10)]
+    else:
+        labels = [(date(2020, 1, 1) + timedelta(days=start + i)).isoformat()
+                  for i in range(10)]
+    n_rows = draw(st.integers(0, 6))
+    if order == "permuted":
+        labels = draw(st.permutations(labels[:n_rows]))
+    elif order == "duplicates":
+        labels = [labels[i - sometimes(5)] for i in range(n_rows)]
+    rows = []
+    for label in labels[:n_rows]:
+        if sometimes(broken):
+            label = draw(ODD_LABELS)
+        cells = []
+        for _ in range(width):
+            if sometimes(broken):
+                cell = draw(BROKEN_CELLS)
+            elif sometimes(subtle):
+                cell = draw(SUBTLE_CELLS)
+            else:
+                cell = draw(SIGNED_CELLS if sometimes(signed) else POSITIVE_CELLS)
+            if sometimes(spaced):
+                before, after = draw(PADDING)
+                cell = before + cell + after
+            cells.append(cell)
+        if sometimes(ragged):
+            cells = draw(st.sampled_from(
+                [cells[:-1], cells + ["0.5"], [], cells[:1]]))
+        rows.append(",".join([label] + cells))
+        if sometimes(spaced):
+            rows.append("")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([",".join(header)] + rows) + draw(st.sampled_from([eol, ""]))
+
+
+def outcome(load, row_parser_only):
+    """What `load()` returns or raises, optionally with the fast path off."""
+    with patch.object(ingest, "_scan_numeric_csv",
+                      return_value=None) if row_parser_only else nullcontext():
+        try:
+            result = load()
+        except Exception as exc:  # the type and message must both match
+            return ("raised", type(exc), str(exc))
+    if isinstance(result, np.ndarray):
+        return ("array", result.dtype, result.shape, result.tobytes())
+    arrays = {k: (v.dtype, v.shape, v.tobytes())
+              for k, v in vars(result).items() if isinstance(v, np.ndarray)}
+    others = {k: v for k, v in vars(result).items() if k not in arrays}
+    return ("record", type(result), arrays, others)
+
+
+def assert_loader_matches_row_parser(load):
+    assert outcome(load, False) == outcome(load, True)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("loaders")
+    write_csv(directory / "sectors.csv", ["ticker", "sector_id"],
+              [("T1", "1"), ("T2", "1"), ("T3", "2")])
+    return directory
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_text("panel"), forward_fill=st.booleans())
+def test_panel_loader_matches_row_parser(csv_dir, text, forward_fill):
+    path = csv_dir / "panel.csv"
+    path.write_bytes(text.encode())
+    assert_loader_matches_row_parser(lambda: ingest.load_returns_panel(
+        path, csv_dir / "sectors.csv", forward_fill=forward_fill))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_text("index"))
+def test_index_loader_matches_row_parser(csv_dir, text):
+    path = csv_dir / "index.csv"
+    path.write_bytes(text.encode())
+    assert_loader_matches_row_parser(lambda: ingest.load_index_series(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_text("returns"))
+def test_returns_loader_matches_row_parser(csv_dir, text):
+    path = csv_dir / "returns.csv"
+    path.write_bytes(text.encode())
+    assert_loader_matches_row_parser(lambda: ingest.load_returns_column(path))
