@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -88,8 +89,16 @@ class ModelConfig:
             value = getattr(self, f.name)
             if f.name == "H_j" or (value is None and f.default is None):
                 continue
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if isinstance(value, numbers.Integral):
+                continue
+            if f.name in _INTEGER_FIELDS:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if self.H_j is not None:
+            _sector_degrees(self.H_j)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.N < 1:
@@ -102,8 +111,6 @@ class ModelConfig:
             raise ConfigError(f"k must be positive, got {self.k}")
         if not 0.0 < self.alpha < 2.0:
             raise ConfigError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if int(self.delta_R) != self.delta_R:
-            raise ConfigError(f"delta_R must be an integer, got {self.delta_R}")
         if not 0.0 <= self.c <= 1.0:
             raise ConfigError(f"c must lie in [0, 1], got {self.c}")
         if self.tau < 1:
@@ -168,10 +175,7 @@ class ModelConfig:
         extra = sorted(set(data) - known)
         if extra:
             raise ConfigError(f"unknown config fields: {', '.join(extra)}")
-        d = dict(data)
-        if d.get("H_j") is not None:
-            d["H_j"] = tuple(float(h) for h in d["H_j"])
-        return cls(**d)
+        return cls(**_coerce(data))
 
     @classmethod
     def from_fragment(cls, data: dict, base: "ModelConfig | None" = None) -> "ModelConfig":
@@ -183,12 +187,44 @@ class ModelConfig:
         _require_object(data)
         known = {f.name for f in dataclasses.fields(cls)}
         updates = {k: v for k, v in data.items() if k in known and v is not None}
-        if updates.get("H_j") is not None:
-            updates["H_j"] = tuple(float(h) for h in updates["H_j"])
-        if "delta_R" in updates:
-            updates["delta_R"] = int(updates["delta_R"])
         base = base if base is not None else cls()
-        return dataclasses.replace(base, **updates)
+        return dataclasses.replace(base, **_coerce(updates))
+
+
+#: Fields annotated int (annotations are strings under postponed evaluation).
+_INTEGER_FIELDS = frozenset(
+    f.name
+    for f in dataclasses.fields(ModelConfig)
+    if f.type in ("int", "int | None")
+)
+
+
+def _coerce(data: dict) -> dict:
+    """Parsed JSON values as field values: H_j as a tuple of floats, and
+    integral floats (10.0) as ints in integer fields.  Everything else is
+    left for validate() to accept or reject."""
+    d = dict(data)
+    for name in _INTEGER_FIELDS & d.keys():
+        value = d[name]
+        if isinstance(value, float) and value.is_integer():
+            d[name] = int(value)
+    if d.get("H_j") is not None:
+        d["H_j"] = _sector_degrees(d["H_j"])
+    return d
+
+
+def _sector_degrees(value) -> tuple[float, ...]:
+    """H_j as a tuple of floats; ConfigError unless a list of finite numbers."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"H_j must be a list of numbers, got {value!r}")
+    for h in value:
+        if (
+            isinstance(h, bool)
+            or not isinstance(h, numbers.Real)
+            or not math.isfinite(h)
+        ):
+            raise ConfigError(f"H_j entries must be finite numbers, got {h!r}")
+    return tuple(float(h) for h in value)
 
 
 def _require_object(data) -> None:

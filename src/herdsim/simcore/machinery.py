@@ -16,8 +16,13 @@ from ..errors import ConfigError
 from .config import HORIZON_DECAY, ModelConfig
 
 
-def round_count(x: float) -> int:
-    """Round a positive real to the nearest integer, ties upward."""
+def round_count(x):
+    """Round positive reals to the nearest integer, ties upward.
+
+    A scalar gives an int, an array an int64 array of the same shape.
+    """
+    if isinstance(x, np.ndarray):
+        return np.floor(x + 0.5).astype(np.int64)
     return int(math.floor(x + 0.5))
 
 

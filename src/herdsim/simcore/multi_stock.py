@@ -15,26 +15,94 @@ from .config import ModelConfig
 from .machinery import SimOutput, horizon_weights, round_count
 
 
-def mgroup_slots(sgroup_count: int, n_stocks: int, h_m: float) -> int:
+def mgroup_slots(sgroup_count, n_stocks: int, h_m: float):
     """Market-level slots of one sector: max(1, round(N_S / (n * H_M))).
 
     Weakly decreasing in h_m for a frozen sector-level state, so a higher
-    market co-movement degree never increases the M-group count.
+    market co-movement degree never increases the M-group count.  Takes a
+    count or an array of counts.
     """
-    return max(1, round_count(sgroup_count / (n_stocks * h_m)))
+    return np.maximum(1, round_count(sgroup_count / (n_stocks * h_m)))
 
 
-def _spread_sample(count: int, pool: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` targets from range(pool), avoiding repeats while possible.
+def _draw_uniform(buy, sell, pool, draws, rng: np.random.Generator):
+    """Buy/sell counts among `draws` picks made uniformly, with replacement.
 
-    Used for groups of a common origin (same stock, same sector) that tend
-    not to rejoin each other at the next level: targets are sampled without
-    replacement until the pool is exhausted, then uniformly.
+    Each pool holds `pool` groups, `buy` of them buying and `sell` selling;
+    all arguments are arrays of one shape (or broadcast to one).  The
+    conditional binomial pair is the three-way multinomial with each
+    category probability an exact ratio of integers.
     """
-    if count <= pool:
-        return rng.permutation(pool)[:count]
-    extra = rng.integers(0, pool, size=count - pool)
-    return np.concatenate([rng.permutation(pool), extra])
+    buys = rng.binomial(draws, buy / pool)
+    rest = pool - buy
+    # rest == 0: every group of the pool buys, so no pick is left to split
+    sells = rng.binomial(draws - buys, sell / np.maximum(rest, 1))
+    return buys, sells
+
+
+def _draw_spread(buy, sell, pool, draws, rng: np.random.Generator):
+    """Buy/sell counts among `draws` picks that avoid repeats while possible.
+
+    A pick takes each group of the pool once, in random order, before any
+    group is taken twice; picks beyond the pool size are uniform.  The
+    first part is a multivariate hypergeometric draw (skipped when every
+    pick takes its whole pool), the rest a uniform draw (skipped when no
+    pool runs out).
+    """
+    extra = draws - pool
+    if (extra >= 0).all():
+        buys, sells = buy, sell
+    else:
+        first = np.minimum(draws, pool)
+        buys = rng.hypergeometric(buy, pool - buy, first)
+        sells = rng.hypergeometric(sell, pool - buy - sell, first - buys)
+    if (extra > 0).any():
+        more_buys, more_sells = _draw_uniform(
+            buy, sell, pool, np.maximum(extra, 0), rng
+        )
+        buys = buys + more_buys
+        sells = sells + more_sells
+    return buys, sells
+
+
+def sample_day_returns(
+    agents_per_stock: np.ndarray,
+    igroups: np.ndarray,
+    sgroups: np.ndarray,
+    slots: np.ndarray,
+    p_group: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One day's per-stock returns of the three-level herding model.
+
+    Stocks are laid out sector by sector, len(igroups) // len(sgroups) per
+    sector.  The market holds max(slots) M-groups, each buying with
+    p_group, selling with p_group and holding otherwise; sector j's
+    sgroups[j] S-groups join its first slots[j] M-groups, stock s's
+    igroups[s] I-groups join its sector's S-groups, and the stock's agents
+    pick I-groups uniformly.  S-groups of a sector (I-groups of a stock)
+    spread over distinct targets until the targets run out.
+
+    Every map is exchangeable, so a stock's return depends only on how
+    many of its groups end in a buy or a sell at each level: the counts
+    are drawn level by level instead of the maps themselves, which gives
+    the same joint law over all stocks.
+    """
+    u = rng.random(int(slots.max()))
+    buy_m = (u < p_group).cumsum()[slots - 1]
+    sell_m = (u < 2.0 * p_group).cumsum()[slots - 1] - buy_m
+    buy_s, sell_s = _draw_spread(buy_m, sell_m, slots, sgroups, rng)
+
+    per_sector = len(igroups) // len(sgroups)
+    buy_i, sell_i = _draw_spread(
+        buy_s.repeat(per_sector),
+        sell_s.repeat(per_sector),
+        sgroups.repeat(per_sector),
+        igroups,
+        rng,
+    )
+    buys, sells = _draw_uniform(buy_i, sell_i, igroups, agents_per_stock, rng)
+    return buys - sells
 
 
 def run_model_c(config: ModelConfig) -> SimOutput:
@@ -56,7 +124,8 @@ def run_model_c(config: ModelConfig) -> SimOutput:
     per_sector = n_stocks // n_sectors
     p_group = float(config.P_group)
     h_m = float(config.H_M)
-    h_excess = np.asarray(config.H_j, dtype=float) - h_m
+    # I-groups per S-group in sector j: n * (H_j - H_M)
+    sgroup_scale = n_stocks * (np.asarray(config.H_j, dtype=float) - h_m)
     m = config.M
     k = config.k_for("c")
     warmup = config.warmup_days
@@ -77,48 +146,26 @@ def run_model_c(config: ModelConfig) -> SimOutput:
     igroup_trace = np.empty(kept)
 
     # Bootstrap: every agent trades on its own at the group probability.
-    for t in range(warmup):
-        for s in range(n_stocks):
-            buys, sells, _ = rng.multinomial(
-                agents_per_stock[s], (p_group, p_group, hold)
-            )
-            history[t, s] = buys - sells
+    trades = rng.multinomial(
+        agents_per_stock, (p_group, p_group, hold), size=(warmup, n_stocks)
+    )
+    history[:warmup] = trades[..., 0] - trades[..., 1]
 
     # an unheld stock (possible at small N) degenerates to one empty group
     holders = np.maximum(agents_per_stock, 1).astype(float)
     for t in range(warmup, t_max):
         rprime = k * (w_rev @ history[t - m : t, :])
         avg_i = np.minimum(np.maximum(np.abs(rprime), 1.0), holders)
-        igroups = np.maximum(
-            1, np.floor(agents_per_stock / avg_i + 0.5).astype(np.int64)
+        igroups = np.maximum(1, round_count(agents_per_stock / avg_i))
+        sector_igroups = igroups.reshape(n_sectors, per_sector).sum(axis=1)
+        sgroups = np.maximum(1, round_count(sector_igroups / sgroup_scale))
+        slots = mgroup_slots(sgroups, n_stocks, h_m)
+        history[t] = sample_day_returns(
+            agents_per_stock, igroups, sgroups, slots, p_group, rng
         )
 
-        sgroups = np.empty(n_sectors, dtype=np.int64)
-        slots = np.empty(n_sectors, dtype=np.int64)
-        for j in range(n_sectors):
-            stocks_j = slice(j * per_sector, (j + 1) * per_sector)
-            n_i = int(igroups[stocks_j].sum())
-            sgroups[j] = max(1, round_count(n_i / (n_stocks * h_excess[j])))
-            slots[j] = mgroup_slots(int(sgroups[j]), n_stocks, h_m)
-        total_m = int(slots.max())
-
-        u = rng.random(total_m)
-        phi_m = np.zeros(total_m, dtype=np.int64)
-        phi_m[u < p_group] = 1
-        phi_m[(u >= p_group) & (u < 2.0 * p_group)] = -1
-
-        for j in range(n_sectors):
-            s_to_m = _spread_sample(int(sgroups[j]), int(slots[j]), rng)
-            for s in range(j * per_sector, (j + 1) * per_sector):
-                g = int(igroups[s])
-                sizes = rng.multinomial(
-                    agents_per_stock[s], np.full(g, 1.0 / g)
-                )
-                i_to_s = _spread_sample(g, int(sgroups[j]), rng)
-                history[t, s] = sizes @ phi_m[s_to_m[i_to_s]]
-
         i = t - warmup
-        mgroup_trace[i] = total_m
+        mgroup_trace[i] = slots.max()
         igroup_trace[i] = igroups.mean()
 
     tickers = tuple(f"S{s + 1:03d}" for s in range(n_stocks))

@@ -83,6 +83,42 @@ class TestSimulate:
         assert run(["simulate", "a", "--config", cfg, "--out", tmp_path / "r"]) == 2
         assert "N must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "h_j,message",
+        [
+            (3, "H_j must be a list of numbers"),
+            ([0.4, "x"], "H_j entries must be finite numbers"),
+            ([0.4, float("nan")], "H_j entries must be finite numbers"),
+        ],
+    )
+    def test_malformed_sector_degrees_exit_2(self, tmp_path, capsys, h_j, message):
+        cfg = small_config(tmp_path, n=10, n_sec=2, H_M=0.3, H_j=h_j, P_group=0.3)
+        assert run(["simulate", "c", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [(True, "N must be a number"), (100.5, "N must be an integer")],
+    )
+    def test_non_integer_agent_count_exits_2(self, tmp_path, capsys, value, message):
+        cfg = small_config(tmp_path, N=value)
+        assert run(["simulate", "a", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_integral_float_counts_become_ints(self, tmp_path):
+        kwargs = dict(N=2000, H_M=0.363, H_j=[0.491, 0.546], P_group=0.363, t_max=200)
+        (tmp_path / "i").mkdir()
+        (tmp_path / "f").mkdir()
+        as_ints = small_config(tmp_path / "i", n=10, n_sec=2, **kwargs)
+        as_floats = small_config(tmp_path / "f", n=10.0, n_sec=2.0, **kwargs)
+        assert run(["simulate", "c", "--config", as_ints, "--out", tmp_path / "ri"]) == 0
+        assert run(["simulate", "c", "--config", as_floats, "--out", tmp_path / "rf"]) == 0
+        assert digest(tmp_path / "ri" / "returns.csv") == digest(
+            tmp_path / "rf" / "returns.csv"
+        )
+        manifest = json.loads((tmp_path / "rf" / "manifest.json").read_text())
+        assert manifest["config"]["n"] == 10
+
     def test_model_c_emits_panel_and_sectors(self, tmp_path):
         cfg = small_config(
             tmp_path, N=2000, n=10, n_sec=2, H_M=0.363,
