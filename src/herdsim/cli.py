@@ -3,8 +3,8 @@
 Every command writes its results under an output directory (``--out``, or
 ``$HERDSIM_OUT/<command>-<subcommand>``) together with a run manifest that
 records the command line, config hash, seed, tool version and input file
-digests.  Exit codes: 0 success, 1 runtime/numeric failure, 2 input or
-validation failure.
+digests.  Exit codes: 0 success, 1 runtime/numeric failure (out of memory
+included), 2 input or validation failure.
 
 Simulation output schema: ``returns.csv`` with columns ``day,R`` (plus one
 column per stock for model c), ``diagnostics.csv`` with per-day traces, and
@@ -477,6 +477,10 @@ def main(argv=None) -> int:
         return 1
     except HerdsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
     return 0
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -22,6 +22,10 @@ HORIZON_DECAY = 1.12
 #: reported stylized facts (sigma_R of a few dozen agents for the
 #: single-stock models, structured multi-level herding for model C).
 DEFAULT_K = {"a": 0.1, "b": 0.1, "c": 0.25, "d": 0.1}
+
+#: Largest magnitude of an integer field: keeps every count (agents, days,
+#: stocks, ...) a C long on every platform, as numpy's samplers need.
+INT_FIELD_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,9 @@ class ModelConfig:
     seed     RNG seed
     t_max    total simulated days, warmup included
     warmup   bootstrap days excluded from the output; defaults to M
+
+    Every integer field lies within +-INT_FIELD_MAX, and every other
+    numeric field is a finite float.
     """
 
     N: int = 10_000
@@ -91,12 +98,16 @@ class ModelConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if isinstance(value, numbers.Integral):
-                continue
-            if f.name in _INTEGER_FIELDS:
+            if f.name not in _INTEGER_FIELDS:
+                if not _is_finite_float(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            elif not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            elif abs(value) > INT_FIELD_MAX:
+                raise ConfigError(
+                    f"{f.name} must be at most {INT_FIELD_MAX} in magnitude, "
+                    f"got {value!r}"
+                )
         if self.H_j is not None:
             _sector_degrees(self.H_j)
         if self.seed < 0:
@@ -221,10 +232,16 @@ def _sector_degrees(value) -> tuple[float, ...]:
         if (
             isinstance(h, bool)
             or not isinstance(h, numbers.Real)
-            or not math.isfinite(h)
+            or not _is_finite_float(h)
         ):
             raise ConfigError(f"H_j entries must be finite numbers, got {h!r}")
     return tuple(float(h) for h in value)
+
+
+def _is_finite_float(value: numbers.Real) -> bool:
+    """True if the real number converts to a finite float (false for NaN,
+    infinities and ints beyond the float range)."""
+    return abs(value) <= sys.float_info.max
 
 
 def _require_object(data) -> None:

@@ -137,7 +137,9 @@ def sample_aggregate_return(
     and independently.
     """
     p_hold = 1.0 - p_buy - p_sell
-    n_buy, n_sell, _ = rng.multinomial(n_clusters, (p_buy, p_sell, p_hold))
+    n_buy, n_sell, _ = rng.multinomial(
+        n_clusters, (p_buy, p_sell, p_hold)
+    ).tolist()
     if n_buy == 0 and n_sell == 0:
         return 0
     # Conditional binomials keep the category probabilities exact ratios

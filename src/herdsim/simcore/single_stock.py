@@ -23,14 +23,26 @@ from .machinery import (
     sample_aggregate_return,
 )
 
+#: Days of model D's feedback-free draws made at once: bounds their memory.
+_DRAW_BLOCK = 1024
 
-def _trade_probability(rprime: float, p: float, alpha: float, beta: float) -> float:
-    """Total trading probability for the next day given the weighted return."""
-    if rprime > 0.0:
-        return 2.0 * p * alpha
-    if rprime < 0.0:
-        return 2.0 * p * beta
-    return 2.0 * p
+
+def _volatility_coefficients(gamma) -> np.ndarray:
+    """Weights of a chronological volatility window (oldest day first) in
+    sum_i gamma_i * (mean of the last i volatilities).
+
+    The volatility j days back weighs sum over horizons i > j of
+    gamma_i / i, so xi is linear in the window.
+    """
+    g = np.asarray(gamma, dtype=float)
+    return np.cumsum((g / np.arange(1, len(g) + 1))[::-1])
+
+
+def _xi(coefficients, window, total) -> float:
+    """xi of a chronological volatility window whose sum is `total`."""
+    if total <= 0:
+        return 1.0
+    return len(coefficients) * float(np.dot(coefficients, window)) / total
 
 
 def perceived_volatility(volatilities, gamma) -> float:
@@ -45,11 +57,7 @@ def perceived_volatility(volatilities, gamma) -> float:
     m = len(gamma)
     if len(v) != m:
         raise ConfigError(f"need exactly {m} volatilities, got {len(v)}")
-    means = np.cumsum(v[::-1]) / np.arange(1, m + 1)
-    v_m = means[-1]
-    if v_m <= 0.0:
-        return 1.0
-    return float(np.dot(gamma, means) / v_m)
+    return _xi(_volatility_coefficients(gamma), v, float(v.sum()))
 
 
 def _run_herding_model(config: ModelConfig, model: str) -> SimOutput:
@@ -57,44 +65,58 @@ def _run_herding_model(config: ModelConfig, model: str) -> SimOutput:
     config.validate_for(model)
     rng = np.random.default_rng(config.seed)
     n_agents = config.N
+    n_float = float(n_agents)
     m = config.M
     k = config.k_for(model)
     warmup = config.warmup_days
     t_max = config.t_max
-    alpha, beta = config.alpha, config.beta
+    delta_r = config.delta_R
+    pref = config.c
     with_preference = model == "b"
+    # 2p*alpha after a bull R', 2p*beta after a bear one, 2p when flat
+    p_flat = 2.0 * config.p
+    p_bull, p_bear = p_flat * config.alpha, p_flat * config.beta
 
     weights = horizon_weights(m)
     w_rev = weights.tail_sums()[::-1].copy()
-    gamma = weights.gamma
+    xi_weights = _volatility_coefficients(weights.gamma)
 
     history = np.zeros(t_max, dtype=float)
     kept = t_max - warmup
     trade_prob = np.empty(kept)
     herding = np.empty(kept)
-    cluster_count = np.empty(kept, dtype=np.int64)
+    cluster_count = np.empty(kept)
     xi_trace = np.empty(kept) if with_preference else None
 
     for t in range(warmup):
         history[t] = independent_day_return(n_agents, config.p, config.p, rng)
+    if with_preference:
+        # |R| day by day, and its integer sum over the last M days
+        abs_history = np.abs(history)
+        window_sum = int(abs_history[warmup - m : warmup].sum())
 
     for t in range(warmup, t_max):
         rprime = k * float(np.dot(w_rev, history[t - m : t]))
-        p_trade = _trade_probability(rprime, config.p, alpha, beta)
+        if rprime > 0.0:
+            p_trade = p_bull
+        elif rprime < 0.0:
+            p_trade = p_bear
+        else:
+            p_trade = p_flat
 
         if with_preference:
-            xi = perceived_volatility(np.abs(history[t - m : t]), gamma)
-            split = min(max(0.5 * (config.c * xi + (1.0 - config.c)), 0.0), 1.0)
+            xi = _xi(xi_weights, abs_history[t - m : t], window_sum)
+            split = min(max(0.5 * (pref * xi + (1.0 - pref)), 0.0), 1.0)
         else:
             split = 0.5
         p_buy = p_trade * split
         p_sell = p_trade - p_buy
 
-        avg_size = min(max(abs(rprime - config.delta_R), 1.0), float(n_agents))
-        n_clusters = max(1, round_count(n_agents / avg_size))
-        history[t] = sample_aggregate_return(
-            n_agents, n_clusters, p_buy, p_sell, rng
-        )
+        avg_size = min(max(abs(rprime - delta_r), 1.0), n_float)
+        # round_count inlined; N / avg_size >= 1, so int() floors to >= 1
+        n_clusters = int(n_agents / avg_size + 0.5)
+        r = sample_aggregate_return(n_agents, n_clusters, p_buy, p_sell, rng)
+        history[t] = r
 
         i = t - warmup
         trade_prob[i] = p_trade
@@ -102,11 +124,13 @@ def _run_herding_model(config: ModelConfig, model: str) -> SimOutput:
         cluster_count[i] = n_clusters
         if with_preference:
             xi_trace[i] = xi
+            abs_history[t] = abs(r)
+            window_sum += abs(r) - int(abs_history[t - m])
 
     diagnostics = {
         "P_trade": trade_prob,
         "D": herding,
-        "clusters": cluster_count.astype(float),
+        "clusters": cluster_count,
     }
     if with_preference:
         diagnostics["xi"] = xi_trace
@@ -154,6 +178,16 @@ def run_model_d(config: ModelConfig) -> SimOutput:
     tau * sum(F_i) / N; zero-force agents trade independently at the base
     rate P0 = 2p / (1 + 1/(2*b1)), which keeps the time average of the
     per-agent trading probability at 2p.
+
+    The state path, the exponential draws y and the day returns of the
+    independent agents never depend on R', so they are drawn ahead of the
+    days that use them: after the warm-up the initial state, then for each
+    block of _DRAW_BLOCK days one uniform per day for the flips, one
+    multinomial per day over the independent agents and one exponential
+    per day.  The day loop draws only the clustered agents' return.  This
+    is the law of drawing everything day by day, but not its random
+    stream: a seed gives other returns than a driver that interleaves the
+    draws.
     """
     config.validate_for("d")
     rng = np.random.default_rng(config.seed)
@@ -162,52 +196,64 @@ def run_model_d(config: ModelConfig) -> SimOutput:
     k = config.k_for("d")
     warmup = config.warmup_days
     t_max = config.t_max
+    tau = config.tau
 
     w_rev = horizon_weights(m).tail_sums()[::-1].copy()
     mean_force = 1.0 / (2.0 * config.b1)
     p0 = 2.0 * config.p / (1.0 + mean_force)
-    flip_prob = 1.0 / config.tau
+    # 1 - a * sgn(R') for a bull and a bear R'
+    bull, bear = 1.0 - config.a, 1.0 + config.a
     n_dominating = round_count(config.f * n_agents)
+    n_rest = n_agents - n_dominating
 
     history = np.zeros(t_max, dtype=float)
     kept = t_max - warmup
-    state_trace = np.empty(kept, dtype=np.int64)
+    state_trace = np.empty(kept)
     force_trace = np.empty(kept)
     size_trace = np.empty(kept)
 
     for t in range(warmup):
         history[t] = independent_day_return(n_agents, config.p, config.p, rng)
 
-    state = int(rng.integers(0, 2))
-    for t in range(warmup, t_max):
-        rprime = k * float(np.dot(w_rev, history[t - m : t]))
-        if rng.random() < flip_prob:
-            state = 1 - state
-        n_pos = n_dominating if state == 1 else n_agents - n_dominating
-        y = rng.exponential(1.0 / config.b1)
-        force = y * (1.0 - config.a * np.sign(rprime))
-        p_active = min((1.0 + force) * p0, 1.0)
+    state = bool(rng.integers(0, 2))
+    for start in range(warmup, t_max, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, t_max)
+        # S flips with probability 1/tau a day: S_t is S_0 xor the flip parity
+        flips = rng.random(stop - start) < 1.0 / tau
+        states = np.logical_xor(state, np.logical_xor.accumulate(flips))
+        state = bool(states[-1])
+        counts = rng.multinomial(
+            np.where(states, n_rest, n_dominating), (p0 / 2.0, p0 / 2.0, 1.0 - p0)
+        )
+        history[start:stop] = counts[:, 0] - counts[:, 1]
+        y_draws = rng.exponential(1.0 / config.b1, stop - start)
+        state_trace[start - warmup : stop - warmup] = states
 
-        r = 0
-        if n_pos > 0:
-            avg_size = min(max(config.tau * n_pos * force / n_agents, 1.0),
-                           float(n_pos))
-            n_clusters = max(1, round_count(n_pos / avg_size))
-            r += sample_aggregate_return(
-                n_pos, n_clusters, p_active / 2.0, p_active / 2.0, rng
-            )
-        else:
-            avg_size = 0.0
-        if n_pos < n_agents:
-            r += independent_day_return(
-                n_agents - n_pos, p0 / 2.0, p0 / 2.0, rng
-            )
-        history[t] = r
+        # memoryviews iterate as Python floats and bools, without a list
+        days = zip(range(start, stop), memoryview(y_draws), memoryview(states))
+        for t, y, s in days:
+            n_pos = n_dominating if s else n_rest
+            rprime = k * float(np.dot(w_rev, history[t - m : t]))
+            if rprime > 0.0:
+                force = y * bull
+            elif rprime < 0.0:
+                force = y * bear
+            else:
+                force = y
+            if n_pos > 0:
+                p_half = min((1.0 + force) * p0, 1.0) / 2.0
+                avg_size = min(max(tau * n_pos * force / n_agents, 1.0), float(n_pos))
+                # round_count inlined; n_pos / avg_size >= 1, so int() floors
+                n_clusters = int(n_pos / avg_size + 0.5)
+                history[t] += sample_aggregate_return(
+                    n_pos, n_clusters, p_half, p_half, rng
+                )
+            else:
+                avg_size = 0.0
 
-        i = t - warmup
-        state_trace[i] = state
-        force_trace[i] = force
-        size_trace[i] = avg_size
+            i = t - warmup
+            force_trace[i] = force
+            size_trace[i] = avg_size
 
     return SimOutput(
         model="d",
@@ -215,7 +261,7 @@ def run_model_d(config: ModelConfig) -> SimOutput:
         seed=config.seed,
         returns=history[warmup:].astype(np.int64),
         diagnostics={
-            "S": state_trace.astype(float),
+            "S": state_trace,
             "F": force_trace,
             "cluster_size": size_trace,
         },

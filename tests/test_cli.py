@@ -105,6 +105,55 @@ class TestSimulate:
         assert run(["simulate", "a", "--config", cfg, "--out", tmp_path / "r"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model,overrides,field",
+        [
+            ("a", {"N": 1e29}, "N"),
+            ("c", {"N": 1e29, "n": 10, "n_sec": 2, "H_M": 0.3, "H_j": [0.4, 0.5],
+                   "P_group": 0.3}, "N"),
+            ("a", {"t_max": 1e20}, "t_max"),
+            ("a", {"t_max": 3e9}, "t_max"),
+            ("d", {"tau": 2**31}, "tau"),
+            ("b", {"delta_R": -(2**31)}, "delta_R"),
+        ],
+    )
+    def test_oversized_integer_fields_exit_2(
+        self, tmp_path, capsys, model, overrides, field
+    ):
+        cfg = small_config(tmp_path, **overrides)
+        assert run(["simulate", model, "--config", cfg, "--out", tmp_path / "r"]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be at most 2147483647 in magnitude" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"k": 10**400}, "k must be finite"),
+            ({"n": 10, "n_sec": 2, "H_M": 0.3, "H_j": [0.4, 10**400],
+              "P_group": 0.3}, "H_j entries must be finite numbers"),
+        ],
+    )
+    def test_integers_beyond_float_range_exit_2(
+        self, tmp_path, capsys, overrides, message
+    ):
+        cfg = small_config(tmp_path, **overrides)
+        assert run(["simulate", "c", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("detail", ["", "Unable to allocate 22.4 GiB"])
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, detail):
+        def exhausted(model, config):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr("herdsim.cli.run_model", exhausted)
+        cfg = small_config(tmp_path)
+        assert run(["simulate", "a", "--config", cfg, "--out", tmp_path / "r"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert detail in err
+        assert err.count("\n") == 1
+
     def test_integral_float_counts_become_ints(self, tmp_path):
         kwargs = dict(N=2000, H_M=0.363, H_j=[0.491, 0.546], P_group=0.363, t_max=200)
         (tmp_path / "i").mkdir()

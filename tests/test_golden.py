@@ -30,7 +30,9 @@ DIGESTS = {
     "b": "bbe756bd62e574899da652b70c1d5838be880e7d045372d26eb19cd5d0d8a3c6",
     # count-level day sampler (same law as the per-group loop, new stream)
     "c": "123026037ea1a1ba49d2a971b9556f8146002a646855ea0220cba57c215fbeab",
-    "d": "18f3ca6260a39b3eece93f50527bd722ac57f7fa02e9567dba836a1f04d570c1",
+    # feedback-free draws made before the day loop (same law as the
+    # day-by-day loop, new stream)
+    "d": "b5201ab0bc3d229ec23f76442aa3e5257031b74c2369a2d9f64b4ea2e894bd0c",
 }
 
 

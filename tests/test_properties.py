@@ -1,18 +1,24 @@
-"""Property-based checks of the estimator invariants and the CSV loaders."""
+"""Property-based checks of the estimator invariants, the CSV loaders and
+the exit codes of `simulate` for arbitrary config values."""
 
+import json
 from contextlib import nullcontext
 from datetime import date, timedelta
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import write_csv
 from herdsim import ingest
 from herdsim.calibrate import herding_shift
+from herdsim.cli import main
+from herdsim.errors import ConfigError
+from herdsim.simcore import ModelConfig
+from herdsim.simcore.config import INT_FIELD_MAX
 from herdsim.stats import (
     autocorrelation_abs,
     normalize,
@@ -215,3 +221,75 @@ def test_returns_loader_matches_row_parser(csv_dir, text):
     path = csv_dir / "returns.csv"
     path.write_bytes(text.encode())
     assert_loader_matches_row_parser(lambda: ingest.load_returns_column(path))
+
+
+SMALL_CONFIGS = {
+    "a": {"N": 300, "M": 50, "t_max": 120, "warmup": 50, "seed": 1,
+          "alpha": 1.2, "delta_R": 2},
+    "b": {"N": 300, "M": 50, "t_max": 120, "warmup": 50, "seed": 2, "c": 0.5},
+    "c": {"N": 600, "M": 50, "t_max": 120, "warmup": 50, "seed": 3,
+          "n": 4, "n_sec": 2, "H_M": 0.3, "H_j": [0.4, 0.5], "P_group": 0.3},
+    "d": {"N": 300, "M": 50, "t_max": 120, "warmup": 50, "seed": 4,
+          "a": 0.2, "tau": 10},
+}
+CONFIG_FIELDS = sorted(ModelConfig.__dataclass_fields__)
+
+# plausible numbers (many of them valid) as well as arbitrary JSON values
+json_scalars = (
+    st.integers(-2, 400)
+    | st.floats(0.0, 1.0)
+    | st.floats(-1.0, 5.0)
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(INT_FIELD_MAX - 1, 2**80)
+    | st.integers(-(2**80), -INT_FIELD_MAX + 1)
+    | st.floats()
+    | st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _cheap_if_valid(model, config):
+    """False for a config that validates but would run long or large."""
+    try:
+        parsed = ModelConfig.from_dict(config)
+        parsed.validate_for(model)
+    except ConfigError:
+        return True
+    if parsed.t_max > 300:
+        return False
+    if model != "c":
+        return True
+    # Model C draws one uniform per M-group slot each day.  At most N
+    # I-groups give at most N / (n * (H_j - H_M)) S-groups per sector and
+    # that over n * H_M slots; H_M = 0 makes no slots (round_count of inf).
+    gap = min(parsed.H_j) - parsed.H_M
+    slots = parsed.N / (parsed.n * gap) / (parsed.n * parsed.H_M or np.inf)
+    return parsed.n <= 64 and slots <= 1e5
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from(sorted(SMALL_CONFIGS)),
+    field=st.sampled_from(CONFIG_FIELDS),
+    value=json_values,
+)
+def test_simulate_exit_code_for_any_field_value(fuzz_dir, model, field, value):
+    config = dict(SMALL_CONFIGS[model], **{field: value})
+    assume(_cheap_if_valid(model, config))
+    path = fuzz_dir / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["simulate", model, "--config", str(path),
+                 "--out", str(fuzz_dir / "run")])
+    assert code in (0, 1, 2)

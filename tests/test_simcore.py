@@ -9,6 +9,7 @@ from herdsim.simcore import (
     mgroup_slots,
     partition_clusters,
     perceived_volatility,
+    run_model_b,
     sample_aggregate_return,
     weighted_return,
 )
@@ -197,6 +198,54 @@ class TestPerceivedVolatility:
         assert perceived_volatility([3.0, 1.0, 2.0], gamma) == pytest.approx(
             expected, abs=1e-14
         )
+
+    @staticmethod
+    def cumsum_definition(v, gamma):
+        """xi as defined: horizon means by cumsum over the reversed window."""
+        means = np.cumsum(np.asarray(v, dtype=float)[::-1]) / np.arange(
+            1, len(gamma) + 1
+        )
+        return 1.0 if means[-1] <= 0.0 else float(np.dot(gamma, means) / means[-1])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 50, 150, 500])
+    def test_coefficient_form_matches_cumsum_definition(self, m):
+        rng = np.random.default_rng(m)
+        gamma = horizon_weights(m).gamma
+        windows = [
+            np.zeros(m),
+            rng.random(m),
+            rng.integers(0, 60, m).astype(float),
+            np.where(rng.random(m) < 0.9, 0.0, rng.integers(1, 9, m)),
+        ]
+        for v in windows + [rng.exponential(5.0, m) for _ in range(20)]:
+            expected = self.cumsum_definition(v, gamma)
+            assert perceived_volatility(v, gamma) == pytest.approx(
+                expected, rel=1e-12, abs=1e-12
+            )
+        assert perceived_volatility(np.zeros(m), gamma) == 1.0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(N=1000, c=0.5), dict(N=1, p=0.001, c=0.5)],
+        ids=["busy", "mostly-flat"],
+    )
+    def test_model_b_trace_is_xi_of_each_window(self, overrides):
+        config = ModelConfig(M=50, t_max=600, warmup=50, seed=3, **overrides)
+        with np.errstate(all="raise"):
+            out = run_model_b(config)
+        xi = out.diagnostics["xi"]
+        v = np.abs(out.returns.astype(float))
+        gamma = horizon_weights(config.M).gamma
+        m = config.M
+        expected = [
+            self.cumsum_definition(v[i - m : i], gamma) for i in range(m, len(v))
+        ]
+        np.testing.assert_allclose(xi[m:], expected, rtol=1e-12, atol=1e-12)
+        assert np.all(np.isfinite(xi))
+        flat = [i for i in range(m, len(v)) if not v[i - m : i].any()]
+        if overrides["N"] == 1:
+            # the window sum is zero on some days; xi is then exactly 1
+            assert flat and np.all(xi[flat] == 1.0)
 
 
 class TestMgroupSlots:
