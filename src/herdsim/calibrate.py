@@ -12,13 +12,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from . import stats
 from .errors import (
     FitDomainError,
+    InputError,
     InsufficientDataError,
     ValidationError,
 )
-from .ingest import ReturnsPanel, SearchSeries
+from .ingest import DEFAULT_TAU_WEEKS, ReturnsPanel, SearchSeries, log_returns
 from .stats import CorrelationCurve, fit_power_law, normalize
 from .simcore import horizon_weights
 
@@ -75,6 +78,30 @@ class InfoForceSeries:
 class CorrelatingTime:
     tau: int
     deviation_found: bool
+
+
+@dataclass(frozen=True)
+class InfoForceReport:
+    """Driving forces of a set of tickers and their bull/bear asymmetry.
+
+    tau_deviation_found is None when tau was given rather than estimated.
+    Skipped windows have no force; unlabelled ones have a force but are
+    neither bull nor bear.
+    """
+
+    tau: int
+    tau_deviation_found: bool | None
+    delta_F: float
+    forces: list[InfoForceSeries]
+    windows_unlabelled: int
+
+    @property
+    def a(self) -> float:
+        return self.delta_F / 2.0
+
+    @property
+    def windows_skipped(self) -> int:
+        return sum(f.skipped for f in self.forces)
 
 
 def _weighted_return_signs(returns: np.ndarray, m: int, k: float) -> np.ndarray:
@@ -175,8 +202,6 @@ def herding_offset_from_shift(delta_r: float, pairs=REFERENCE_SHIFT_PAIRS) -> in
 
 def asymmetry_report(index_series, m: int = 150, k: float = 1.0) -> AsymmetryEstimate:
     """Full asymmetry calibration of one index: alpha, delta_r and delta_R."""
-    from .ingest import log_returns
-
     returns = log_returns(index_series)
     est = trading_asymmetry(returns, m=m, k=k)
     shift = herding_shift(normalize(returns), returns.volume)
@@ -189,22 +214,45 @@ def asymmetry_report(index_series, m: int = 150, k: float = 1.0) -> AsymmetryEst
     )
 
 
-def _trend_stats(r: np.ndarray) -> tuple[float, float]:
-    """Per-day (dominance fraction, amplitude gap) of one stock group.
+#: Days per block of the co-movement pass: its temporaries stay a few
+#: (block x stocks) arrays instead of growing with the panel length.
+_DAY_BLOCK = 1024
 
-    r holds one day of normalized returns.  Days where nothing moves
-    contribute zeros.
+
+def _trend_degrees(normalized: np.ndarray, sizes) -> np.ndarray:
+    """H = <zeta> * <v_d - v_n> of the whole panel, then of each stock group.
+
+    normalized holds one stock's normalized returns per row, the rows of
+    group g being the sizes[g] rows that follow those of groups < g.  Per
+    day and group, v+ (v-) is the sum of squared positive (negative)
+    returns over the group size; the up trend dominates when v+ >= v-, and
+    a day where nothing moves contributes zeta = 0 and a zero gap.
     """
-    n_s = len(r)
-    up = r > 0.0
-    down = r < 0.0
-    v_plus = float((r[up] ** 2).sum() / n_s)
-    v_minus = float((r[down] ** 2).sum() / n_s)
-    if v_plus == 0.0 and v_minus == 0.0:
-        return 0.0, 0.0
-    if v_plus >= v_minus:
-        return up.sum() / n_s, v_plus - v_minus
-    return down.sum() / n_s, v_minus - v_plus
+    n_stocks, n_days = normalized.shape
+    starts = np.cumsum(sizes) - sizes
+    sizes = np.concatenate(([n_stocks], sizes))[:, None]
+    zeta_sum = np.zeros(len(sizes))
+    gap_sum = np.zeros(len(sizes))
+    for lo in range(0, n_days, _DAY_BLOCK):
+        r = normalized[:, lo : lo + _DAY_BLOCK]
+        sq = r * r
+        up = r > 0.0
+        down = r < 0.0
+        sums = [
+            np.add.reduceat(x, starts, axis=0)
+            for x in (np.where(up, sq, 0.0), np.where(down, sq, 0.0), up, down)
+        ]
+        # one row per group and a column per day, the market (the total
+        # over groups) in front; the rows stay contiguous, so numpy sums
+        # the days of each row pairwise
+        v_up, v_down, n_up, n_down = (np.vstack((g.sum(axis=0), g)) for g in sums)
+        v_up = v_up / sizes
+        v_down = v_down / sizes
+        zeta = np.where(v_up >= v_down, n_up, n_down) / sizes
+        moving = (v_up != 0.0) | (v_down != 0.0)
+        zeta_sum += np.where(moving, zeta, 0.0).sum(axis=1)
+        gap_sum += np.abs(v_up - v_down).sum(axis=1)
+    return (zeta_sum / n_days) * (gap_sum / n_days)
 
 
 def comovement(panel: ReturnsPanel) -> ComovementEstimate:
@@ -214,29 +262,20 @@ def comovement(panel: ReturnsPanel) -> ComovementEstimate:
     v_d - v_n the amplitude gap between the dominating and the other trend.
     Columns are normalized before grouping.
     """
-    normalized = np.column_stack(
-        [normalize(panel.matrix[:, i]).values for i in range(len(panel.tickers))]
-    )
-    sector_ids = sorted(set(panel.sectors))
-    sector_cols = {
-        sid: [i for i, s in enumerate(panel.sectors) if s == sid]
-        for sid in sector_ids
-    }
-    for sid, cols in sector_cols.items():
-        if len(cols) < 2:
+    sectors = panel.sectors
+    sector_ids = sorted(set(sectors))
+    # stocks grouped by sector, in ticker order within each sector
+    order = sorted(range(len(sectors)), key=sectors.__getitem__)
+    normalized = np.vstack([normalize(panel.matrix[:, i]).values for i in order])
+    sizes = [sectors.count(sid) for sid in sector_ids]
+    for sid, size in zip(sector_ids, sizes):
+        if size < 2:
             raise ValidationError(f"sector {sid!r} has fewer than 2 stocks")
-
-    def h_of(cols) -> float:
-        zetas = np.empty(normalized.shape[0])
-        gaps = np.empty(normalized.shape[0])
-        sub = normalized[:, cols]
-        for day in range(sub.shape[0]):
-            zetas[day], gaps[day] = _trend_stats(sub[day])
-        return float(zetas.mean() * gaps.mean())
-
-    h_m = h_of(list(range(normalized.shape[1])))
-    h_j = {sid: h_of(cols) for sid, cols in sector_cols.items()}
-    return ComovementEstimate(H_M=h_m, H_j=h_j)
+    h = _trend_degrees(normalized, np.array(sizes))
+    return ComovementEstimate(
+        H_M=float(h[0]),
+        H_j={sid: float(x) for sid, x in zip(sector_ids, h[1:])},
+    )
 
 
 def info_states(search) -> np.ndarray:
@@ -268,31 +307,50 @@ def info_driving_force(states, volumes, tau: int, ticker: str = "") -> InfoForce
         raise InsufficientDataError(
             f"series of length {len(s)} shorter than tau={tau}"
         )
-    starts = []
-    forces = []
-    skipped = 0
-    for t in range(len(s) - tau + 1):
-        window_s = s[t : t + tau]
-        window_v = v[t : t + tau]
-        high = window_v[window_s == 1]
-        low = window_v[window_s == 0]
-        if len(high) == 0 or len(low) == 0:
-            skipped += 1
-            continue
-        v0 = low.mean()
-        if v0 == 0.0:
-            skipped += 1
-            continue
-        starts.append(t)
-        forces.append(high.mean() / v0 - 1.0)
+    window_s = sliding_window_view(s, tau)
+    window_v = sliding_window_view(v, tau)
+    high = window_s == 1
+    low = window_s == 0
+    n_high = high.sum(axis=1)
+    n_low = low.sum(axis=1)
+    # a window without high or low weeks divides by zero; it is skipped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v1 = np.where(high, window_v, 0.0).sum(axis=1) / n_high
+        v0 = np.where(low, window_v, 0.0).sum(axis=1) / n_low
+    kept = (n_high > 0) & (n_low > 0) & (v0 != 0.0)
     return InfoForceSeries(
         ticker=ticker,
         states=s,
-        window_starts=np.asarray(starts, dtype=np.int64),
-        forces=np.asarray(forces, dtype=float),
+        window_starts=np.flatnonzero(kept).astype(np.int64),
+        forces=v1[kept] / v0[kept] - 1.0,
         tau=tau,
-        skipped=skipped,
+        skipped=int(len(kept) - kept.sum()),
     )
+
+
+def _window_labels(force_series, market: np.ndarray) -> list[np.ndarray]:
+    """Per series, the label of each window: 1 bull, -1 bear, 0 unlabelled.
+
+    A window is bull (bear) when the cumulative market return over it is
+    positive (negative).  Flat windows, windows running past the end of
+    the market series and windows with NaN entries, whose sum is NaN and
+    so neither positive nor negative, stay unlabelled.
+    """
+    totals = {}
+    labels = []
+    for series in force_series:
+        tau = series.tau
+        if len(market) < tau:
+            raise ValidationError("market return series shorter than tau")
+        if tau not in totals:
+            totals[tau] = sliding_window_view(market, tau).sum(axis=1)
+        starts = np.asarray(series.window_starts, dtype=np.int64)
+        inside = starts + tau <= len(market)
+        label = np.zeros(len(starts), dtype=np.int8)
+        total = totals[tau][starts[inside]]
+        label[inside] = (total > 0.0).astype(np.int8) - (total < 0.0)
+        labels.append(label)
+    return labels
 
 
 def info_force_asymmetry(force_series, market_returns) -> float:
@@ -306,31 +364,20 @@ def info_force_asymmetry(force_series, market_returns) -> float:
     """
     if isinstance(force_series, InfoForceSeries):
         force_series = [force_series]
+    force_series = list(force_series)
     market = np.asarray(market_returns, dtype=float)
-    bull_forces = []
-    bear_forces = []
-    all_forces = []
-    for series in force_series:
-        if len(market) < series.tau:
-            raise ValidationError("market return series shorter than tau")
-        for start, force in zip(series.window_starts, series.forces):
-            all_forces.append(force)
-            if start + series.tau > len(market):
-                continue
-            window = market[start : start + series.tau]
-            if np.any(np.isnan(window)):
-                continue
-            total = window.sum()
-            if total > 0.0:
-                bull_forces.append(force)
-            elif total < 0.0:
-                bear_forces.append(force)
-    if not bull_forces or not bear_forces:
+    labels = np.concatenate(
+        [np.empty(0, np.int8)] + _window_labels(force_series, market)
+    )
+    forces = np.concatenate([np.empty(0)] + [s.forces for s in force_series])
+    bull = forces[labels > 0]
+    bear = forces[labels < 0]
+    if len(bull) == 0 or len(bear) == 0:
         raise InsufficientDataError("no bull or no bear windows")
-    overall = float(np.mean(all_forces))
+    overall = float(np.mean(forces))
     if overall == 0.0:
         raise FitDomainError("zero overall mean force")
-    return float((np.mean(bear_forces) - np.mean(bull_forces)) / overall)
+    return float((np.mean(bear) - np.mean(bull)) / overall)
 
 
 def correlating_time(
@@ -366,3 +413,61 @@ def correlating_time(
                 tau=int(curve.lags[i - persistence + 1]), deviation_found=True
             )
     return CorrelatingTime(tau=fallback, deviation_found=False)
+
+
+def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
+    """Full information-force calibration: tau, delta_F and a = delta_F / 2.
+
+    searches and volumes are the SearchSeries of a search.csv and of a
+    weekly trading-volume file, index the weekly IndexSeries that labels
+    windows bull or bear.  All three are put on one weekly clock: the
+    search weeks that also carry volumes.  With tau = 0 the window length
+    is the correlating time of the mean attention autocorrelation.
+    """
+    vol_of = {s.ticker: s for s in volumes}
+    market = log_returns(index)
+    vol_pos = {w: i for i, w in enumerate(volumes[0].weeks)}
+    search_idx = [i for i, w in enumerate(searches[0].weeks) if w in vol_pos]
+    weeks = [searches[0].weeks[i] for i in search_idx]
+    if len(weeks) < 2 * DEFAULT_TAU_WEEKS:
+        raise InputError(f"search and volume files share only {len(weeks)} weeks")
+    vol_idx = [vol_pos[w] for w in weeks]
+    market_of_week = dict(zip(market.dates, market.returns))
+    market_vec = np.array([market_of_week.get(w, np.nan) for w in weeks])
+
+    deviation_found = None
+    if not tau:
+        max_lag = min(len(weeks) // 4 - 1, 60)
+        curves = [
+            stats.autocorrelation_abs(s.volume[search_idx], max_lag).values
+            for s in searches
+        ]
+        mean_curve = CorrelationCurve(
+            lags=np.arange(1, max_lag + 1),
+            values=np.mean(curves, axis=0),
+            estimator_id="A",
+        )
+        found = correlating_time(mean_curve)
+        tau, deviation_found = found.tau, found.deviation_found
+    forces = []
+    for s in searches:
+        if s.ticker not in vol_of:
+            raise InputError(f"no trading volumes for ticker {s.ticker!r}")
+        states = info_states(s.volume[search_idx])
+        forces.append(
+            info_driving_force(
+                states, vol_of[s.ticker].volume[vol_idx], tau, ticker=s.ticker
+            )
+        )
+    delta_f = info_force_asymmetry(forces, market_vec)
+    unlabelled = sum(
+        int(np.count_nonzero(label == 0))
+        for label in _window_labels(forces, market_vec)
+    )
+    return InfoForceReport(
+        tau=tau,
+        tau_deviation_found=deviation_found,
+        delta_F=delta_f,
+        forces=forces,
+        windows_unlabelled=unlabelled,
+    )

@@ -126,74 +126,31 @@ def cmd_calibrate(args, argv) -> int:
         _write_report(out, values, lines)
         inputs = [args.panel, args.sectors]
     else:  # infoforce
-        searches = ingest.load_search_series(args.search)
-        volumes = ingest.load_search_series(args.volumes)
-        vol_of = {s.ticker: s for s in volumes}
-        index = ingest.load_index_series(args.index)
-        market = ingest.log_returns(index)
-
-        # One common weekly clock: search weeks that also carry volumes.
-        vol_weeks = set(volumes[0].weeks)
-        weeks = [w for w in searches[0].weeks if w in vol_weeks]
-        if len(weeks) < 2 * ingest.DEFAULT_TAU_WEEKS:
-            raise InputError(
-                f"search and volume files share only {len(weeks)} weeks"
-            )
-        search_idx = [searches[0].weeks.index(w) for w in weeks]
-        vol_idx = [volumes[0].weeks.index(w) for w in weeks]
-        market_of_week = dict(zip(market.dates, market.returns))
-        market_vec = np.array(
-            [market_of_week.get(w, np.nan) for w in weeks]
+        rep = calibrate.infoforce_report(
+            ingest.load_search_series(args.search),
+            ingest.load_search_series(args.volumes),
+            ingest.load_index_series(args.index),
+            tau=args.tau,
         )
-
-        if args.tau:
-            tau = args.tau
-            deviation_found = None
-        else:
-            max_lag = min(len(weeks) // 4 - 1, 60)
-            curves = [
-                stats.autocorrelation_abs(s.volume[search_idx], max_lag).values
-                for s in searches
-            ]
-            mean_curve = stats.CorrelationCurve(
-                lags=np.arange(1, max_lag + 1),
-                values=np.mean(curves, axis=0),
-                estimator_id="A",
-            )
-            found = calibrate.correlating_time(mean_curve)
-            tau = found.tau
-            deviation_found = found.deviation_found
-        forces = []
-        for s in searches:
-            if s.ticker not in vol_of:
-                raise InputError(
-                    f"no trading volumes for ticker {s.ticker!r}"
-                )
-            states = calibrate.info_states(s.volume[search_idx])
-            forces.append(
-                calibrate.info_driving_force(
-                    states, vol_of[s.ticker].volume[vol_idx], tau,
-                    ticker=s.ticker,
-                )
-            )
-        delta_f = calibrate.info_force_asymmetry(forces, market_vec)
         values = {
-            "tau": tau,
-            "delta_F": delta_f,
-            "a": delta_f / 2.0,
-            "tau_deviation_found": deviation_found,
-            "tickers": [f.ticker for f in forces],
+            "tau": rep.tau,
+            "delta_F": rep.delta_F,
+            "a": rep.a,
+            "tau_deviation_found": rep.tau_deviation_found,
+            "tickers": [f.ticker for f in rep.forces],
+            "windows_skipped": rep.windows_skipped,
+            "windows_unlabelled": rep.windows_unlabelled,
         }
         lines = [
             "information driving forces",
-            f"  tau (weeks)   {tau}",
-            f"  delta_F       {delta_f:.4f}",
-            f"  a = dF/2      {delta_f / 2.0:.4f}",
+            f"  tau (weeks)   {rep.tau}",
+            f"  delta_F       {rep.delta_F:.4f}",
+            f"  a = dF/2      {rep.a:.4f}",
         ]
         lines += [
             f"  {f.ticker:<10} windows {len(f.forces):>4}  "
             f"mean F {np.mean(f.forces) if len(f.forces) else float('nan'):.4f}"
-            for f in forces
+            for f in rep.forces
         ]
         _write_report(out, values, lines)
         inputs = [args.search, args.volumes, args.index]

@@ -158,8 +158,8 @@ class ModelConfig:
                 )
             if self.H_M is None or self.H_j is None:
                 raise ConfigError("model c requires H_M and H_j")
-            if self.H_M < 0.0:
-                raise ConfigError(f"H_M must be >= 0, got {self.H_M}")
+            if self.H_M <= 0.0:
+                raise ConfigError(f"H_M must be > 0, got {self.H_M}")
             if len(self.H_j) != self.n_sec:
                 raise ConfigError(
                     f"H_j has {len(self.H_j)} entries for n_sec={self.n_sec}"
@@ -169,7 +169,14 @@ class ModelConfig:
                     raise ConfigError(
                         f"sector {j}: H_j={h} must exceed H_M={self.H_M}"
                     )
-        elif model not in ("a", "b", "d"):
+        elif model in ("a", "b"):
+            # the bull and bear trade probabilities 2p*alpha and 2p*beta
+            if 2.0 * self.p * max(self.alpha, self.beta) > 1.0:
+                raise ConfigError(
+                    f"2p*max(alpha, beta) must be at most 1, got p={self.p}, "
+                    f"alpha={self.alpha}"
+                )
+        elif model != "d":
             raise ConfigError(f"unknown model {model!r}")
 
     def to_dict(self) -> dict:

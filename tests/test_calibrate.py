@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import business_dates
+from conftest import business_dates, weekly_dates
 from herdsim.calibrate import (
     REFERENCE_SHIFT_PAIRS,
     CorrelatingTime,
@@ -13,11 +13,12 @@ from herdsim.calibrate import (
     info_driving_force,
     info_force_asymmetry,
     info_states,
+    infoforce_report,
     shift_relation,
     trading_asymmetry,
 )
-from herdsim.errors import FitDomainError, InsufficientDataError
-from herdsim.ingest import ReturnSeries, ReturnsPanel
+from herdsim.errors import FitDomainError, InputError, InsufficientDataError
+from herdsim.ingest import IndexSeries, ReturnSeries, ReturnsPanel, SearchSeries
 from herdsim.simcore import horizon_weights, weighted_return
 from herdsim.stats import CorrelationCurve, normalize
 
@@ -352,6 +353,56 @@ class TestInfoForceAsymmetry:
         series = self.force_series([0, 4], [1.0, 2.0])
         with pytest.raises(InsufficientDataError):
             info_force_asymmetry(series, market)
+
+
+class TestInfoForceReport:
+    @staticmethod
+    def inputs(n_search=80, volume_weeks=slice(10, 80)):
+        """Two tickers whose attention cycles every 20 weeks, volumes 40%
+        higher in high-attention weeks, and a weekly index."""
+        rng = np.random.default_rng(5)
+        weeks = weekly_dates(100)
+        t = np.arange(100)
+        searches, volumes = [], []
+        for ticker, phase in (("AAA", 0.0), ("BBB", 2.0)):
+            g = 5 + 2 * np.sin(2 * np.pi * t / 20 + phase)
+            v = 100 * (1 + 0.4 * (g > g.mean())) * rng.uniform(0.9, 1.1, 100)
+            searches.append(SearchSeries(ticker, tuple(weeks[:n_search]),
+                                         g[:n_search]))
+            volumes.append(SearchSeries(ticker, tuple(weeks[volume_weeks]),
+                                        v[volume_weeks]))
+        close = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, 100)))
+        index = IndexSeries(dates=tuple(weeks), close=close, volume=np.ones(100))
+        return searches, volumes, index
+
+    def test_estimators_on_the_common_weeks(self):
+        searches, volumes, index = self.inputs()
+        rep = infoforce_report(searches, volumes, index, tau=8)
+        # common clock: weeks 10..79; the index return of week w is
+        # ln(close[w] / close[w - 1])
+        market = np.diff(np.log(index.close))[9:79]
+        forces = [
+            info_driving_force(info_states(s.volume[10:]), v.volume, 8, s.ticker)
+            for s, v in zip(searches, volumes)
+        ]
+        assert rep.tau == 8 and rep.tau_deviation_found is None
+        assert rep.delta_F == info_force_asymmetry(forces, market)
+        assert rep.a == rep.delta_F / 2
+        assert rep.windows_skipped == sum(f.skipped for f in forces)
+        assert rep.windows_unlabelled == 0
+        for got, want in zip(rep.forces, forces):
+            assert got.window_starts.tolist() == want.window_starts.tolist()
+            assert got.forces.tolist() == want.forces.tolist()
+
+    def test_missing_volume_ticker_rejected(self):
+        searches, volumes, index = self.inputs()
+        with pytest.raises(InputError, match="no trading volumes for ticker 'BBB'"):
+            infoforce_report(searches, volumes[:1], index, tau=8)
+
+    def test_short_overlap_rejected(self):
+        searches, volumes, index = self.inputs(volume_weeks=slice(40, 100))
+        with pytest.raises(InputError, match="share only 40 weeks"):
+            infoforce_report(searches, volumes, index, tau=8)
 
 
 class TestCorrelatingTime:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import weekly_dates, write_csv
+from herdsim import calibrate, ingest
 from herdsim.cli import main
 
 
@@ -140,6 +141,26 @@ class TestSimulate:
         cfg = small_config(tmp_path, **overrides)
         assert run(["simulate", "c", "--config", cfg, "--out", tmp_path / "r"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["a", "b"])
+    def test_trade_probability_above_one_exits_2(self, tmp_path, capsys, model):
+        # 2p * alpha = 1.2: the bull trade probability would exceed 1
+        cfg = small_config(tmp_path, N=100, t_max=120, p=0.4, alpha=1.5)
+        assert run(["simulate", model, "--config", cfg, "--out", tmp_path / "r"]) == 2
+        err = capsys.readouterr().err
+        assert "2p*max(alpha, beta) must be at most 1" in err
+        assert "Traceback" not in err
+
+    def test_trade_probability_of_one_runs(self, tmp_path):
+        cfg = small_config(tmp_path, N=100, t_max=120, p=0.4, alpha=1.25)
+        assert run(["simulate", "a", "--config", cfg, "--out", tmp_path / "r"]) == 0
+
+    @pytest.mark.parametrize("h_m", [0, 0.0, -0.1])
+    def test_nonpositive_market_comovement_exits_2(self, tmp_path, capsys, h_m):
+        cfg = small_config(tmp_path, n=4, n_sec=2, H_M=h_m, H_j=[0.4, 0.5],
+                           P_group=0.3, t_max=120)
+        assert run(["simulate", "c", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert "H_M must be > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("detail", ["", "Unable to allocate 22.4 GiB"])
     def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, detail):
@@ -331,6 +352,28 @@ class TestCalibrateCommands:
         assert report["a"] == pytest.approx(report["delta_F"] / 2)
         # attention-linked volumes produce clearly positive forces
         assert report["delta_F"] == report["delta_F"]  # finite
+
+    def test_infoforce_reports_window_counts(self, tmp_path, info_files):
+        search, volumes, index = info_files
+        out = tmp_path / "cal"
+        assert run(["calibrate", "infoforce", "--search", search,
+                    "--volumes", volumes, "--index", index,
+                    "--tau", 12, "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert list(report)[-2:] == ["windows_skipped", "windows_unlabelled"]
+        rep = calibrate.infoforce_report(
+            ingest.load_search_series(search), ingest.load_search_series(volumes),
+            ingest.load_index_series(index), tau=12)
+        assert report["windows_skipped"] == rep.windows_skipped
+        assert report["windows_unlabelled"] == rep.windows_unlabelled
+        # 200 weeks: 189 windows per ticker, each kept or skipped; the index
+        # covers every week but the first, whose return is missing (NaN)
+        kept = sum(len(f.forces) for f in rep.forces)
+        assert kept + rep.windows_skipped == 2 * (200 - 12 + 1)
+        assert rep.windows_unlabelled == sum(
+            int(f.window_starts[0] == 0) for f in rep.forces if len(f.forces))
+        assert report["delta_F"] == rep.delta_F
+        assert report["a"] == rep.a
 
     def test_infoforce_estimates_tau(self, tmp_path, info_files):
         search, volumes, index = info_files

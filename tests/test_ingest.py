@@ -86,7 +86,8 @@ class TestLoadIndexSeries:
         )
         path = tmp_path / "big.csv"
         save_index_series(series, path)
-        assert sum(1 for _ in open(path)) == n + 1
+        with open(path) as fh:
+            assert sum(1 for _ in fh) == n + 1
         back = load_index_series(path)
         assert back.dates == series.dates
         assert np.array_equal(back.close, series.close)
