@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__, calibrate, ingest, spectral, stats
 from .errors import HerdsimError, InputError, NumericError
 from .simcore import ModelConfig, load_config, run_model
+from .simcore.config import read_json
 from .simcore.machinery import SimOutput
 
 REPORT_KEYS = (
@@ -197,17 +198,20 @@ def _run_one_seed(model: str, config_dict: dict, seed: int, out_dir: str) -> str
 
 
 def cmd_simulate(args, argv) -> int:
+    for flag in ("ensemble", "jobs"):
+        if getattr(args, flag) < 1:
+            raise InputError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     config = load_config(args.config)
     if args.calibration:
-        with open(args.calibration) as fh:
-            config = ModelConfig.from_fragment(json.load(fh), base=config)
+        config = ModelConfig.from_fragment(read_json(args.calibration),
+                                           base=config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     config.validate_for(args.model)
     out = _out_dir(args, f"simulate-{args.model}")
     inputs = [args.config] + ([args.calibration] if args.calibration else [])
 
-    if args.ensemble <= 1:
+    if args.ensemble == 1:
         digest = _run_one_seed(args.model, config.to_dict(), config.seed, out)
         _write_manifest(
             out, argv, inputs, seed=config.seed, config=config.to_dict(),
@@ -217,7 +221,7 @@ def cmd_simulate(args, argv) -> int:
         return 0
 
     seeds = [config.seed + i for i in range(args.ensemble)]
-    jobs = max(1, args.jobs)
+    jobs = min(args.jobs, args.ensemble)
     members = {s: str(out / f"seed_{s}") for s in seeds}
     if jobs == 1:
         digests = {
@@ -319,9 +323,8 @@ def cmd_analyze(args, argv) -> int:
 
 
 def cmd_pipeline(args, argv) -> int:
-    with open(args.steps) as fh:
-        spec = json.load(fh)
-    steps = spec.get("steps")
+    spec = read_json(args.steps)
+    steps = spec.get("steps") if isinstance(spec, dict) else None
     if not isinstance(steps, list) or not steps:
         raise InputError(f"{args.steps}: expected a non-empty 'steps' list")
     for i, step in enumerate(steps):
@@ -428,6 +431,11 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a directory given for a file, a file in --out, ...
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -10,14 +10,21 @@ Canonical CSV schemas (headered, ISO-8601 dates, plain decimal numbers):
 Panels may also be indexed by integer day numbers instead of dates (the
 simulation drivers emit those); the first column only has to be strictly
 increasing under one of the two interpretations.
+
+Every loader reads its file with `_read_table` and checks the result on
+whole arrays. A well-formed file takes one byte scan and one `np.loadtxt`
+pass; anything unusual goes to the row parser, which names the bad row.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
+import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -28,36 +35,12 @@ from .errors import InputError, ParseError, ValidationError
 DEFAULT_TAU_WEEKS = 26
 
 
-def _parse_date(token: str, path, row: int):
-    try:
-        return date.fromisoformat(token)
-    except ValueError:
-        try:
-            return int(token)
-        except ValueError:
-            raise ParseError(
-                f"{path}: row {row}: cannot parse date {token!r}"
-            ) from None
-
-
-def _parse_float(token: str, path, row: int, column: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(
-            f"{path}: row {row}: cannot parse {column} {token!r}"
-        ) from None
-    if not np.isfinite(value):
-        raise ValidationError(f"{path}: row {row}: non-finite {column}")
-    return value
-
-
 def _check_increasing(labels, what: str) -> None:
-    for a, b in zip(labels, labels[1:]):
-        if not a < b:
-            raise ValidationError(
-                f"{what} must be strictly increasing; {b!r} follows {a!r}"
-            )
+    if not all(map(operator.lt, labels, labels[1:])):
+        a, b = next((a, b) for a, b in zip(labels, labels[1:]) if not a < b)
+        raise ValidationError(
+            f"{what} must be strictly increasing; {b!r} follows {a!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -156,7 +139,41 @@ class SearchSeries:
             )
 
 
-def _read_rows(path, expected_header: list[str]):
+# --- one table reader: a numpy fast path and the row parser ---------------
+
+
+@dataclass(frozen=True)
+class _Table:
+    """The data rows of a headered CSV: what the header check returned as
+    column `names`; per leading text column, the distinct raw cells in order
+    of first appearance and the code of each row's cell (`keys`); the
+    numbers of the other columns read (`values`); and the row number of
+    each data row in the file (`rows`; the header is row 1), or None when
+    the fast path left them uncounted."""
+
+    path: object
+    names: tuple
+    keys: list
+    values: np.ndarray
+    rows: np.ndarray | None
+
+    def row(self, i) -> int:
+        """The row number of data row `i`, for an error message."""
+        if self.rows is not None:
+            return int(self.rows[i])
+        with open(self.path, newline="") as fh:
+            numbered = (n for n, row in enumerate(csv.reader(fh), 1) if row)
+            return next(islice(numbered, i + 1, None))
+
+
+def _read_table(path, check_header, keys=0, usecols=None, strip=False,
+                forward_fill=False) -> _Table:
+    """Read a header, which `check_header(path, header)` turns into column
+    names or rejects, then rows of `keys` text cells followed by finite
+    numbers: every column, in rows as wide as the header, or only
+    `usecols`, in rows wide enough to hold them. `strip` strips number
+    cells and makes an empty one a gap: NaN under `forward_fill`, an error
+    otherwise."""
     try:
         fh = open(path, newline="")
     except FileNotFoundError:
@@ -164,150 +181,184 @@ def _read_rows(path, expected_header: list[str]):
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != expected_header:
-            raise ParseError(
-                f"{path}: expected header {','.join(expected_header)}, "
-                f"got {','.join(header)}"
-            )
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(
-                    f"{path}: row {row_no}: expected "
-                    f"{len(expected_header)} fields, got {len(row)}"
-                )
-            rows.append((row_no, row))
-    return rows
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            names = check_header(path, header)
+            parts = _scan_numeric_csv(path, len(header), keys, usecols)
+            if parts is None:
+                parts = _parse_rows(reader, path, names, len(header), keys,
+                                    usecols, strip, forward_fill)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not {exc.encoding} text") from None
+    return _Table(path, names, *parts)
 
 
-# Characters the two parsers read differently: csv unquotes '"', and numpy
-# strips \x1c-\x1f around a number as whitespace where float() rejects them.
-def _unsafe_for_numpy(line: str) -> bool:
-    return (
-        '"' in line or "\x1c" in line or "\x1d" in line
-        or "\x1e" in line or "\x1f" in line
-    )
+_SCAN_BLOCK = 1 << 20
+# Where `np.loadtxt` would read a file unlike the row parser: csv unquotes
+# '"', and numpy strips \x1c-\x1f around a number where float() rejects
+# them. Both skip blank lines and end lines at \n, \r\n and \r alone.
+_ROW_PARSER_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-@dataclass(frozen=True)
-class _Scanned:
-    header: list[str]
-    row_numbers: list[int]
-    labels: list
-    values: np.ndarray
+def _scan_numeric_csv(path, width, keys, usecols):
+    """The fast path of `_read_table`, or None where the row parser has to
+    decide; the switch the tests patch to force the row parser.
 
-
-def _scan_numeric_csv(path, header_ok, usecols=None, labels=True):
-    """Fast path of the loaders: a headered numeric CSV in one numpy pass.
-
-    One streaming pass over the lines checks that each non-blank line has
-    as many fields as the header and no character `_unsafe_for_numpy`
-    rejects, and parses the label column (the first) when `labels` is set.
-    Then one `np.loadtxt` call parses `usecols` (default: every column
-    after the first). Returns None when anything is unusual -- an
-    unreadable file, a header `header_ok` rejects, a ragged or quoted
-    line, an unparsable label or cell, a non-finite value, no data rows.
-
-    The row parsers stay as the fallback: they name the offending row in
-    each error, unquote quoted cells, and handle empty cells under
-    `forward_fill`. On input the fast path accepts, both produce the same
-    labels and bit-identical arrays.
+    A scan in bounded blocks looks for `_ROW_PARSER_BYTES`. Then one
+    `np.loadtxt` pass checks the field count of every row (a line of
+    whitespace has one field) and parses the numbers, while `defaultdict`
+    lookups, which run no Python code, turn key cells into codes. None
+    also stands for a cell numpy rejects, no data rows or a non-finite
+    number.
     """
-    row_numbers, parsed_labels = [], []
+    with open(path, "rb") as fh:
+        while block := fh.read(_SCAN_BLOCK):
+            if any(s in block for s in _ROW_PARSER_BYTES):
+                return None
+    codes = [defaultdict(count().__next__) for _ in range(keys)]
     try:
-        with open(path, newline="") as fh:
-            header_line = fh.readline()
-            if header_line[:1] in ("", "\r", "\n") or _unsafe_for_numpy(
-                header_line
-            ):
-                return None
-            header = header_line.rstrip("\r\n").split(",")
-            if not header_ok(header):
-                return None
-            commas = len(header) - 1
-            for row_no, line in enumerate(fh, start=2):
-                if line[0] in "\r\n":
-                    continue
-                if line.count(",") != commas or _unsafe_for_numpy(line):
-                    return None
-                row_numbers.append(row_no)
-                if labels:
-                    parsed_labels.append(
-                        _parse_date(line[: line.index(",")], path, row_no)
-                    )
-        if not row_numbers:
-            return None
-        if usecols is None:
-            usecols = range(1, len(header))
-        values = np.loadtxt(
-            path, delimiter=",", skiprows=1, usecols=usecols, ndmin=2,
-            comments=None,
-        )
-    except (OSError, ValueError, ParseError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on no data rows
+            values = np.loadtxt(
+                path, delimiter=",", skiprows=1, usecols=usecols, ndmin=2,
+                comments=None,
+                converters={c: d.__getitem__ for c, d in enumerate(codes)},
+            )
+    except ValueError:
         return None
-    if len(values) != len(row_numbers) or not np.all(np.isfinite(values)):
+    numbers = np.ascontiguousarray(values[:, keys:])
+    if (not len(values) or (usecols is None and values.shape[1] != width)
+            or not np.isfinite(numbers).all()):
         return None
-    return _Scanned(header, row_numbers, parsed_labels, values)
+    return ([(list(d), values[:, c].astype(np.intp))
+             for c, d in enumerate(codes)], numbers, None)
 
 
-_INDEX_HEADER = ["date", "close", "volume"]
+def _parse_rows(reader, path, names, width, keys, usecols, strip, forward_fill):
+    """The row parser of `_read_table`: it names the row of each error,
+    unquotes quoted cells and reads gaps under `forward_fill`."""
+    used = range(keys, width) if usecols is None else usecols
+    need = width if usecols is None else max(usecols) + 1
+    codes = [defaultdict(count().__next__) for _ in range(keys)]
+    rows, key_rows, values = [], [], []
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if usecols is None and len(row) != width:
+            raise ParseError(f"{path}: row {row_no}: ragged row with "
+                             f"{len(row)} fields, expected {width}")
+        if len(row) < need:
+            raise ParseError(f"{path}: row {row_no}: expected at least "
+                             f"{need} fields, got {len(row)}")
+        rows.append(row_no)
+        key_rows.append([d[cell] for d, cell in zip(codes, row)])
+        values.append([_parse_number(row[c], path, row_no, names[c], strip,
+                                     forward_fill) for c in used])
+    key_codes = np.array(key_rows, dtype=np.intp).reshape(len(rows), keys)
+    return ([(list(d), key_codes[:, c]) for c, d in enumerate(codes)],
+            np.array(values, dtype=float).reshape(len(rows), len(used)),
+            np.array(rows))
 
 
-def _index_header_ok(header) -> bool:
-    return [h.strip().lower() for h in header] == _INDEX_HEADER
+def _parse_number(token, path, row, column, strip, forward_fill) -> float:
+    if strip:
+        token = token.strip()
+        if not token and forward_fill:
+            return np.nan
+        if not token:
+            raise ValidationError(
+                f"{path}: row {row}: missing cell for {column!r} (use "
+                f"forward_fill to zero-fill gaps of up to 2 days)")
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(
+            f"{path}: row {row}: cannot parse {column} {token!r}") from None
+    if not np.isfinite(value):
+        raise ValidationError(f"{path}: row {row}: non-finite {column}")
+    return value
+
+
+def _header(*expected):
+    """A header check accepting `expected`, up to case and padding."""
+    def check(path, header):
+        if [h.strip().lower() for h in header] != list(expected):
+            raise ParseError(f"{path}: expected header {','.join(expected)}, "
+                             f"got {','.join(header)}")
+        return expected
+    return check
+
+
+def _first_row(mask):
+    """The index of the first row where `mask` holds, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _parses(parse, cell) -> bool:
+    try:
+        parse(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _labels(table: _Table, path):
+    """The distinct cells of the first key column, read all as ISO dates or
+    else all as day numbers, and the code of each row's label."""
+    cells, codes = table.keys[0]
+    kinds = (date.fromisoformat, int)
+    for parse in kinds:
+        try:
+            return list(map(parse, cells)), codes
+        except ValueError:
+            pass
+    first = next((kind for kind in kinds if _parses(kind, cells[0])), None)
+    code = next(c for c, cell in enumerate(cells)
+                if first is None or not _parses(first, cell))
+    mixed = any(_parses(kind, cells[code]) for kind in kinds)
+    problem = "mixed kinds of" if mixed else "cannot parse"
+    raise ParseError(f"{path}: row {table.row(_first_row(codes == code))}: "
+                     f"{problem} date {cells[code]!r}")
+
+
+def _ranks(values, codes):
+    """The sorted distinct `values` and the rank of `values[code]` for each
+    of `codes`."""
+    distinct, rank = np.unique(np.array(values, dtype=object),
+                               return_inverse=True)
+    return distinct.tolist(), rank[codes]
+
+
+def _repeats(codes):
+    """True on each row whose code occurred on an earlier row."""
+    seen = np.ones(len(codes), dtype=bool)
+    seen[np.unique(codes, return_index=True)[1]] = False
+    return seen
+
+
+# --- the loaders -----------------------------------------------------------
 
 
 def load_index_series(path) -> IndexSeries:
     """Load an index.csv file, sorted by date."""
-    fast = _scan_numeric_csv(path, _index_header_ok)
-    if (
-        fast is not None
-        and np.all(fast.values[:, 0] > 0.0)
-        and np.all(fast.values[:, 1] >= 0.0)
-    ):
-        days, row_numbers = fast.labels, fast.row_numbers
-        close, volume = fast.values[:, 0], fast.values[:, 1]
-    else:
-        days, row_numbers, close, volume = _parse_index_rows(path)
-    order = sorted(range(len(days)), key=days.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if days[a] == days[b]:
-            raise ValidationError(
-                f"{path}: rows {row_numbers[a]} and {row_numbers[b]}: "
-                f"duplicate date {days[a]}"
-            )
-    return IndexSeries(
-        dates=tuple(days[i] for i in order),
-        close=close[order],
-        volume=volume[order],
-    )
-
-
-def _parse_index_rows(path):
-    rows = _read_rows(path, _INDEX_HEADER)
-    days, row_numbers, closes, volumes = [], [], [], []
-    for row_no, (d, c, v) in rows:
-        day = _parse_date(d, path, row_no)
-        close = _parse_float(c, path, row_no, "close")
-        volume = _parse_float(v, path, row_no, "volume")
-        if close <= 0.0:
-            raise ValidationError(
-                f"{path}: row {row_no}: non-positive close {close}"
-            )
-        if volume < 0.0:
-            raise ValidationError(
-                f"{path}: row {row_no}: negative volume {volume}"
-            )
-        days.append(day)
-        row_numbers.append(row_no)
-        closes.append(close)
-        volumes.append(volume)
-    return days, row_numbers, np.array(closes), np.array(volumes)
+    table = _read_table(path, _header("date", "close", "volume"), keys=1)
+    days, rank = _ranks(*_labels(table, path))
+    close, volume = table.values.T
+    i = _first_row((close <= 0.0) | (volume < 0.0))
+    if i is not None:
+        problem = (f"non-positive close {close[i]}" if close[i] <= 0.0
+                   else f"negative volume {volume[i]}")
+        raise ValidationError(f"{path}: row {table.row(i)}: {problem}")
+    order = np.argsort(rank, kind="stable")
+    i = _first_row(np.diff(rank[order]) == 0)
+    if i is not None:
+        raise ValidationError(
+            f"{path}: rows {table.row(order[i])} and {table.row(order[i + 1])}:"
+            f" duplicate date {days[rank[order[i]]]}")
+    return IndexSeries(dates=tuple(days), close=close[order],
+                       volume=volume[order])
 
 
 def log_returns(series: IndexSeries) -> ReturnSeries:
@@ -320,24 +371,27 @@ def log_returns(series: IndexSeries) -> ReturnSeries:
 
 
 def load_sector_map(path) -> dict[str, str]:
-    rows = _read_rows(path, ["ticker", "sector_id"])
-    sector_of: dict[str, str] = {}
-    for row_no, (ticker, sector) in rows:
-        ticker = ticker.strip()
-        if ticker in sector_of:
-            raise ValidationError(
-                f"{path}: row {row_no}: duplicate ticker {ticker!r}"
-            )
-        sector_of[ticker] = sector.strip()
-    return sector_of
+    table = _read_table(path, _header("ticker", "sector_id"), keys=2)
+    (tickers, ticker_codes), (sectors, sector_codes) = (
+        _ranks([cell.strip() for cell in cells], codes)
+        for cells, codes in table.keys)
+    i = _first_row(_repeats(ticker_codes))
+    if i is not None:
+        raise ValidationError(f"{path}: row {table.row(i)}: duplicate "
+                              f"ticker {tickers[ticker_codes[i]]!r}")
+    return dict(zip(map(tickers.__getitem__, ticker_codes.tolist()),
+                    map(sectors.__getitem__, sector_codes.tolist())))
 
 
-def _panel_header_ok(header) -> bool:
-    tickers = {h.strip() for h in header[1:]}
-    return (
-        header[0].strip().lower() == "date"
-        and len(tickers) == len(header) - 1 > 0
-    )
+def _panel_header(path, header):
+    names = tuple(h.strip() for h in header)
+    if not names or names[0].lower() != "date":
+        raise ParseError(f"{path}: first column must be 'date'")
+    if len(names) == 1:
+        raise ParseError(f"{path}: no ticker columns")
+    if len(set(names[1:])) != len(names) - 1:
+        raise ValidationError(f"{path}: duplicate ticker columns")
+    return names
 
 
 def load_returns_panel(path, sector_map_path, forward_fill: bool = False) -> ReturnsPanel:
@@ -347,116 +401,46 @@ def load_returns_panel(path, sector_map_path, forward_fill: bool = False) -> Ret
     gaps of at most 2 consecutive days per ticker.
     """
     sector_of = load_sector_map(sector_map_path)
-    fast = _scan_numeric_csv(path, _panel_header_ok)
-    if fast is not None:
-        labels, matrix = fast.labels, fast.values
-        tickers = tuple(h.strip() for h in fast.header[1:])
-    else:
-        labels, tickers, matrix = _parse_panel_rows(path, forward_fill)
-    if forward_fill and np.any(np.isnan(matrix)):
-        for col, ticker in enumerate(tickers):
-            gaps = np.isnan(matrix[:, col])
-            run = 0
-            for flag in gaps:
-                run = run + 1 if flag else 0
-                if run > 2:
-                    raise ValidationError(
-                        f"{path}: ticker {ticker!r} has a gap longer "
-                        f"than 2 days"
-                    )
-            matrix[gaps, col] = 0.0
+    table = _read_table(path, _panel_header, keys=1, strip=True,
+                        forward_fill=forward_fill)
+    labels, codes = _labels(table, path)
+    tickers = table.names[1:]
+    matrix = table.values
+    if forward_fill:
+        gaps = np.isnan(matrix)
+        longer = (gaps[:-2] & gaps[1:-1] & gaps[2:]).any(axis=0)
+        if longer.any():
+            raise ValidationError(
+                f"{path}: ticker {tickers[int(np.argmax(longer))]!r} has a "
+                f"gap longer than 2 days"
+            )
+        matrix[gaps] = 0.0
     for ticker in tickers:
         if ticker not in sector_of:
             raise ValidationError(
                 f"ticker {ticker!r} missing from sector map {sector_map_path}"
             )
     return ReturnsPanel(
-        dates=tuple(labels),
+        dates=tuple(map(labels.__getitem__, codes.tolist())),
         tickers=tickers,
         sector_of={t: sector_of[t] for t in tickers},
         matrix=matrix,
     )
 
 
-def _parse_panel_rows(path, forward_fill: bool):
-    try:
-        fh = open(path, newline="")
-    except FileNotFoundError:
-        raise ParseError(f"no such file: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if not header or header[0].strip().lower() != "date":
-            raise ParseError(f"{path}: first column must be 'date'")
-        tickers = tuple(h.strip() for h in header[1:])
-        if len(tickers) == 0:
-            raise ParseError(f"{path}: no ticker columns")
-        if len(set(tickers)) != len(tickers):
-            raise ValidationError(f"{path}: duplicate ticker columns")
-        labels = []
-        cells = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(tickers) + 1:
-                raise ParseError(
-                    f"{path}: row {row_no}: ragged row with {len(row)} fields"
-                )
-            labels.append(_parse_date(row[0], path, row_no))
-            values = []
-            for ticker, token in zip(tickers, row[1:]):
-                token = token.strip()
-                if token == "":
-                    if not forward_fill:
-                        raise ValidationError(
-                            f"{path}: row {row_no}: missing cell for "
-                            f"{ticker!r} (use forward_fill to zero-fill "
-                            f"gaps of up to 2 days)"
-                        )
-                    values.append(np.nan)
-                else:
-                    values.append(_parse_float(token, path, row_no, ticker))
-            cells.append(values)
-    return labels, tickers, np.asarray(cells, dtype=float)
+def _returns_header(path, header):
+    if len(header) < 2:
+        raise InputError(f"{path}: expected a returns CSV with >= 2 columns")
+    return (header[0], "return")
 
 
 def load_returns_column(path) -> np.ndarray:
     """The second column of a headered CSV as floats: the aggregate return
     R of a simulation's returns.csv (`day,R[,stock columns]`)."""
-    fast = _scan_numeric_csv(
-        path, lambda header: len(header) >= 2, usecols=(1,), labels=False
-    )
-    values = fast.values[:, 0] if fast is not None else _parse_returns_rows(path)
+    values = _read_table(path, _returns_header, usecols=(1,)).values[:, 0]
     if len(values) < 2:
         raise InputError(f"{path}: no return rows")
     return values
-
-
-def _parse_returns_rows(path) -> np.ndarray:
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise InputError(f"{path}: expected a returns CSV with >= 2 columns")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise InputError(
-                    f"{path}: row {row_no}: expected at least 2 fields, "
-                    f"got {len(row)}"
-                )
-            try:
-                values.append(float(row[1]))
-            except ValueError:
-                raise InputError(
-                    f"{path}: row {row_no}: cannot parse return {row[1]!r}"
-                ) from None
-    return np.asarray(values)
 
 
 def load_search_series(path, align: bool = True) -> list[SearchSeries]:
@@ -466,51 +450,35 @@ def load_search_series(path, align: bool = True) -> list[SearchSeries]:
     intersection of week labels so panel-wide comparisons share a clock.
     Result is sorted by ticker.
     """
-    rows = _read_rows(path, ["week_start", "ticker", "volume"])
-    per_ticker: dict[str, dict] = {}
-    for row_no, (week, ticker, volume) in rows:
-        ticker = ticker.strip()
-        wk = _parse_date(week, path, row_no)
-        vol = _parse_float(volume, path, row_no, "volume")
-        if vol < 0.0:
-            raise ValidationError(
-                f"{path}: row {row_no}: negative volume {vol} for {ticker!r}"
-            )
-        bucket = per_ticker.setdefault(ticker, {})
-        if wk in bucket:
-            raise ValidationError(
-                f"{path}: row {row_no}: duplicate week {wk} for {ticker!r}"
-            )
-        bucket[wk] = vol
-    if not per_ticker:
+    table = _read_table(path, _header("week_start", "ticker", "volume"),
+                        keys=2)
+    if not len(table.values):
         raise ValidationError(f"{path}: no data rows")
-    if align and len(per_ticker) > 1:
-        common = set.intersection(*(set(b) for b in per_ticker.values()))
-        if not common:
+    weeks, week_rank = _ranks(*_labels(table, path))
+    cells, codes = table.keys[1]
+    tickers, ticker_codes = _ranks([cell.strip() for cell in cells], codes)
+    volume = table.values[:, 0]
+    negative = volume < 0.0
+    i = _first_row(negative | _repeats(ticker_codes * len(weeks) + week_rank))
+    if i is not None:
+        problem = (f"negative volume {volume[i]}" if negative[i]
+                   else f"duplicate week {weeks[week_rank[i]]}")
+        raise ValidationError(f"{path}: row {table.row(i)}: {problem} for "
+                              f"{tickers[ticker_codes[i]]!r}")
+    if align and len(tickers) > 1:
+        common = np.bincount(week_rank) == len(tickers)
+        if not common.any():
             raise ValidationError(f"{path}: tickers share no common weeks")
-        per_ticker = {
-            t: {w: b[w] for w in b if w in common}
-            for t, b in per_ticker.items()
-        }
-    result = []
-    for ticker in sorted(per_ticker):
-        weeks = tuple(sorted(per_ticker[ticker]))
-        result.append(
-            SearchSeries(
-                ticker=ticker,
-                weeks=weeks,
-                volume=np.array([per_ticker[ticker][w] for w in weeks]),
-            )
-        )
-    return result
-
-
-def save_index_series(series: IndexSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "close", "volume"])
-        for day, close, volume in zip(series.dates, series.close, series.volume):
-            writer.writerow([day.isoformat(), repr(float(close)), repr(float(volume))])
+        keep = common[week_rank]
+        ticker_codes, week_rank, volume = (
+            ticker_codes[keep], week_rank[keep], volume[keep])
+    order = np.lexsort((week_rank, ticker_codes))
+    per_ticker = np.split(order, np.cumsum(np.bincount(ticker_codes))[:-1])
+    return [
+        SearchSeries(ticker=ticker, volume=volume[rows],
+                     weeks=tuple(map(weeks.__getitem__, week_rank[rows].tolist())))
+        for ticker, rows in zip(tickers, per_ticker)
+    ]
 
 
 _WRITE_BLOCK_ROWS = 1024
@@ -536,6 +504,12 @@ def write_csv_table(path, header, labels, columns) -> None:
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
+def save_index_series(series: IndexSeries, path) -> None:
+    write_csv_table(path, ["date", "close", "volume"],
+                    (day.isoformat() for day in series.dates),
+                    np.asarray([series.close, series.volume], dtype=float))
+
+
 def save_returns_panel(panel: ReturnsPanel, path, sectors_path=None) -> None:
     write_csv_table(
         path,
@@ -553,13 +527,3 @@ def save_sector_map(sector_of: dict[str, str], path) -> None:
         writer.writerow(["ticker", "sector_id"])
         for ticker in sorted(sector_of):
             writer.writerow([ticker, sector_of[ticker]])
-
-
-def save_search_series(series_list: list[SearchSeries], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["week_start", "ticker", "volume"])
-        for series in series_list:
-            for week, volume in zip(series.weeks, series.volume):
-                week = week.isoformat() if isinstance(week, date) else week
-                writer.writerow([week, series.ticker, repr(float(volume))])

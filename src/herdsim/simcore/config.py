@@ -8,7 +8,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import ConfigError, InputError
 
 #: Per-agent one-sided daily trading probability (empirical estimate);
 #: every model pins the time average of P_trade to 2*p.
@@ -258,6 +258,15 @@ def _require_object(data) -> None:
         )
 
 
-def load_config(path: str) -> ModelConfig:
+def read_json(path):
+    """The JSON value in the file at `path`; a file that is not JSON text
+    raises InputError."""
     with open(path) as fh:
-        return ModelConfig.from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # invalid JSON, or bytes that are not text
+            raise InputError(f"{path}: invalid JSON: {exc}") from None
+
+
+def load_config(path: str) -> ModelConfig:
+    return ModelConfig.from_dict(read_json(path))

@@ -3,6 +3,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 
 def write_csv(path, header, rows):
@@ -59,3 +60,8 @@ def panel_files(tmp_path):
         tmp_path / "sectors.csv", ["ticker", "sector_id"], sector_rows
     )
     return panel, sectors_path, matrix, tickers, sectors
+
+
+# `--hypothesis-profile deep` raises the loader equivalence tests in
+# tests/test_properties.py from 300 to 2,000 examples each.
+settings.register_profile("deep", max_examples=2000)

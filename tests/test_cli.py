@@ -444,3 +444,71 @@ def test_default_out_root_env(tmp_path, monkeypatch):
     cfg = small_config(tmp_path, t_max=120)
     assert run(["simulate", "a", "--config", cfg]) == 0
     assert (tmp_path / "root" / "simulate-a" / "returns.csv").exists()
+
+
+class TestBadInputsExit2:
+    """Bad paths, JSON files and counts end with exit 2 and one stderr line."""
+
+    def expect_exit_2(self, capsys, args, message):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert message in err
+
+    @pytest.mark.parametrize("command, flag", [
+        (["analyze", "stats"], "--in"),
+        (["calibrate", "comovement", "--sectors", "SECTORS"], "--panel"),
+        (["calibrate", "infoforce", "--volumes", "SEARCH", "--index", "INDEX"],
+         "--search"),
+    ])
+    def test_directory_as_input_file(self, tmp_path, capsys, command, flag):
+        files = {"SECTORS": write_csv(tmp_path / "s.csv", ["ticker", "sector_id"],
+                                      [("AAA", "1")]),
+                 "SEARCH": tmp_path / "search.csv", "INDEX": tmp_path / "i.csv"}
+        args = [files.get(a, a) for a in command]
+        self.expect_exit_2(capsys, args + [flag, tmp_path, "--out", tmp_path / "o"],
+                           "Is a directory")
+
+    def test_csv_that_is_not_text(self, tmp_path, capsys):
+        path = tmp_path / "returns.csv"
+        path.write_bytes(b"day,R\n1,3\n2,\xff4\n3,5\n")
+        self.expect_exit_2(capsys, ["analyze", "stats", "--in", path, "--out",
+                                    tmp_path / "o"], "not utf-8 text")
+
+    def test_out_below_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        self.expect_exit_2(
+            capsys, ["simulate", "a", "--config", small_config(tmp_path),
+                     "--out", blocker / "run"], "Not a directory")
+
+    def test_invalid_json_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"N": 1000,')
+        self.expect_exit_2(capsys, ["simulate", "a", "--config", bad,
+                                    "--out", tmp_path / "r"], "invalid JSON")
+
+    def test_invalid_json_calibration(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("alpha = 1")
+        self.expect_exit_2(
+            capsys, ["simulate", "a", "--config", small_config(tmp_path),
+                     "--calibration", bad, "--out", tmp_path / "r"], "invalid JSON")
+
+    def test_invalid_json_steps(self, tmp_path, capsys):
+        bad = tmp_path / "steps.json"
+        bad.write_text('{"steps": [["simulate"]')
+        self.expect_exit_2(capsys, ["pipeline", bad], "invalid JSON")
+
+    def test_steps_file_holding_a_list(self, tmp_path, capsys):
+        listed = tmp_path / "steps.json"
+        listed.write_text(json.dumps([["analyze", "stats"]]))
+        self.expect_exit_2(capsys, ["pipeline", listed], "'steps' list")
+
+    @pytest.mark.parametrize("flag, value", [("--ensemble", -3), ("--jobs", -5)])
+    def test_counts_below_one(self, tmp_path, capsys, flag, value):
+        self.expect_exit_2(
+            capsys, ["simulate", "a", "--config", small_config(tmp_path),
+                     "--ensemble", 2, flag, value, "--out", tmp_path / "r"],
+            f"{flag} must be >= 1, got {value}")
+        assert not (tmp_path / "r").exists()

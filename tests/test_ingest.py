@@ -1,3 +1,6 @@
+import csv
+from datetime import date
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,21 @@ from herdsim.ingest import (
     load_returns_column,
     load_returns_panel,
     load_search_series,
+    load_sector_map,
     log_returns,
     save_index_series,
     save_returns_panel,
-    save_search_series,
 )
+
+
+def save_search_series(series_list: list[SearchSeries], path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["week_start", "ticker", "volume"])
+        for series in series_list:
+            for week, volume in zip(series.weeks, series.volume):
+                week = week.isoformat() if isinstance(week, date) else week
+                writer.writerow([week, series.ticker, repr(float(volume))])
 
 
 class TestLoadIndexSeries:
@@ -199,6 +212,21 @@ class TestReturnsPanel:
         with pytest.raises(ValidationError, match="gap longer"):
             load_returns_panel(path, sectors, forward_fill=True)
 
+    def test_forward_fill_names_first_ticker_in_column_order(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("date,BBB,AAA\n" + "".join(
+            f"2020-01-0{i},,\n" for i in range(1, 4)) + "2020-01-04,0.1,0.2\n")
+        sectors = write_csv(tmp_path / "s.csv", ["ticker", "sector_id"],
+                            [("AAA", "1"), ("BBB", "1")])
+        with pytest.raises(ValidationError, match="'BBB' has a gap longer"):
+            load_returns_panel(path, sectors, forward_fill=True)
+
+    def test_duplicate_sector_ticker_names_row(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("ticker,sector_id\nAAA,1\nBBB,1\n AAA ,2\n")
+        with pytest.raises(ValidationError, match="row 4: duplicate ticker 'AAA'"):
+            load_sector_map(path)
+
     def test_column_permutation_same_content(self, panel_files, tmp_path):
         panel_path, sectors_path, matrix, tickers, sectors = panel_files
         panel = load_returns_panel(panel_path, sectors_path)
@@ -294,6 +322,14 @@ class TestSearchSeries:
         assert series[0].weeks == series[1].weeks
         assert series[0].weeks[0] == weeks[10]
 
+    def test_duplicate_week_names_row(self, tmp_path):
+        weeks = weekly_dates(60)
+        path = self.make_file(tmp_path, [("AAA", weeks, np.ones(60)),
+                                         (" AAA", weeks[3:4], [2.0])])
+        with pytest.raises(ValidationError,
+                           match=f"row 62: duplicate week {weeks[3]} for 'AAA'"):
+            load_search_series(path)
+
     def test_too_short_series_rejected(self, tmp_path):
         weeks = weekly_dates(30)
         path = self.make_file(tmp_path, [("AAA", weeks, np.ones(30))])
@@ -327,8 +363,10 @@ class TestNumpyFastPath:
     def test_clean_files_take_the_numpy_path(self, tmp_path, panel_files, index_csv):
         returns = tmp_path / "returns.csv"
         returns.write_text("day,R\r\n1,3\r\n\r\n2,-4\r\n")
-        for path in (panel_files[0], index_csv, returns):
-            assert _scan_numeric_csv(path, lambda header: True) is not None
+        # (path, header width, leading key columns, usecols)
+        for args in ((panel_files[0], 5, 1, None), (index_csv, 3, 1, None),
+                     (returns, 2, 0, (1,))):
+            assert _scan_numeric_csv(*args) is not None
         assert load_returns_column(returns).tolist() == [3.0, -4.0]
 
     @pytest.mark.parametrize("text", [
@@ -338,7 +376,7 @@ class TestNumpyFastPath:
     def test_quoted_and_control_cells_fall_back(self, tmp_path, sectors, text):
         path = tmp_path / "p.csv"
         path.write_text(text)
-        assert _scan_numeric_csv(path, lambda header: True) is None
+        assert _scan_numeric_csv(path, 3, 1, None) is None
         panel = load_returns_panel(path, sectors)
         assert panel.matrix.tolist() == [[0.1, 0.2], [0.3, 0.1]]
 
@@ -356,6 +394,8 @@ class TestNumpyFastPath:
          ParseError, "row 4: ragged row with 4 fields"),
         ("date,AAA,BBB\n2020-01-01,0.1,nan\n2020-01-02,0.3,0.1\n",
          ValidationError, "row 2: non-finite BBB"),
+        ("date,AAA,BBB\n2020-01-01,0.1,0.2,0.3\n2020-01-02,0.3,0.1,0.5\n",
+         ParseError, "row 2: ragged row with 4 fields, expected 3"),
     ])
     def test_panel_errors_name_the_row(self, tmp_path, sectors, text, error, message):
         path = tmp_path / "p.csv"
@@ -377,4 +417,22 @@ class TestNumpyFastPath:
         path = tmp_path / "i.csv"
         path.write_bytes(("date,close,volume\n" + rows).encode())
         with pytest.raises(error, match=message):
+            load_index_series(path)
+
+    def test_blank_lines_take_the_numpy_path_and_count_as_rows(self, tmp_path):
+        path = tmp_path / "i.csv"
+        path.write_bytes(b"date,close,volume\r\n2020-01-01,100,10\r\n\r\n"
+                         b"\r2020-01-02,0,12\r\n")
+        assert _scan_numeric_csv(path, 3, 1, None) is not None
+        with pytest.raises(ValidationError, match="row 5: non-positive close 0.0"):
+            load_index_series(path)
+
+    @pytest.mark.parametrize("labels, bad", [
+        (("2020-01-01", "5"), "'5'"), (("5", "2020-01-01"), "'2020-01-01'"),
+    ])
+    def test_dates_and_day_numbers_do_not_mix(self, tmp_path, labels, bad):
+        path = tmp_path / "i.csv"
+        path.write_text("date,close,volume\n" + "".join(
+            f"{label},100,10\n" for label in labels))
+        with pytest.raises(ParseError, match=f"row 3: mixed kinds of date {bad}"):
             load_index_series(path)

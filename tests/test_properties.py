@@ -80,7 +80,12 @@ def test_herding_shift_antisymmetric(seed):
     assert herding_shift(-r, v) == pytest.approx(-herding_shift(r, v), abs=1e-12)
 
 
-# --- numpy fast path of the CSV loaders against the row parsers -------------
+# --- numpy fast path of the CSV loaders against the row parser --------------
+
+# 300 examples per loader, or more under a profile that asks for more
+# (`--hypothesis-profile deep`, registered in conftest.py).
+LOADER_SETTINGS = settings(
+    max_examples=max(300, settings().max_examples), deadline=None)
 
 POSITIVE_CELLS = st.floats(1e-3, 1e6).map(repr)
 SIGNED_CELLS = st.one_of(
@@ -90,17 +95,23 @@ SIGNED_CELLS = st.one_of(
 # Cells numpy may parse, where the fast path has to decide like the row parser.
 SUBTLE_CELLS = st.sampled_from([
     "nan", "inf", "-inf", "-0.0", "5e-324", "2.5e-310", "1e400", "+.5", "1e3",
-    "\x1c2", "2\x1f", "\x1d-1", "-1.5", "0",
+    "\x1c2", "2\x1f", "\x1d-1", "-1.5", "0", "\x0b2", "2\x0c", "\x852",
 ])
 # Cells numpy rejects; only the row parser decides them.
 BROKEN_CELLS = st.sampled_from([
     "", "1_0", "#1", "# 2", '"1.5"', '"1,5"', "x", "1e", "0x10",
 ])
-PADDING = st.sampled_from([(" ", ""), ("", " "), ("\t", "  "), ("  ", "\t")])
+PADDING = st.sampled_from([
+    (" ", ""), ("", " "), ("\t", "  "), ("  ", "\t"), ("\x0b", ""),
+    ("", "\x0c"), ("\x85", " "),
+])
 ODD_LABELS = st.sampled_from([
     "", " 3", "3 ", "1_0", "#4", '"2020-01-05"', "x", "2020-13-01", "-2",
-    "2020-01-03 ",
+    "2020-01-03 ", "20200104", "\x0b5", "5\x85",
 ])
+# Lines that hold no field: blank, or whitespace alone.
+EMPTY_LINES = st.sampled_from(["", "", "", " ", "\t", "\x0b", "\x0c", "\x85"])
+EOLS = st.sampled_from(["\n", "\r\n", "\r"])
 # The first header of each kind is the canonical one.
 HEADERS = {
     "panel": [
@@ -114,7 +125,32 @@ HEADERS = {
     "returns": [
         ["day", "R"], ["day", "R", "S001", "S002"], ["day"], ["t", " R "],
     ],
+    "sectors": [
+        ["ticker", "sector_id"], [" Ticker", "SECTOR_ID "], ["ticker"],
+        ["ticker", "sector"], ["ticker", "sector_id", "x"],
+    ],
+    "search": [
+        ["week_start", "ticker", "volume"], ["Week_Start ", " ticker", "volume"],
+        ["week_start", "ticker"], ["week", "ticker", "volume"],
+    ],
 }
+
+
+def _pick_header(draw, kind):
+    header = HEADERS[kind][0]
+    if draw(st.integers(0, 3)) == 0:
+        header = draw(st.sampled_from(HEADERS[kind]))
+    return header
+
+
+def _labels(draw, count):
+    """`count` consecutive day numbers or ISO dates (daily or weekly)."""
+    start = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return [str(start + i) for i in range(count)]
+    step = draw(st.sampled_from([1, 7]))
+    return [(date(2020, 1, 1) + timedelta(days=start + step * i)).isoformat()
+            for i in range(count)]
 
 
 @st.composite
@@ -127,18 +163,16 @@ def csv_text(draw, kind):
     def sometimes(rate):
         return draw(st.integers(0, 9)) < rate
 
-    header = HEADERS[kind][0]
-    if draw(st.integers(0, 3)) == 0:
-        header = draw(st.sampled_from(HEADERS[kind]))
+    header = _pick_header(draw, kind)
     signed, subtle, broken, ragged, spaced = (rate() for _ in range(5))
     order = draw(st.sampled_from(["sorted"] * 3 + ["permuted", "duplicates"]))
     width = len(header) - 1
-    start = draw(st.integers(0, 5))
-    if draw(st.booleans()):
-        labels = [str(start + i) for i in range(10)]
+    if draw(st.integers(0, 9)) == 0:  # every row one cell off the header
+        width = max(0, width + draw(st.sampled_from([-1, 1])))
+    if kind == "sectors":
+        labels = [f"T{i}" for i in range(1, 7)]
     else:
-        labels = [(date(2020, 1, 1) + timedelta(days=start + i)).isoformat()
-                  for i in range(10)]
+        labels = _labels(draw, 10)
     n_rows = draw(st.integers(0, 6))
     if order == "permuted":
         labels = draw(st.permutations(labels[:n_rows]))
@@ -148,6 +182,9 @@ def csv_text(draw, kind):
     for label in labels[:n_rows]:
         if sometimes(broken):
             label = draw(ODD_LABELS)
+        elif sometimes(spaced):
+            before, after = draw(PADDING)
+            label = before + label + after
         cells = []
         for _ in range(width):
             if sometimes(broken):
@@ -165,9 +202,71 @@ def csv_text(draw, kind):
                 [cells[:-1], cells + ["0.5"], [], cells[:1]]))
         rows.append(",".join([label] + cells))
         if sometimes(spaced):
-            rows.append("")
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+            rows.append(draw(EMPTY_LINES))
+    eol = draw(EOLS)
     return eol.join([",".join(header)] + rows) + draw(st.sampled_from([eol, ""]))
+
+
+@st.composite
+def search_text(draw):
+    """A long-form search.csv: one to three tickers around the 52 weeks a
+    series needs, on offset week grids, with a few rows mutated."""
+    header = _pick_header(draw, "search")
+    tickers = ["AAA", "BBB", "CCC"][: draw(st.integers(1, 3))]
+    labels = _labels(draw, 60)
+    rows = []
+    for ticker in tickers:
+        start = draw(st.integers(0, 2))
+        for label in labels[start : start + draw(st.integers(51, 58))]:
+            rows.append([label, ticker, draw(POSITIVE_CELLS)])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if len(row) != 3:  # ragged or empty already
+            continue
+        mutation = draw(st.sampled_from([
+            "duplicate", "negative", "pad_ticker", "pad_label", "odd_label",
+            "subtle", "broken", "ragged", "empty_line", "drop",
+        ]))
+        if mutation == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+        elif mutation == "negative":
+            row[2] = draw(st.sampled_from(["-1.5", "-0.0", "-1e-300"]))
+        elif mutation in ("pad_ticker", "pad_label"):
+            before, after = draw(PADDING)
+            column = 1 if mutation == "pad_ticker" else 0
+            row[column] = before + row[column] + after
+        elif mutation == "odd_label":
+            row[0] = draw(ODD_LABELS)
+        elif mutation == "subtle":
+            row[2] = draw(SUBTLE_CELLS)
+        elif mutation == "broken":
+            row[draw(st.integers(0, 2))] = draw(BROKEN_CELLS)
+        elif mutation == "ragged":
+            rows[i] = draw(st.sampled_from([row[:2], row + ["0.5"], row[:1]]))
+        elif mutation == "empty_line":
+            rows.insert(i, [draw(EMPTY_LINES)])
+        else:
+            del rows[i]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    eol = draw(EOLS)
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def snapshot(result):
+    """What the tests compare: arrays by dtype, shape and bytes, records
+    field by field, containers item by item and in order."""
+    if isinstance(result, np.ndarray):
+        return ("array", result.dtype, result.shape, result.tobytes())
+    if isinstance(result, list):
+        return [snapshot(item) for item in result]
+    if isinstance(result, dict):
+        return ("dict", list(result.items()))
+    return ("record", type(result),
+            {k: snapshot(v) if isinstance(v, np.ndarray) else v
+             for k, v in vars(result).items()})
 
 
 def outcome(load, row_parser_only):
@@ -175,15 +274,9 @@ def outcome(load, row_parser_only):
     with patch.object(ingest, "_scan_numeric_csv",
                       return_value=None) if row_parser_only else nullcontext():
         try:
-            result = load()
+            return snapshot(load())
         except Exception as exc:  # the type and message must both match
             return ("raised", type(exc), str(exc))
-    if isinstance(result, np.ndarray):
-        return ("array", result.dtype, result.shape, result.tobytes())
-    arrays = {k: (v.dtype, v.shape, v.tobytes())
-              for k, v in vars(result).items() if isinstance(v, np.ndarray)}
-    others = {k: v for k, v in vars(result).items() if k not in arrays}
-    return ("record", type(result), arrays, others)
 
 
 def assert_loader_matches_row_parser(load):
@@ -198,7 +291,7 @@ def csv_dir(tmp_path_factory):
     return directory
 
 
-@settings(max_examples=300, deadline=None)
+@LOADER_SETTINGS
 @given(text=csv_text("panel"), forward_fill=st.booleans())
 def test_panel_loader_matches_row_parser(csv_dir, text, forward_fill):
     path = csv_dir / "panel.csv"
@@ -207,7 +300,7 @@ def test_panel_loader_matches_row_parser(csv_dir, text, forward_fill):
         path, csv_dir / "sectors.csv", forward_fill=forward_fill))
 
 
-@settings(max_examples=300, deadline=None)
+@LOADER_SETTINGS
 @given(text=csv_text("index"))
 def test_index_loader_matches_row_parser(csv_dir, text):
     path = csv_dir / "index.csv"
@@ -215,12 +308,29 @@ def test_index_loader_matches_row_parser(csv_dir, text):
     assert_loader_matches_row_parser(lambda: ingest.load_index_series(path))
 
 
-@settings(max_examples=300, deadline=None)
+@LOADER_SETTINGS
 @given(text=csv_text("returns"))
 def test_returns_loader_matches_row_parser(csv_dir, text):
     path = csv_dir / "returns.csv"
     path.write_bytes(text.encode())
     assert_loader_matches_row_parser(lambda: ingest.load_returns_column(path))
+
+
+@LOADER_SETTINGS
+@given(text=csv_text("sectors"))
+def test_sector_map_loader_matches_row_parser(csv_dir, text):
+    path = csv_dir / "sector_map.csv"
+    path.write_bytes(text.encode())
+    assert_loader_matches_row_parser(lambda: ingest.load_sector_map(path))
+
+
+@LOADER_SETTINGS
+@given(text=search_text(), align=st.booleans())
+def test_search_loader_matches_row_parser(csv_dir, text, align):
+    path = csv_dir / "search.csv"
+    path.write_bytes(text.encode())
+    assert_loader_matches_row_parser(
+        lambda: ingest.load_search_series(path, align=align))
 
 
 SMALL_CONFIGS = {
