@@ -432,9 +432,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except OSError as exc:  # a directory given for a file, a file in --out, ...
-        if exc.filename is None:
-            raise
+    except (IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -19,7 +19,6 @@ pass; anything unusual goes to the row parser, which names the bad row.
 from __future__ import annotations
 
 import csv
-import operator
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
@@ -36,11 +35,11 @@ DEFAULT_TAU_WEEKS = 26
 
 
 def _check_increasing(labels, what: str) -> None:
-    if not all(map(operator.lt, labels, labels[1:])):
-        a, b = next((a, b) for a, b in zip(labels, labels[1:]) if not a < b)
-        raise ValidationError(
-            f"{what} must be strictly increasing; {b!r} follows {a!r}"
-        )
+    for a, b in zip(labels, labels[1:]):
+        if not a < b:
+            raise ValidationError(
+                f"{what} must be strictly increasing; {b!r} follows {a!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -147,20 +146,16 @@ class _Table:
     """The data rows of a headered CSV: what the header check returned as
     column `names`; per leading text column, the distinct raw cells in order
     of first appearance and the code of each row's cell (`keys`); the
-    numbers of the other columns read (`values`); and the row number of
-    each data row in the file (`rows`; the header is row 1), or None when
-    the fast path left them uncounted."""
+    numbers of the other columns read (`values`)."""
 
     path: object
     names: tuple
     keys: list
     values: np.ndarray
-    rows: np.ndarray | None
 
     def row(self, i) -> int:
-        """The row number of data row `i`, for an error message."""
-        if self.rows is not None:
-            return int(self.rows[i])
+        """The row number of data row `i` in the file (the header is row 1),
+        for an error message."""
         with open(self.path, newline="") as fh:
             numbered = (n for n, row in enumerate(csv.reader(fh), 1) if row)
             return next(islice(numbered, i + 1, None))
@@ -232,7 +227,7 @@ def _scan_numeric_csv(path, width, keys, usecols):
             or not np.isfinite(numbers).all()):
         return None
     return ([(list(d), values[:, c].astype(np.intp))
-             for c, d in enumerate(codes)], numbers, None)
+             for c, d in enumerate(codes)], numbers)
 
 
 def _parse_rows(reader, path, names, width, keys, usecols, strip, forward_fill):
@@ -241,7 +236,7 @@ def _parse_rows(reader, path, names, width, keys, usecols, strip, forward_fill):
     used = range(keys, width) if usecols is None else usecols
     need = width if usecols is None else max(usecols) + 1
     codes = [defaultdict(count().__next__) for _ in range(keys)]
-    rows, key_rows, values = [], [], []
+    key_rows, values = [], []
     for row_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -251,14 +246,12 @@ def _parse_rows(reader, path, names, width, keys, usecols, strip, forward_fill):
         if len(row) < need:
             raise ParseError(f"{path}: row {row_no}: expected at least "
                              f"{need} fields, got {len(row)}")
-        rows.append(row_no)
         key_rows.append([d[cell] for d, cell in zip(codes, row)])
         values.append([_parse_number(row[c], path, row_no, names[c], strip,
                                      forward_fill) for c in used])
-    key_codes = np.array(key_rows, dtype=np.intp).reshape(len(rows), keys)
+    key_codes = np.array(key_rows, dtype=np.intp).reshape(len(values), keys)
     return ([(list(d), key_codes[:, c]) for c, d in enumerate(codes)],
-            np.array(values, dtype=float).reshape(len(rows), len(used)),
-            np.array(rows))
+            np.array(values, dtype=float).reshape(len(values), len(used)))
 
 
 def _parse_number(token, path, row, column, strip, forward_fill) -> float:
@@ -296,31 +289,29 @@ def _first_row(mask):
     return int(hits[0]) if hits.size else None
 
 
-def _parses(parse, cell) -> bool:
-    try:
-        parse(cell)
-    except ValueError:
-        return False
-    return True
-
-
 def _labels(table: _Table, path):
     """The distinct cells of the first key column, read all as ISO dates or
-    else all as day numbers, and the code of each row's label."""
+    all as day numbers, as the first one reads, and the code of each row's
+    label."""
     cells, codes = table.keys[0]
-    kinds = (date.fromisoformat, int)
-    for parse in kinds:
+    parse = int
+    try:
+        if cells:
+            date.fromisoformat(cells[0])
+            parse = date.fromisoformat
+    except ValueError:
+        pass
+    try:
+        return list(map(parse, cells)), codes
+    except ValueError:
+        pass
+    for code, cell in enumerate(cells):
         try:
-            return list(map(parse, cells)), codes
+            parse(cell)
         except ValueError:
-            pass
-    first = next((kind for kind in kinds if _parses(kind, cells[0])), None)
-    code = next(c for c, cell in enumerate(cells)
-                if first is None or not _parses(first, cell))
-    mixed = any(_parses(kind, cells[code]) for kind in kinds)
-    problem = "mixed kinds of" if mixed else "cannot parse"
-    raise ParseError(f"{path}: row {table.row(_first_row(codes == code))}: "
-                     f"{problem} date {cells[code]!r}")
+            raise ParseError(
+                f"{path}: row {table.row(_first_row(codes == code))}: "
+                f"cannot parse date {cell!r}") from None
 
 
 def _ranks(values, codes):

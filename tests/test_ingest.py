@@ -434,5 +434,5 @@ class TestNumpyFastPath:
         path = tmp_path / "i.csv"
         path.write_text("date,close,volume\n" + "".join(
             f"{label},100,10\n" for label in labels))
-        with pytest.raises(ParseError, match=f"row 3: mixed kinds of date {bad}"):
+        with pytest.raises(ParseError, match=f"row 3: cannot parse date {bad}"):
             load_index_series(path)
