@@ -222,7 +222,7 @@ def _scan_numeric_csv(path, width, keys, usecols):
             )
     except ValueError:
         return None
-    numbers = np.ascontiguousarray(values[:, keys:])
+    numbers = values[:, keys:]
     if (not len(values) or (usecols is None and values.shape[1] != width)
             or not np.isfinite(numbers).all()):
         return None
