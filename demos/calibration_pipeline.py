@@ -24,7 +24,7 @@ import numpy as np
 
 from herdsim.calibrate import asymmetry_report
 from herdsim.ingest import IndexSeries, load_index_series, save_index_series
-from herdsim.simcore import ModelConfig, horizon_weights, run_model_a, weighted_return
+from herdsim.simcore import ModelConfig, run_model_a, weighted_returns
 from herdsim.stats import normalize, return_volatility_correlation
 
 rng = np.random.default_rng(3)
@@ -36,14 +36,10 @@ returns = rng.normal(0, 0.012, n)
 # bear-day magnitudes 10% larger: creates a positive herding shift
 returns[returns < 0] *= 1.10
 
-weights = horizon_weights(m)
 volumes = np.full(n + 1, 1e5)
-for t in range(m - 1, n - 1):
-    rprime = weighted_return(returns[t - m + 1 : t + 1], weights, k=0.1)
-    if rprime > 0:      # heavier trading the day after a bullish regime
-        volumes[t + 1] = 1.06e5
-    elif rprime < 0:
-        volumes[t + 1] = 1.0e5
+# R'(t) for days t = m-1 .. n-2; heavier trading the day after a bullish one
+rprime = weighted_returns(returns[: n - 1], m, 0.1)
+volumes[m:n][rprime > 0] = 1.06e5
 
 closes = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
 days = []

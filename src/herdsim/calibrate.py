@@ -21,9 +21,9 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .ingest import DEFAULT_TAU_WEEKS, ReturnsPanel, SearchSeries, log_returns
+from .ingest import DEFAULT_TAU_WEEKS, ReturnsPanel, log_returns
 from .stats import CorrelationCurve, fit_power_law, normalize
-from .simcore import horizon_weights
+from .simcore import weighted_returns
 
 #: Published (delta_r, delta_R) anchors for six major index families, used
 #: to freeze the linear relation between the two shift scales.
@@ -104,13 +104,6 @@ class InfoForceReport:
         return sum(f.skipped for f in self.forces)
 
 
-def _weighted_return_signs(returns: np.ndarray, m: int, k: float) -> np.ndarray:
-    """sign(R'(t)) for every day t >= m - 1, computed over m-day windows."""
-    w_rev = horizon_weights(m).tail_sums()[::-1]
-    rprime = np.convolve(returns, w_rev[::-1], mode="valid") * k
-    return np.sign(rprime)
-
-
 def trading_asymmetry(returns, m: int = 150, k: float = 1.0) -> AsymmetryEstimate:
     """Estimate alpha from volumes following bull and bear weighted returns.
 
@@ -127,7 +120,7 @@ def trading_asymmetry(returns, m: int = 150, k: float = 1.0) -> AsymmetryEstimat
         raise InsufficientDataError(
             f"need more than {m} days of returns, got {len(r)}"
         )
-    signs = _weighted_return_signs(r, m, k)
+    signs = np.sign(weighted_returns(r, m, k))
     # signs[i] corresponds to day t = m - 1 + i; it classifies volume[t + 1].
     next_vol = volume[m:]
     signs = signs[: len(next_vol)]
@@ -140,16 +133,12 @@ def trading_asymmetry(returns, m: int = 150, k: float = 1.0) -> AsymmetryEstimat
     return AsymmetryEstimate(alpha=alpha, beta=2.0 - alpha, volume_ratio=ratio)
 
 
-def herding_shift(normalized, volumes=None) -> float:
+def herding_shift(normalized, volumes) -> float:
     """Volume-weighted herding-degree shift between bear and bull days.
 
     d_bull is the volume-weighted mean of r over positive days, d_bear the
     same over |r| on negative days; the shift is (d_bear - d_bull) / 2.
     """
-    if volumes is None:
-        volumes = getattr(normalized, "volume", None)
-    if volumes is None:
-        raise ValidationError("herding_shift needs volumes")
     r = np.asarray(
         normalized.values if hasattr(normalized, "values") else normalized,
         dtype=float,
@@ -278,12 +267,9 @@ def comovement(panel: ReturnsPanel) -> ComovementEstimate:
     )
 
 
-def info_states(search) -> np.ndarray:
+def info_states(volume) -> np.ndarray:
     """Binary attention states: 1 where the volume exceeds its mean."""
-    volume = np.asarray(
-        search.volume if isinstance(search, SearchSeries) else search,
-        dtype=float,
-    )
+    volume = np.asarray(volume, dtype=float)
     if len(volume) < 2:
         raise InsufficientDataError("need at least 2 weeks")
     return (volume > volume.mean()).astype(np.int8)
@@ -354,7 +340,7 @@ def _window_labels(force_series, market: np.ndarray) -> list[np.ndarray]:
 
 
 def info_force_asymmetry(force_series, market_returns) -> float:
-    """Relative bear-bull gap of the driving forces:
+    """Relative bear-bull gap of the driving forces of a list of series:
 
         delta_F = (mean F over bear windows - mean F over bull) / mean F.
 
@@ -362,9 +348,6 @@ def info_force_asymmetry(force_series, market_returns) -> float:
     positive (negative); flat windows, and windows with missing market
     data (NaN entries), stay unlabeled.
     """
-    if isinstance(force_series, InfoForceSeries):
-        force_series = [force_series]
-    force_series = list(force_series)
     market = np.asarray(market_returns, dtype=float)
     labels = np.concatenate(
         [np.empty(0, np.int8)] + _window_labels(force_series, market)
@@ -380,18 +363,19 @@ def info_force_asymmetry(force_series, market_returns) -> float:
     return float((np.mean(bear) - np.mean(bull)) / overall)
 
 
-def correlating_time(
-    curve: CorrelationCurve,
-    deviation_factor: float = 0.5,
-    persistence: int = 3,
-    fallback: int = 26,
-) -> CorrelatingTime:
+#: correlating_time's threshold on the relative deviation from the fit,
+#: and the number of consecutive lags that must exceed it.
+_DEVIATION_FACTOR = 0.5
+_PERSISTENCE = 3
+
+
+def correlating_time(curve: CorrelationCurve) -> CorrelatingTime:
     """Lag where a correlation curve leaves its early power-law decay.
 
     A power law is fitted on lags 1..10; tau is the first lag opening a
-    run of `persistence` consecutive lags whose relative deviation from
-    the fit exceeds `deviation_factor`.  Without such a run the fallback
-    value is returned with the flag unset.
+    run of _PERSISTENCE consecutive lags whose relative deviation from the
+    fit exceeds _DEVIATION_FACTOR.  Without such a run DEFAULT_TAU_WEEKS
+    is returned with the flag unset.
     """
     if len(curve.lags) < 30:
         raise InsufficientDataError(
@@ -404,15 +388,15 @@ def correlating_time(
     predicted = fit.params["amplitude"] * np.asarray(curve.lags, float) ** (
         fit.params["exponent"]
     )
-    deviates = np.abs(curve.values - predicted) / np.abs(predicted) > deviation_factor
+    deviates = np.abs(curve.values - predicted) / np.abs(predicted) > _DEVIATION_FACTOR
     run = 0
     for i, flag in enumerate(deviates):
         run = run + 1 if flag else 0
-        if run >= persistence:
+        if run >= _PERSISTENCE:
             return CorrelatingTime(
-                tau=int(curve.lags[i - persistence + 1]), deviation_found=True
+                tau=int(curve.lags[i - _PERSISTENCE + 1]), deviation_found=True
             )
-    return CorrelatingTime(tau=fallback, deviation_found=False)
+    return CorrelatingTime(tau=DEFAULT_TAU_WEEKS, deviation_found=False)
 
 
 def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:

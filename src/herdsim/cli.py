@@ -70,18 +70,14 @@ def _write_manifest(out: Path, argv, inputs, seed=None, config=None, outputs=())
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {Path(p).name: _sha256(p) for p in outputs},
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    ingest.write_json(out / "manifest.json", manifest)
 
 
 def _write_report(out: Path, values: dict, table_lines: list[str]) -> Path:
     report = {key: values.get(key) for key in REPORT_KEYS}
     report.update({k: v for k, v in values.items() if k not in REPORT_KEYS})
     path = out / "report.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    ingest.write_json(path, report)
     with open(out / "report.txt", "w") as fh:
         fh.write("\n".join(table_lines) + "\n")
     return path
@@ -208,6 +204,8 @@ def cmd_simulate(args, argv) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     config.validate_for(args.model)
+    # the members run seeds config.seed .. config.seed + ensemble - 1
+    dataclasses.replace(config, seed=config.seed + args.ensemble - 1).validate()
     out = _out_dir(args, f"simulate-{args.model}")
     inputs = [args.config] + ([args.calibration] if args.calibration else [])
 
@@ -245,9 +243,7 @@ def cmd_simulate(args, argv) -> int:
             for s in sorted(digests)
         ],
     }
-    with open(out / "ensemble.json", "w") as fh:
-        json.dump(ensemble, fh, indent=2)
-        fh.write("\n")
+    ingest.write_json(out / "ensemble.json", ensemble)
     _write_manifest(
         out, argv, inputs, seed=config.seed, config=config.to_dict(),
         outputs=[out / "ensemble.json"],
@@ -309,13 +305,11 @@ def cmd_analyze(args, argv) -> int:
         lo, hi = spectral.marchenko_pastur_bounds(
             len(panel.tickers), len(panel.dates)
         )
-        with open(out / "bounds.json", "w") as fh:
-            json.dump(
-                {"lambda_minus": lo, "lambda_plus": hi,
-                 "n": len(panel.tickers), "T": len(panel.dates)},
-                fh, indent=2,
-            )
-            fh.write("\n")
+        ingest.write_json(
+            out / "bounds.json",
+            {"lambda_minus": lo, "lambda_plus": hi,
+             "n": len(panel.tickers), "T": len(panel.dates)},
+        )
         inputs = [args.panel, args.sectors]
     _write_manifest(out, argv, inputs)
     print(f"analysis written to {out}")
@@ -330,6 +324,10 @@ def cmd_pipeline(args, argv) -> int:
     for i, step in enumerate(steps):
         if not isinstance(step, list) or not all(isinstance(s, str) for s in step):
             raise InputError(f"{args.steps}: step {i} is not a list of strings")
+        if step[:1] == ["pipeline"]:
+            raise InputError(f"{args.steps}: step {i} runs a pipeline; "
+                             "pipelines do not nest")
+    for i, step in enumerate(steps):
         print(f"[pipeline] step {i + 1}/{len(steps)}: {' '.join(step)}")
         code = main(step)
         if code != 0:

@@ -1,4 +1,5 @@
-"""Loading and validation of market data files.
+"""Loading and validation of market data files, and the shared writers of
+CSV tables and JSON files.
 
 Canonical CSV schemas (headered, ISO-8601 dates, plain decimal numbers):
 
@@ -19,6 +20,7 @@ pass; anything unusual goes to the row parser, which names the bad row.
 from __future__ import annotations
 
 import csv
+import json
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
@@ -106,9 +108,6 @@ class ReturnsPanel:
         for ticker in self.tickers:
             if ticker not in self.sector_of:
                 raise ValidationError(f"ticker {ticker!r} has no sector")
-
-    def column(self, ticker: str) -> np.ndarray:
-        return self.matrix[:, self.tickers.index(ticker)]
 
     @property
     def sectors(self) -> tuple[str, ...]:
@@ -436,12 +435,11 @@ def load_returns_column(path) -> np.ndarray:
     return values
 
 
-def load_search_series(path, align: bool = True) -> list[SearchSeries]:
+def load_search_series(path) -> list[SearchSeries]:
     """Load a long-form search.csv into one SearchSeries per ticker.
 
-    With `align` (the default) all series are restricted to the common
-    intersection of week labels so panel-wide comparisons share a clock.
-    Result is sorted by ticker.
+    All series are restricted to the common intersection of week labels so
+    panel-wide comparisons share a clock.  Result is sorted by ticker.
     """
     table = _read_table(path, _header("week_start", "ticker", "volume"),
                         keys=2)
@@ -458,7 +456,7 @@ def load_search_series(path, align: bool = True) -> list[SearchSeries]:
                    else f"duplicate week {weeks[week_rank[i]]}")
         raise ValidationError(f"{path}: row {table.row(i)}: {problem} for "
                               f"{tickers[ticker_codes[i]]!r}")
-    if align and len(tickers) > 1:
+    if len(tickers) > 1:
         common = np.bincount(week_rank) == len(tickers)
         if not common.any():
             raise ValidationError(f"{path}: tickers share no common weeks")
@@ -472,6 +470,13 @@ def load_search_series(path, align: bool = True) -> list[SearchSeries]:
                      weeks=tuple(map(weeks.__getitem__, week_rank[rows].tolist())))
         for ticker, rows in zip(tickers, per_ticker)
     ]
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as JSON text indented by two spaces, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 _WRITE_BLOCK_ROWS = 1024

@@ -2,19 +2,16 @@
 
 from .config import DEFAULT_TRADE_PROB, HORIZON_DECAY, ModelConfig, load_config
 from .machinery import (
-    ClusterPartition,
-    HorizonWeights,
     SimOutput,
-    cluster_decide,
     horizon_weights,
     independent_day_return,
-    partition_clusters,
     round_count,
+    rprime_weights,
     sample_aggregate_return,
-    weighted_return,
+    weighted_returns,
 )
 from .multi_stock import mgroup_slots, run_model_c
-from .single_stock import perceived_volatility, run_model_a, run_model_b, run_model_d
+from .single_stock import run_model_a, run_model_b, run_model_d
 
 RUNNERS = {
     "a": run_model_a,
@@ -40,18 +37,14 @@ __all__ = [
     "HORIZON_DECAY",
     "ModelConfig",
     "load_config",
-    "ClusterPartition",
-    "HorizonWeights",
     "SimOutput",
-    "cluster_decide",
     "horizon_weights",
     "independent_day_return",
-    "partition_clusters",
     "round_count",
+    "rprime_weights",
     "sample_aggregate_return",
-    "weighted_return",
+    "weighted_returns",
     "mgroup_slots",
-    "perceived_volatility",
     "run_model",
     "run_model_a",
     "run_model_b",

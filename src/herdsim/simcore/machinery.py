@@ -1,8 +1,9 @@
 """Shared machinery of the simulation drivers.
 
-Horizon weights, the weighted average return, random cluster partitions and
-joint cluster decisions.  Everything here is pure given an explicit
-`numpy.random.Generator`, so runs are reproducible from the seed alone.
+Horizon weights, the weighted return R', the aggregate return of a day of
+clustered or independent agents and the record of one run.  Everything
+here is pure given an explicit `numpy.random.Generator`, so runs are
+reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -26,100 +27,38 @@ def round_count(x):
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
-class HorizonWeights:
+def horizon_weights(m: int) -> np.ndarray:
     """Normalized power-law portions of agents per investment horizon.
 
     gamma[i-1] is the fraction of agents with an i-day horizon,
     proportional to i**-HORIZON_DECAY and summing to one.
     """
-
-    gamma: np.ndarray
-
-    @property
-    def max_horizon(self) -> int:
-        return len(self.gamma)
-
-    def tail_sums(self) -> np.ndarray:
-        """w[j] = sum of gamma over horizons > j; w[0] = 1.
-
-        These are the effective weights of R(t-j) in the weighted return:
-        the double sum over horizons collapses to sum_j w[j] * R(t-j).
-        """
-        return np.cumsum(self.gamma[::-1])[::-1].copy()
-
-
-def horizon_weights(m: int, decay: float = HORIZON_DECAY) -> HorizonWeights:
     if m < 1:
         raise ConfigError(f"horizon count must be >= 1, got {m}")
-    raw = np.arange(1, m + 1, dtype=float) ** (-decay)
-    return HorizonWeights(gamma=raw / raw.sum())
+    raw = np.arange(1, m + 1, dtype=float) ** (-HORIZON_DECAY)
+    return raw / raw.sum()
 
 
-def weighted_return(history, weights: HorizonWeights, k: float = 1.0) -> float:
-    """Weighted average return over the last M days of `history`.
+def rprime_weights(m: int) -> np.ndarray:
+    """Weights of a chronological m-day window (oldest day first) in R'.
 
-    `history` holds returns in chronological order; history[-1] is the most
-    recent day.  Each horizon i contributes gamma_i times the sum of the
-    last i returns, scaled by k.
+    Each horizon i contributes gamma_i times the sum of the last i returns,
+    so the return j days back weighs the sum of gamma over horizons > j:
+    the last weight is 1, and R' = k * dot(rprime_weights(m), window).
     """
-    hist = np.asarray(history, dtype=float)
-    m = weights.max_horizon
-    if len(hist) < m:
-        raise ConfigError(
-            f"need at least {m} days of history, got {len(hist)}"
-        )
-    w = weights.tail_sums()
-    return float(k * np.dot(w[::-1], hist[-m:]))
+    return np.cumsum(horizon_weights(m)[::-1])
 
 
-@dataclass(frozen=True)
-class ClusterPartition:
-    """Assignment of agents to decision clusters for one day."""
+def weighted_returns(returns, m: int, k: float) -> np.ndarray:
+    """R' of every full m-day window of a chronological return series.
 
-    assignment: np.ndarray
-    n_clusters: int
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.n_clusters)
-
-
-def partition_clusters(
-    n_agents: int, avg_cluster_size: float, rng: np.random.Generator
-) -> ClusterPartition:
-    """Uniformly assign agents to max(1, round(N / avg_size)) clusters.
-
-    avg_cluster_size is clamped into [1, n_agents] first.
+    Entry i is k * dot(rprime_weights(m), returns[i : i + m]), the weighted
+    return at the close of day i + m - 1.
     """
-    if n_agents < 1:
-        raise ConfigError(f"n_agents must be >= 1, got {n_agents}")
-    avg = min(max(float(avg_cluster_size), 1.0), float(n_agents))
-    n_clusters = max(1, round_count(n_agents / avg))
-    assignment = rng.integers(0, n_clusters, size=n_agents)
-    return ClusterPartition(assignment=assignment, n_clusters=n_clusters)
-
-
-def cluster_decide(
-    partition: ClusterPartition,
-    p_buy: float,
-    p_sell: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, int]:
-    """Draw one decision per cluster and give it to every member.
-
-    Returns (per-agent decisions in {-1, 0, +1}, aggregate return).
-    """
-    if p_buy < 0.0 or p_sell < 0.0 or p_buy + p_sell > 1.0:
-        raise ConfigError(
-            f"need p_buy, p_sell >= 0 and p_buy + p_sell <= 1, "
-            f"got ({p_buy}, {p_sell})"
-        )
-    u = rng.random(partition.n_clusters)
-    phi_cluster = np.zeros(partition.n_clusters, dtype=np.int64)
-    phi_cluster[u < p_buy] = 1
-    phi_cluster[(u >= p_buy) & (u < p_buy + p_sell)] = -1
-    phi = phi_cluster[partition.assignment]
-    return phi, int(phi.sum())
+    r = np.asarray(returns, dtype=float)
+    if len(r) < m:
+        raise ConfigError(f"need at least {m} days of history, got {len(r)}")
+    return np.convolve(r, rprime_weights(m)[::-1], mode="valid") * k
 
 
 def sample_aggregate_return(
@@ -131,10 +70,10 @@ def sample_aggregate_return(
 ) -> int:
     """Aggregate return of a clustered day without materializing agents.
 
-    Exactly reproduces the law of partition_clusters + cluster_decide:
-    first the buy/sell counts among clusters, then the agent headcounts,
-    which are multinomial because every agent picks a cluster uniformly
-    and independently.
+    Every agent picks one of `n_clusters` clusters uniformly and
+    independently, each cluster buys with p_buy, sells with p_sell and
+    holds otherwise, and its members follow.  Drawn as the buy/sell counts
+    among clusters, then the agent headcounts, which are multinomial.
     """
     p_hold = 1.0 - p_buy - p_sell
     n_buy, n_sell, _ = rng.multinomial(

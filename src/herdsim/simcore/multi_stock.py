@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ModelConfig
-from .machinery import SimOutput, horizon_weights, round_count
+from .machinery import SimOutput, round_count, rprime_weights
 
 
 def mgroup_slots(sgroup_count, n_stocks: int, h_m: float):
@@ -137,7 +137,7 @@ def run_model_c(config: ModelConfig) -> SimOutput:
     )
     sector_of_stock = np.repeat(np.arange(n_sectors), per_sector)
 
-    w_rev = horizon_weights(m).tail_sums()[::-1].copy()
+    w = rprime_weights(m)
     history = np.zeros((t_max, n_stocks), dtype=float)
     hold = 1.0 - 2.0 * p_group
 
@@ -154,7 +154,7 @@ def run_model_c(config: ModelConfig) -> SimOutput:
     # an unheld stock (possible at small N) degenerates to one empty group
     holders = np.maximum(agents_per_stock, 1).astype(float)
     for t in range(warmup, t_max):
-        rprime = k * (w_rev @ history[t - m : t, :])
+        rprime = k * (w @ history[t - m : t, :])
         avg_i = np.minimum(np.maximum(np.abs(rprime), 1.0), holders)
         igroups = np.maximum(1, round_count(agents_per_stock / avg_i))
         sector_igroups = igroups.reshape(n_sectors, per_sector).sum(axis=1)

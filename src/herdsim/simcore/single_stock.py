@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
 from .config import ModelConfig
 from .machinery import (
     SimOutput,
     horizon_weights,
     independent_day_return,
     round_count,
+    rprime_weights,
     sample_aggregate_return,
 )
 
@@ -34,30 +34,20 @@ def _volatility_coefficients(gamma) -> np.ndarray:
     The volatility j days back weighs sum over horizons i > j of
     gamma_i / i, so xi is linear in the window.
     """
-    g = np.asarray(gamma, dtype=float)
-    return np.cumsum((g / np.arange(1, len(g) + 1))[::-1])
+    return np.cumsum((gamma / np.arange(1, len(gamma) + 1))[::-1])
 
 
 def _xi(coefficients, window, total) -> float:
-    """xi of a chronological volatility window whose sum is `total`."""
+    """Aggregate perception xi of a chronological volatility window whose
+    sum is `total`.
+
+    An agent with horizon i compares the mean volatility of the last i days
+    with the full-window background; xi is the gamma-weighted aggregate,
+    1.0 when the window is flat.
+    """
     if total <= 0:
         return 1.0
     return len(coefficients) * float(np.dot(coefficients, window)) / total
-
-
-def perceived_volatility(volatilities, gamma) -> float:
-    """Aggregate perception xi of the recent volatility.
-
-    `volatilities` holds the last M daily volatilities in chronological
-    order.  An agent with horizon i compares the mean volatility of the
-    last i days with the full-window background v_M; xi is the
-    gamma-weighted aggregate, 1.0 when the window is flat or empty.
-    """
-    v = np.asarray(volatilities, dtype=float)
-    m = len(gamma)
-    if len(v) != m:
-        raise ConfigError(f"need exactly {m} volatilities, got {len(v)}")
-    return _xi(_volatility_coefficients(gamma), v, float(v.sum()))
 
 
 def _run_herding_model(config: ModelConfig, model: str) -> SimOutput:
@@ -77,9 +67,8 @@ def _run_herding_model(config: ModelConfig, model: str) -> SimOutput:
     p_flat = 2.0 * config.p
     p_bull, p_bear = p_flat * config.alpha, p_flat * config.beta
 
-    weights = horizon_weights(m)
-    w_rev = weights.tail_sums()[::-1].copy()
-    xi_weights = _volatility_coefficients(weights.gamma)
+    w = rprime_weights(m)
+    xi_weights = _volatility_coefficients(horizon_weights(m))
 
     history = np.zeros(t_max, dtype=float)
     kept = t_max - warmup
@@ -96,7 +85,7 @@ def _run_herding_model(config: ModelConfig, model: str) -> SimOutput:
         window_sum = int(abs_history[warmup - m : warmup].sum())
 
     for t in range(warmup, t_max):
-        rprime = k * float(np.dot(w_rev, history[t - m : t]))
+        rprime = k * float(np.dot(w, history[t - m : t]))
         if rprime > 0.0:
             p_trade = p_bull
         elif rprime < 0.0:
@@ -198,7 +187,7 @@ def run_model_d(config: ModelConfig) -> SimOutput:
     t_max = config.t_max
     tau = config.tau
 
-    w_rev = horizon_weights(m).tail_sums()[::-1].copy()
+    w = rprime_weights(m)
     mean_force = 1.0 / (2.0 * config.b1)
     p0 = 2.0 * config.p / (1.0 + mean_force)
     # 1 - a * sgn(R') for a bull and a bear R'
@@ -233,7 +222,7 @@ def run_model_d(config: ModelConfig) -> SimOutput:
         days = zip(range(start, stop), memoryview(y_draws), memoryview(states))
         for t, y, s in days:
             n_pos = n_dominating if s else n_rest
-            rprime = k * float(np.dot(w_rev, history[t - m : t]))
+            rprime = k * float(np.dot(w, history[t - m : t]))
             if rprime > 0.0:
                 force = y * bull
             elif rprime < 0.0:

@@ -9,7 +9,6 @@ eigenvectors.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +18,9 @@ from .errors import (
     UnsupportedRegimeError,
     ValidationError,
 )
-from .ingest import ReturnsPanel
+from .ingest import ReturnsPanel, write_json
 
 SYMMETRY_TOL = 1e-12
-RECONSTRUCTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -178,16 +176,18 @@ def write_spectrum_json(path, system: EigenSystem, report: ModeReport) -> None:
         "sector_mass": report.sector_mass.tolist(),
         "dominant_sector": list(report.dominant_sector),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
-def write_eigenvector_csv(path, system: EigenSystem, n_modes: int = 3) -> None:
+#: Leading eigenvectors written by write_eigenvector_csv.
+_CSV_MODES = 3
+
+
+def write_eigenvector_csv(path, system: EigenSystem) -> None:
     """Leading eigenvector components per ticker, sector-blocked rows."""
     if system.tickers is None or system.sectors is None:
         raise ValidationError("eigen-system carries no ticker labels")
-    n_modes = min(n_modes, system.eigenvectors.shape[1])
+    n_modes = min(_CSV_MODES, system.eigenvectors.shape[1])
     rows = sorted(
         range(len(system.tickers)),
         key=lambda i: (system.sectors[i], system.tickers[i]),

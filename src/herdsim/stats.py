@@ -9,8 +9,7 @@ objects produced elsewhere in the package (anything with a `.values` or
 
 from __future__ import annotations
 
-import csv
-import json
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
+from .ingest import write_csv_table, write_json
 
 
 def _as_series(values) -> np.ndarray:
@@ -129,14 +129,18 @@ def return_volatility_correlation(series, max_lag: int) -> CorrelationCurve:
     return CorrelationCurve(lags=lags, values=vals, estimator_id="L")
 
 
-def hurst_exponent(values, min_window: int = 16) -> float:
+#: Smallest window size of the DFA grid.
+_DFA_MIN_WINDOW = 16
+
+
+def hurst_exponent(values) -> float:
     """Hurst exponent by detrended fluctuation analysis (linear detrending).
 
     The profile (cumulative sum of the centered series) is split into
     non-overlapping windows taken from both ends, each window is detrended
     by a least-squares line, and the RMS fluctuation F(s) is fitted as
-    F ~ s**H on a log-log grid of window sizes from `min_window` up to an
-    eighth of the series length.  The estimate is clipped into [0, 1.5].
+    F ~ s**H on a log-log grid of window sizes from _DFA_MIN_WINDOW up to
+    an eighth of the series length.  The estimate is clipped into [0, 1.5].
     """
     x = _as_series(values)
     if len(x) < 512:
@@ -148,7 +152,7 @@ def hurst_exponent(values, min_window: int = 16) -> float:
     profile = np.cumsum(x - x.mean())
     n = len(profile)
     sizes = np.unique(
-        np.round(np.geomspace(min_window, n // 8, 24)).astype(int)
+        np.round(np.geomspace(_DFA_MIN_WINDOW, n // 8, 24)).astype(int)
     )
     log_s = []
     log_f = []
@@ -237,58 +241,20 @@ def fit_power_law(lags, values) -> FitResult:
     )
 
 
-def fit_linear_through_origin(x, y) -> FitResult:
-    """Least-squares slope of y = slope * x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sxx = float(np.dot(x, x))
-    if sxx == 0.0:
-        raise FitDomainError("all abscissae are zero")
-    slope = float(np.dot(x, y)) / sxx
-    residuals = y - slope * x
-    return FitResult(
-        model_id="linear_through_origin",
-        params={"slope": slope},
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
-    )
-
-
 def write_curve_csv(curve: CorrelationCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "value"])
-        for lag, value in zip(curve.lags, curve.values):
-            writer.writerow([int(lag), repr(float(value))])
-
-
-def read_curve_csv(path, estimator_id: str = "") -> CorrelationCurve:
-    lags = []
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            lags.append(int(row[0]))
-            values.append(float(row[1]))
-    return CorrelationCurve(
-        lags=np.asarray(lags), values=np.asarray(values), estimator_id=estimator_id
-    )
+    write_csv_table(path, ["lag", "value"], map(str, curve.lags.tolist()),
+                    [curve.values])
 
 
 def write_results_json(path, results: dict) -> None:
-    """Write estimator/fit results; FitResult values are expanded in place."""
+    """Write estimator/fit results; FitResult and array values are expanded
+    in place."""
 
     def expand(value):
         if isinstance(value, FitResult):
-            return {
-                "model_id": value.model_id,
-                "params": value.params,
-                "residual_rms": value.residual_rms,
-            }
+            return dataclasses.asdict(value)
         if isinstance(value, np.ndarray):
             return value.tolist()
         return value
 
-    with open(path, "w") as fh:
-        json.dump({k: expand(v) for k, v in results.items()}, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {k: expand(v) for k, v in results.items()})

@@ -24,11 +24,10 @@ from herdsim.cli import main as cli_main
 from herdsim.ingest import ReturnSeries, ReturnsPanel
 from herdsim.simcore import (
     ModelConfig,
-    horizon_weights,
+    rprime_weights,
     run_model_a,
     run_model_c,
     run_model_d,
-    weighted_return,
 )
 from herdsim.spectral import (
     cross_correlation,
@@ -257,10 +256,9 @@ def test_criterion_8_calibration_oracles():
     rng = np.random.default_rng(0)
     m, n, rho = 60, 400, 1.5
     returns = rng.normal(0, 1.0, n)
-    weights = horizon_weights(m)
+    w = rprime_weights(m)
     signs = np.array(
-        [np.sign(weighted_return(returns[t - m + 1 : t + 1], weights))
-         for t in range(m - 1, n)]
+        [np.sign(np.dot(w, returns[t - m + 1 : t + 1])) for t in range(m - 1, n)]
     )
     volume = np.ones(n)
     for i, s in enumerate(signs[:-1]):

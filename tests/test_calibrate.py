@@ -19,15 +19,15 @@ from herdsim.calibrate import (
 )
 from herdsim.errors import FitDomainError, InputError, InsufficientDataError
 from herdsim.ingest import IndexSeries, ReturnSeries, ReturnsPanel, SearchSeries
-from herdsim.simcore import horizon_weights, weighted_return
+from herdsim.simcore import rprime_weights
 from herdsim.stats import CorrelationCurve, normalize
 
 
 def weighted_signs_oracle(returns, m, k=1.0):
-    """sign(R'(t)) per day t >= m-1, via the public weighted_return op."""
-    w = horizon_weights(m)
+    """sign(R'(t)) per day t >= m-1, one window dot per day."""
+    w = rprime_weights(m)
     return np.array(
-        [np.sign(weighted_return(returns[t - m + 1 : t + 1], w, k))
+        [np.sign(k * np.dot(w, returns[t - m + 1 : t + 1]))
          for t in range(m - 1, len(returns))]
     )
 
@@ -334,7 +334,7 @@ class TestInfoForceAsymmetry:
     def test_identical_regimes_give_zero(self):
         market = np.tile([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0], 10)
         series = self.force_series([0, 4, 8, 12], [0.5, 0.5, 0.5, 0.5])
-        assert info_force_asymmetry(series, market) == pytest.approx(0.0, abs=1e-15)
+        assert info_force_asymmetry([series], market) == pytest.approx(0.0, abs=1e-15)
 
     def test_bear_heavier_by_twenty_percent(self):
         market = np.tile([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0], 10)
@@ -344,7 +344,7 @@ class TestInfoForceAsymmetry:
             bull_windows + bear_windows, [1.0, 1.0, 1.2, 1.2]
         )
         expected = (1.2 - 1.0) / 1.1
-        assert info_force_asymmetry(series, market) == pytest.approx(
+        assert info_force_asymmetry([series], market) == pytest.approx(
             expected, abs=1e-14
         )
 
@@ -352,7 +352,7 @@ class TestInfoForceAsymmetry:
         market = np.ones(100)
         series = self.force_series([0, 4], [1.0, 2.0])
         with pytest.raises(InsufficientDataError):
-            info_force_asymmetry(series, market)
+            info_force_asymmetry([series], market)
 
 
 class TestInfoForceReport:

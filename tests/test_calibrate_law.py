@@ -364,7 +364,7 @@ def test_short_market_rejected_before_labelling():
                              window_starts=np.array([0, 1], np.int64),
                              forces=np.array([0.1, 0.2]), tau=5)
     with pytest.raises(ValidationError, match="shorter than tau"):
-        info_force_asymmetry(series, np.ones(4))
+        info_force_asymmetry([series], np.ones(4))
     with pytest.raises(InsufficientDataError, match="no bull or no bear"):
         info_force_asymmetry([], np.ones(4))
 

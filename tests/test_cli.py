@@ -512,3 +512,24 @@ class TestBadInputsExit2:
                      "--ensemble", 2, flag, value, "--out", tmp_path / "r"],
             f"{flag} must be >= 1, got {value}")
         assert not (tmp_path / "r").exists()
+
+    def test_pipeline_step_running_a_pipeline(self, tmp_path, capsys):
+        steps = tmp_path / "steps.json"
+        out = tmp_path / "r"
+        steps.write_text(json.dumps({"steps": [
+            ["simulate", "a", "--config", str(small_config(tmp_path)),
+             "--out", str(out)],
+            ["pipeline", str(steps)],
+        ]}))
+        self.expect_exit_2(capsys, ["pipeline", steps], "step 1 runs a pipeline")
+        assert not out.exists()
+
+    def test_ensemble_seed_past_the_bound(self, tmp_path, capsys):
+        config = small_config(tmp_path, t_max=120)
+        self.expect_exit_2(
+            capsys, ["simulate", "a", "--config", config, "--seed", 2147483647,
+                     "--ensemble", 2, "--out", tmp_path / "r"],
+            "seed must be at most 2147483647")
+        assert not (tmp_path / "r").exists()
+        assert run(["simulate", "a", "--config", config, "--seed", 2147483646,
+                    "--ensemble", 2, "--out", tmp_path / "r"]) == 0

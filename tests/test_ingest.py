@@ -32,6 +32,10 @@ def save_search_series(series_list: list[SearchSeries], path) -> None:
                 writer.writerow([week, series.ticker, repr(float(volume))])
 
 
+def column(panel: ReturnsPanel, ticker: str) -> np.ndarray:
+    return panel.matrix[:, panel.tickers.index(ticker)]
+
+
 class TestLoadIndexSeries:
     def test_three_row_echo(self, tmp_path):
         path = write_csv(
@@ -241,7 +245,7 @@ class TestReturnsPanel:
         save_returns_panel(permuted, out)
         back = load_returns_panel(out, sectors_path)
         for ticker in tickers:
-            assert np.array_equal(back.column(ticker), panel.column(ticker))
+            assert np.array_equal(column(back, ticker), column(panel, ticker))
 
     def test_roundtrip(self, panel_files, tmp_path):
         panel_path, sectors_path, *_ = panel_files

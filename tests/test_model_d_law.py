@@ -15,9 +15,9 @@ import pytest
 from herdsim.simcore import ModelConfig, run_model_d, single_stock
 from herdsim.simcore.machinery import (
     SimOutput,
-    horizon_weights,
     independent_day_return,
     round_count,
+    rprime_weights,
     sample_aggregate_return,
 )
 
@@ -32,7 +32,7 @@ def reference_run_model_d(config: ModelConfig) -> SimOutput:
     warmup = config.warmup_days
     t_max = config.t_max
 
-    w_rev = horizon_weights(m).tail_sums()[::-1].copy()
+    w_rev = rprime_weights(m)
     mean_force = 1.0 / (2.0 * config.b1)
     p0 = 2.0 * config.p / (1.0 + mean_force)
     flip_prob = 1.0 / config.tau
@@ -113,7 +113,7 @@ STATISTICS = (
 def _weighted_returns(config, returns):
     """R' of each kept day from M onwards, from the kept returns alone."""
     m = config.M
-    w_rev = horizon_weights(m).tail_sums()[::-1]
+    w_rev = rprime_weights(m)
     windows = np.lib.stride_tricks.sliding_window_view(returns[:-1], m)
     return config.k_for("d") * (windows @ w_rev)
 

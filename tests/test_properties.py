@@ -325,12 +325,11 @@ def test_sector_map_loader_matches_row_parser(csv_dir, text):
 
 
 @LOADER_SETTINGS
-@given(text=search_text(), align=st.booleans())
-def test_search_loader_matches_row_parser(csv_dir, text, align):
+@given(text=search_text())
+def test_search_loader_matches_row_parser(csv_dir, text):
     path = csv_dir / "search.csv"
     path.write_bytes(text.encode())
-    assert_loader_matches_row_parser(
-        lambda: ingest.load_search_series(path, align=align))
+    assert_loader_matches_row_parser(lambda: ingest.load_search_series(path))
 
 
 SMALL_CONFIGS = {

@@ -1,69 +1,136 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from herdsim.errors import ConfigError
 from herdsim.simcore import (
     ModelConfig,
-    cluster_decide,
     horizon_weights,
     mgroup_slots,
-    partition_clusters,
-    perceived_volatility,
+    round_count,
+    rprime_weights,
     run_model_b,
     sample_aggregate_return,
-    weighted_return,
+    single_stock,
+    weighted_returns,
 )
+
+
+@dataclass(frozen=True)
+class ClusterPartition:
+    """Assignment of agents to decision clusters for one day."""
+
+    assignment: np.ndarray
+    n_clusters: int
+
+    def sizes(self) -> np.ndarray:
+        return np.bincount(self.assignment, minlength=self.n_clusters)
+
+
+def partition_clusters(n_agents, avg_cluster_size, rng) -> ClusterPartition:
+    """Uniformly assign agents to max(1, round(N / avg_size)) clusters.
+
+    avg_cluster_size is clamped into [1, n_agents] first.
+    """
+    if n_agents < 1:
+        raise ConfigError(f"n_agents must be >= 1, got {n_agents}")
+    avg = min(max(float(avg_cluster_size), 1.0), float(n_agents))
+    n_clusters = max(1, round_count(n_agents / avg))
+    assignment = rng.integers(0, n_clusters, size=n_agents)
+    return ClusterPartition(assignment=assignment, n_clusters=n_clusters)
+
+
+def cluster_decide(partition: ClusterPartition, p_buy, p_sell, rng):
+    """Draw one decision per cluster and give it to every member.
+
+    Returns (per-agent decisions in {-1, 0, +1}, aggregate return): the
+    materialized agents whose law `sample_aggregate_return` draws directly.
+    """
+    if p_buy < 0.0 or p_sell < 0.0 or p_buy + p_sell > 1.0:
+        raise ConfigError(
+            f"need p_buy, p_sell >= 0 and p_buy + p_sell <= 1, "
+            f"got ({p_buy}, {p_sell})"
+        )
+    u = rng.random(partition.n_clusters)
+    phi_cluster = np.zeros(partition.n_clusters, dtype=np.int64)
+    phi_cluster[u < p_buy] = 1
+    phi_cluster[(u >= p_buy) & (u < p_buy + p_sell)] = -1
+    phi = phi_cluster[partition.assignment]
+    return phi, int(phi.sum())
+
+
+def perceived_volatility(volatilities, gamma) -> float:
+    """xi of the last M daily volatilities, through model B's own helpers."""
+    v = np.asarray(volatilities, dtype=float)
+    if len(v) != len(gamma):
+        raise ConfigError(f"need exactly {len(gamma)} volatilities, got {len(v)}")
+    coefficients = single_stock._volatility_coefficients(gamma)
+    return single_stock._xi(coefficients, v, float(v.sum()))
 
 
 class TestHorizonWeights:
     def test_single_horizon(self):
-        w = horizon_weights(1)
-        assert w.gamma.tolist() == [1.0]
-        assert w.tail_sums().tolist() == [1.0]
+        assert horizon_weights(1).tolist() == [1.0]
+        assert rprime_weights(1).tolist() == [1.0]
 
     def test_two_horizons_hand_values(self):
-        w = horizon_weights(2)
+        gamma = horizon_weights(2)
         denom = 1.0 + 2.0**-1.12
-        assert w.gamma[0] == pytest.approx(1.0 / denom, abs=1e-15)
-        assert w.gamma[1] == pytest.approx(2.0**-1.12 / denom, abs=1e-15)
+        assert gamma[0] == pytest.approx(1.0 / denom, abs=1e-15)
+        assert gamma[1] == pytest.approx(2.0**-1.12 / denom, abs=1e-15)
 
     def test_normalization_and_monotonicity(self):
-        w = horizon_weights(150)
-        assert abs(w.gamma.sum() - 1.0) < 1e-12
-        assert np.all(np.diff(w.gamma) < 0)
-        assert w.gamma[0] > 0
+        gamma = horizon_weights(150)
+        assert abs(gamma.sum() - 1.0) < 1e-12
+        assert np.all(np.diff(gamma) < 0)
+        assert gamma[0] > 0
 
-    def test_tail_sums_start_at_one(self):
-        w = horizon_weights(10)
-        tails = w.tail_sums()
-        assert tails[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(tails) < 0)
+    def test_rprime_weights_end_at_one(self):
+        # the most recent day is inside every horizon; older days in fewer
+        w = rprime_weights(10)
+        assert w[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(w) > 0)
 
 
 class TestWeightedReturn:
     def test_zero_history(self):
-        w = horizon_weights(5)
-        assert weighted_return(np.zeros(5), w) == 0.0
+        assert weighted_returns(np.zeros(5), 5, 1.0).tolist() == [0.0]
 
     def test_two_day_hand_expansion(self):
         # history R(t-1) = -1, R(t) = 2: R' = gamma1*2 + gamma2*(2 - 1)
-        w = horizon_weights(2)
-        expected = 2.0 * w.gamma[0] + w.gamma[1]
-        assert weighted_return([-1.0, 2.0], w, k=1.0) == pytest.approx(
+        gamma = horizon_weights(2)
+        expected = 2.0 * gamma[0] + gamma[1]
+        assert weighted_returns([-1.0, 2.0], 2, 1.0)[0] == pytest.approx(
             expected, abs=1e-15
         )
 
     def test_linearity_in_history(self):
         rng = np.random.default_rng(0)
-        w = horizon_weights(20)
         hist = rng.normal(size=20)
-        assert weighted_return(3.5 * hist, w) == pytest.approx(
-            3.5 * weighted_return(hist, w), rel=1e-12
+        assert weighted_returns(3.5 * hist, 20, 1.0)[0] == pytest.approx(
+            3.5 * weighted_returns(hist, 20, 1.0)[0], rel=1e-12
         )
 
     def test_short_history_rejected(self):
         with pytest.raises(ConfigError):
-            weighted_return([1.0, 2.0], horizon_weights(3))
+            weighted_returns([1.0, 2.0], 3, 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 50, 150, 500])
+    @pytest.mark.parametrize("kind", ["float", "integer"])
+    def test_every_window_matches_the_day_loop_dot(self, m, kind):
+        # the calibrator's R' series against the day loops' per-day dot
+        rng = np.random.default_rng(m)
+        n, k = 2 * m + 37, 0.1
+        if kind == "float":
+            x = rng.normal(0.0, 0.01, n)
+        else:
+            x = rng.integers(-300, 301, n)
+        w = rprime_weights(m)
+        got = weighted_returns(x, m, k)
+        expected = [k * np.dot(w, x[t - m : t]) for t in range(m, n + 1)]
+        assert len(got) == n - m + 1
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 class TestPartitions:
@@ -127,8 +194,6 @@ class TestClusterDecide:
     def test_singleton_variance_matches_binomial(self):
         # True singleton clusters (one agent each) are independent agents:
         # Var(R) = N * 2p within 5% over 1000 draws.
-        from herdsim.simcore import ClusterPartition
-
         rng = np.random.default_rng(11)
         n, p = 10_000, 0.0154
         part = ClusterPartition(assignment=np.arange(n), n_clusters=n)
@@ -182,17 +247,17 @@ class TestAggregateSampler:
 
 class TestPerceivedVolatility:
     def test_constant_window_is_neutral(self):
-        gamma = horizon_weights(4).gamma
+        gamma = horizon_weights(4)
         assert perceived_volatility([2.0, 2.0, 2.0, 2.0], gamma) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_zero_window_is_neutral(self):
-        gamma = horizon_weights(3).gamma
+        gamma = horizon_weights(3)
         assert perceived_volatility([0.0, 0.0, 0.0], gamma) == 1.0
 
     def test_three_day_hand_expansion(self):
-        gamma = horizon_weights(3).gamma
+        gamma = horizon_weights(3)
         # window (3, 1, 2): one-day mean 2, two-day 1.5, three-day 2
         expected = (gamma[0] * 2.0 + gamma[1] * 1.5 + gamma[2] * 2.0) / 2.0
         assert perceived_volatility([3.0, 1.0, 2.0], gamma) == pytest.approx(
@@ -210,7 +275,7 @@ class TestPerceivedVolatility:
     @pytest.mark.parametrize("m", [1, 2, 3, 50, 150, 500])
     def test_coefficient_form_matches_cumsum_definition(self, m):
         rng = np.random.default_rng(m)
-        gamma = horizon_weights(m).gamma
+        gamma = horizon_weights(m)
         windows = [
             np.zeros(m),
             rng.random(m),
@@ -235,7 +300,7 @@ class TestPerceivedVolatility:
             out = run_model_b(config)
         xi = out.diagnostics["xi"]
         v = np.abs(out.returns.astype(float))
-        gamma = horizon_weights(config.M).gamma
+        gamma = horizon_weights(config.M)
         m = config.M
         expected = [
             self.cumsum_definition(v[i - m : i], gamma) for i in range(m, len(v))

