@@ -55,9 +55,9 @@ for label, alpha, delta_r in (
         pooled.append(r.values)
 
     mean_l = np.mean(curves, axis=0)
-    curve = CorrelationCurve(np.arange(1, 16), mean_l, "L")
+    curve = CorrelationCurve(np.arange(1, 16), mean_l)
     write_curve_csv(curve, OUT / f"lcurve_{label}.csv")
-    fit = fit_exponential(CorrelationCurve(np.arange(1, 11), mean_l[:10], "L"))
+    fit = fit_exponential(CorrelationCurve(np.arange(1, 11), mean_l[:10]))
     print(f"  L(1..5)      : {np.array2string(mean_l[:5], precision=4)}")
     print(f"  exp fit      : c = {fit.params['c']:+.4f}, "
           f"tau = {fit.params['tau']:.1f} days")
@@ -67,7 +67,7 @@ for label, alpha, delta_r in (
         [autocorrelation_abs(r, 50).values for r in pooled], axis=0
     )
     write_curve_csv(
-        CorrelationCurve(np.arange(1, 51), acurve, "A"),
+        CorrelationCurve(np.arange(1, 51), acurve),
         OUT / f"acurve_{label}.csv",
     )
     print(f"  tail exponent: {tail_exponent(sample, 0.05):.2f} "

@@ -55,19 +55,49 @@ class AsymmetryEstimate:
     delta_r: float | None = None
     delta_R: int | None = None
 
+    def report(self) -> tuple[dict, list[str]]:
+        """The values of report.json and the lines of report.txt."""
+        values = {
+            "alpha": self.alpha,
+            "beta": self.beta,
+            "delta_r": self.delta_r,
+            "delta_R": self.delta_R,
+            "volume_ratio": self.volume_ratio,
+        }
+        lines = [
+            "trading and herding asymmetry",
+            f"  volume ratio V+/V-   {self.volume_ratio:.4f}",
+            f"  alpha                {self.alpha:.4f}",
+            f"  beta                 {self.beta:.4f}",
+            f"  delta_r              {self.delta_r:.4f}",
+            f"  delta_R              {self.delta_R}",
+        ]
+        return values, lines
+
 
 @dataclass(frozen=True)
 class ComovementEstimate:
     H_M: float
     H_j: dict[str, float]
 
+    def report(self) -> tuple[dict, list[str]]:
+        """The values of report.json and the lines of report.txt."""
+        sector_ids = sorted(self.H_j)
+        values = {
+            "H_M": self.H_M,
+            "H_j": [self.H_j[s] for s in sector_ids],
+            "sector_ids": sector_ids,
+        }
+        lines = ["co-movement degrees", f"  H_M     {self.H_M:.4f}"]
+        lines += [f"  H[{s}]   {self.H_j[s]:.4f}" for s in sector_ids]
+        return values, lines
+
 
 @dataclass(frozen=True)
 class InfoForceSeries:
-    """Attention states and windowed driving forces of one ticker."""
+    """Windowed driving forces of one ticker."""
 
     ticker: str
-    states: np.ndarray
     window_starts: np.ndarray
     forces: np.ndarray
     tau: int
@@ -103,6 +133,30 @@ class InfoForceReport:
     def windows_skipped(self) -> int:
         return sum(f.skipped for f in self.forces)
 
+    def report(self) -> tuple[dict, list[str]]:
+        """The values of report.json and the lines of report.txt."""
+        values = {
+            "tau": self.tau,
+            "delta_F": self.delta_F,
+            "a": self.a,
+            "tau_deviation_found": self.tau_deviation_found,
+            "tickers": [f.ticker for f in self.forces],
+            "windows_skipped": self.windows_skipped,
+            "windows_unlabelled": self.windows_unlabelled,
+        }
+        lines = [
+            "information driving forces",
+            f"  tau (weeks)   {self.tau}",
+            f"  delta_F       {self.delta_F:.4f}",
+            f"  a = dF/2      {self.a:.4f}",
+        ]
+        lines += [
+            f"  {f.ticker:<10} windows {len(f.forces):>4}  "
+            f"mean F {np.mean(f.forces) if len(f.forces) else float('nan'):.4f}"
+            for f in self.forces
+        ]
+        return values, lines
+
 
 def trading_asymmetry(returns, m: int = 150, k: float = 1.0) -> AsymmetryEstimate:
     """Estimate alpha from volumes following bull and bear weighted returns.
@@ -111,11 +165,8 @@ def trading_asymmetry(returns, m: int = 150, k: float = 1.0) -> AsymmetryEstimat
     volume ratio rho = V+/V- equals alpha/beta, and alpha + beta = 2 gives
     alpha = 2 rho / (1 + rho).
     """
-    volume = getattr(returns, "volume", None)
-    if volume is None:
-        raise ValidationError("trading_asymmetry needs volumes")
     r = np.asarray(returns.returns, dtype=float)
-    volume = np.asarray(volume, dtype=float)
+    volume = np.asarray(returns.volume, dtype=float)
     if len(r) < m + 1:
         raise InsufficientDataError(
             f"need more than {m} days of returns, got {len(r)}"
@@ -133,16 +184,13 @@ def trading_asymmetry(returns, m: int = 150, k: float = 1.0) -> AsymmetryEstimat
     return AsymmetryEstimate(alpha=alpha, beta=2.0 - alpha, volume_ratio=ratio)
 
 
-def herding_shift(normalized, volumes) -> float:
+def herding_shift(r: np.ndarray, volumes) -> float:
     """Volume-weighted herding-degree shift between bear and bull days.
 
-    d_bull is the volume-weighted mean of r over positive days, d_bear the
-    same over |r| on negative days; the shift is (d_bear - d_bull) / 2.
+    r holds the normalized returns.  d_bull is the volume-weighted mean of
+    r over positive days, d_bear the same over |r| on negative days; the
+    shift is (d_bear - d_bull) / 2.
     """
-    r = np.asarray(
-        normalized.values if hasattr(normalized, "values") else normalized,
-        dtype=float,
-    )
     v = np.asarray(volumes, dtype=float)
     if len(v) != len(r):
         raise ValidationError("returns and volumes have different lengths")
@@ -159,33 +207,25 @@ def herding_shift(normalized, volumes) -> float:
     return (d_bear - d_bull) / 2.0
 
 
-def shift_relation(pairs=REFERENCE_SHIFT_PAIRS) -> tuple[float, float]:
-    """Least-squares line delta_R = slope * delta_r + intercept.
+def shift_relation() -> tuple[float, float]:
+    """Least-squares line delta_R = slope * delta_r + intercept through
+    REFERENCE_SHIFT_PAIRS.
 
     A pure through-origin slope cannot reproduce the integer delta_R of
     all six reference indices (no single slope lands every row in the
     right rounding bin), so the frozen relation keeps the intercept.
     """
-    if not pairs:
-        raise ValidationError("empty calibration table")
-    x = np.array([p[0] for p in pairs], dtype=float)
-    y = np.array([p[1] for p in pairs], dtype=float)
-    if len(pairs) == 1:
-        if x[0] == 0.0:
-            raise FitDomainError("single pair at delta_r = 0")
-        return float(y[0] / x[0]), 0.0
+    x, y = np.array(REFERENCE_SHIFT_PAIRS, dtype=float).T
     x_mean = x.mean()
     y_mean = y.mean()
     sxx = float(((x - x_mean) ** 2).sum())
-    if sxx == 0.0:
-        raise FitDomainError("degenerate calibration table")
     slope = float(((x - x_mean) * (y - y_mean)).sum() / sxx)
     return slope, float(y_mean - slope * x_mean)
 
 
-def herding_offset_from_shift(delta_r: float, pairs=REFERENCE_SHIFT_PAIRS) -> int:
+def herding_offset_from_shift(delta_r: float) -> int:
     """Map a return-scale shift to the integer herding offset delta_R."""
-    slope, intercept = shift_relation(pairs)
+    slope, intercept = shift_relation()
     return round_half_away(slope * delta_r + intercept)
 
 
@@ -193,7 +233,7 @@ def asymmetry_report(index_series, m: int = 150, k: float = 1.0) -> AsymmetryEst
     """Full asymmetry calibration of one index: alpha, delta_r and delta_R."""
     returns = log_returns(index_series)
     est = trading_asymmetry(returns, m=m, k=k)
-    shift = herding_shift(normalize(returns), returns.volume)
+    shift = herding_shift(normalize(returns).values, returns.volume)
     return AsymmetryEstimate(
         alpha=est.alpha,
         beta=est.beta,
@@ -306,7 +346,6 @@ def info_driving_force(states, volumes, tau: int, ticker: str = "") -> InfoForce
     kept = (n_high > 0) & (n_low > 0) & (v0 != 0.0)
     return InfoForceSeries(
         ticker=ticker,
-        states=s,
         window_starts=np.flatnonzero(kept).astype(np.int64),
         forces=v1[kept] / v0[kept] - 1.0,
         tau=tau,
@@ -406,7 +445,9 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
     weekly trading-volume file, index the weekly IndexSeries that labels
     windows bull or bear.  All three are put on one weekly clock: the
     search weeks that also carry volumes.  With tau = 0 the window length
-    is the correlating time of the mean attention autocorrelation.
+    is the correlating time of the mean attention autocorrelation, or
+    DEFAULT_TAU_WEEKS (deviation not found) when that curve is not
+    positive on the lags the power law is fitted to.
     """
     vol_of = {s.ticker: s for s in volumes}
     market = log_returns(index)
@@ -429,10 +470,13 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
         mean_curve = CorrelationCurve(
             lags=np.arange(1, max_lag + 1),
             values=np.mean(curves, axis=0),
-            estimator_id="A",
         )
-        found = correlating_time(mean_curve)
-        tau, deviation_found = found.tau, found.deviation_found
+        try:
+            found = correlating_time(mean_curve)
+            tau, deviation_found = found.tau, found.deviation_found
+        except FitDomainError:
+            # the early lags dip to zero: no power law to deviate from
+            tau, deviation_found = DEFAULT_TAU_WEEKS, False
     forces = []
     for s in searches:
         if s.ticker not in vol_of:

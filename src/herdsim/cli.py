@@ -18,10 +18,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -73,84 +75,38 @@ def _write_manifest(out: Path, argv, inputs, seed=None, config=None, outputs=())
     ingest.write_json(out / "manifest.json", manifest)
 
 
-def _write_report(out: Path, values: dict, table_lines: list[str]) -> Path:
+def _write_report(out: Path, values: dict, table_lines: list[str]) -> None:
     report = {key: values.get(key) for key in REPORT_KEYS}
     report.update({k: v for k, v in values.items() if k not in REPORT_KEYS})
-    path = out / "report.json"
-    ingest.write_json(path, report)
+    ingest.write_json(out / "report.json", report)
     with open(out / "report.txt", "w") as fh:
         fh.write("\n".join(table_lines) + "\n")
-    return path
 
 
 def cmd_calibrate(args, argv) -> int:
     out = _out_dir(args, f"calibrate-{args.what}")
     if args.what == "asymmetry":
-        index = ingest.load_index_series(args.index)
-        est = calibrate.asymmetry_report(index, m=args.horizon, k=args.gain)
-        values = {
-            "alpha": est.alpha,
-            "beta": est.beta,
-            "delta_r": est.delta_r,
-            "delta_R": est.delta_R,
-            "volume_ratio": est.volume_ratio,
-            "M": args.horizon,
-            "k": args.gain,
-        }
-        lines = [
-            "trading and herding asymmetry",
-            f"  volume ratio V+/V-   {est.volume_ratio:.4f}",
-            f"  alpha                {est.alpha:.4f}",
-            f"  beta                 {est.beta:.4f}",
-            f"  delta_r              {est.delta_r:.4f}",
-            f"  delta_R              {est.delta_R}",
-        ]
-        _write_report(out, values, lines)
+        est = calibrate.asymmetry_report(
+            ingest.load_index_series(args.index), m=args.horizon, k=args.gain
+        )
+        values, lines = est.report()
+        values.update(M=args.horizon, k=args.gain)
         inputs = [args.index]
     elif args.what == "comovement":
         panel = ingest.load_returns_panel(
             args.panel, args.sectors, forward_fill=args.forward_fill
         )
-        est = calibrate.comovement(panel)
-        sector_ids = sorted(est.H_j)
-        values = {
-            "H_M": est.H_M,
-            "H_j": [est.H_j[s] for s in sector_ids],
-            "sector_ids": sector_ids,
-        }
-        lines = ["co-movement degrees", f"  H_M     {est.H_M:.4f}"]
-        lines += [f"  H[{s}]   {est.H_j[s]:.4f}" for s in sector_ids]
-        _write_report(out, values, lines)
+        values, lines = calibrate.comovement(panel).report()
         inputs = [args.panel, args.sectors]
     else:  # infoforce
-        rep = calibrate.infoforce_report(
+        values, lines = calibrate.infoforce_report(
             ingest.load_search_series(args.search),
             ingest.load_search_series(args.volumes),
             ingest.load_index_series(args.index),
             tau=args.tau,
-        )
-        values = {
-            "tau": rep.tau,
-            "delta_F": rep.delta_F,
-            "a": rep.a,
-            "tau_deviation_found": rep.tau_deviation_found,
-            "tickers": [f.ticker for f in rep.forces],
-            "windows_skipped": rep.windows_skipped,
-            "windows_unlabelled": rep.windows_unlabelled,
-        }
-        lines = [
-            "information driving forces",
-            f"  tau (weeks)   {rep.tau}",
-            f"  delta_F       {rep.delta_F:.4f}",
-            f"  a = dF/2      {rep.a:.4f}",
-        ]
-        lines += [
-            f"  {f.ticker:<10} windows {len(f.forces):>4}  "
-            f"mean F {np.mean(f.forces) if len(f.forces) else float('nan'):.4f}"
-            for f in rep.forces
-        ]
-        _write_report(out, values, lines)
+        ).report()
         inputs = [args.search, args.volumes, args.index]
+    _write_report(out, values, lines)
     _write_manifest(out, argv, inputs, outputs=[out / "report.json"])
     print(f"report written to {out}")
     return 0
@@ -327,12 +283,20 @@ def cmd_pipeline(args, argv) -> int:
         if step[:1] == ["pipeline"]:
             raise InputError(f"{args.steps}: step {i} runs a pipeline; "
                              "pipelines do not nest")
+        err = io.StringIO()
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                build_parser().parse_args(step)
+        except SystemExit:
+            # argparse's last line names the fault; --help writes none
+            reason = err.getvalue().rstrip().rpartition("\n")[2] or "asks for help"
+            raise InputError(f"{args.steps}: step {i}: {reason}") from None
     for i, step in enumerate(steps):
         print(f"[pipeline] step {i + 1}/{len(steps)}: {' '.join(step)}")
         code = main(step)
         if code != 0:
-            print(f"[pipeline] step {i + 1} failed with exit code {code}",
-                  file=sys.stderr)
+            # stdout: the failed step has written its one error line
+            print(f"[pipeline] step {i + 1} failed with exit code {code}")
             return code
     return 0
 
@@ -430,7 +394,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except (IsADirectoryError, NotADirectoryError) as exc:
+    except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except NumericError as exc:

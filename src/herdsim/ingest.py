@@ -70,7 +70,7 @@ class ReturnSeries:
 
     dates: tuple
     returns: np.ndarray
-    volume: np.ndarray | None = None
+    volume: np.ndarray
 
     def __post_init__(self):
         if len(self.returns) != len(self.dates):
@@ -78,11 +78,10 @@ class ReturnSeries:
         _check_increasing(self.dates, "return dates")
         if not np.all(np.isfinite(self.returns)):
             raise ValidationError("returns must be finite")
-        if self.volume is not None:
-            if len(self.volume) != len(self.dates):
-                raise ValidationError("volume column has wrong length")
-            if np.any(self.volume < 0.0):
-                raise ValidationError("volumes must be non-negative")
+        if len(self.volume) != len(self.dates):
+            raise ValidationError("volume column has wrong length")
+        if np.any(self.volume < 0.0):
+            raise ValidationError("volumes must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -508,20 +507,15 @@ def save_index_series(series: IndexSeries, path) -> None:
                     np.asarray([series.close, series.volume], dtype=float))
 
 
-def save_returns_panel(panel: ReturnsPanel, path, sectors_path=None) -> None:
+def save_returns_panel(panel: ReturnsPanel, path, sectors_path) -> None:
     write_csv_table(
         path,
         ["date"] + list(panel.tickers),
         (d.isoformat() if isinstance(d, date) else str(d) for d in panel.dates),
         np.asarray(panel.matrix, dtype=float).T,
     )
-    if sectors_path is not None:
-        save_sector_map(panel.sector_of, sectors_path)
-
-
-def save_sector_map(sector_of: dict[str, str], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(sectors_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ticker", "sector_id"])
-        for ticker in sorted(sector_of):
-            writer.writerow([ticker, sector_of[ticker]])
+        for ticker in sorted(panel.sector_of):
+            writer.writerow([ticker, panel.sector_of[ticker]])

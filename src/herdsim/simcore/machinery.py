@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
-from .config import HORIZON_DECAY, ModelConfig
+from .config import HORIZON_DECAY
 
 
 def round_count(x):
@@ -108,9 +108,6 @@ class SimOutput:
     the multi-stock model, whose tickers and sector map are then set.
     """
 
-    model: str
-    config: ModelConfig
-    seed: int
     returns: np.ndarray
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
     tickers: tuple[str, ...] | None = None

@@ -173,9 +173,6 @@ def run_model_c(config: ModelConfig) -> SimOutput:
         tickers[s]: str(sector_of_stock[s] + 1) for s in range(n_stocks)
     }
     return SimOutput(
-        model="c",
-        config=config,
-        seed=config.seed,
         returns=history[warmup:].astype(np.int64),
         diagnostics={
             "M_groups": mgroup_trace.astype(float),

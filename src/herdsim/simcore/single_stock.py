@@ -124,9 +124,6 @@ def _run_herding_model(config: ModelConfig, model: str) -> SimOutput:
     if with_preference:
         diagnostics["xi"] = xi_trace
     return SimOutput(
-        model=model,
-        config=config,
-        seed=config.seed,
         returns=history[warmup:].astype(np.int64),
         diagnostics=diagnostics,
     )
@@ -245,9 +242,6 @@ def run_model_d(config: ModelConfig) -> SimOutput:
             size_trace[i] = avg_size
 
     return SimOutput(
-        model="d",
-        config=config,
-        seed=config.seed,
         returns=history[warmup:].astype(np.int64),
         diagnostics={
             "S": state_trace,

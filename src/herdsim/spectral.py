@@ -53,8 +53,8 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    tickers: tuple[str, ...] | None = None
-    sectors: tuple[str, ...] | None = None
+    tickers: tuple[str, ...]
+    sectors: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -91,25 +91,13 @@ def cross_correlation(panel: ReturnsPanel) -> CorrelationMatrix:
     )
 
 
-def eigen_decompose(matrix) -> EigenSystem:
-    """Full eigen-decomposition of a symmetric matrix.
+def eigen_decompose(matrix: CorrelationMatrix) -> EigenSystem:
+    """Full eigen-decomposition of a correlation matrix.
 
-    Accepts a CorrelationMatrix or a plain square array.  Eigenpairs come
-    sorted by descending eigenvalue, each eigenvector oriented so its
-    first component of noticeable size is positive.
+    Eigenpairs come sorted by descending eigenvalue, each eigenvector
+    oriented so its first component of noticeable size is positive.
     """
-    if isinstance(matrix, CorrelationMatrix):
-        values = matrix.values
-        tickers: tuple[str, ...] | None = matrix.tickers
-        sectors: tuple[str, ...] | None = matrix.sectors
-    else:
-        values = np.asarray(matrix, dtype=float)
-        tickers = sectors = None
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValidationError("expected a square matrix")
-        if np.max(np.abs(values - values.T)) > 1e-8:
-            raise ValidationError("matrix is not symmetric within tolerance")
-    lam, vec = np.linalg.eigh((values + values.T) / 2.0)
+    lam, vec = np.linalg.eigh(matrix.values)
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     vec = vec[:, order]
@@ -118,33 +106,24 @@ def eigen_decompose(matrix) -> EigenSystem:
         nonzero = np.nonzero(np.abs(u) > 1e-12)[0]
         if len(nonzero) and u[nonzero[0]] < 0.0:
             vec[:, col] = -u
-    return EigenSystem(
-        eigenvalues=lam, eigenvectors=vec, tickers=tickers, sectors=sectors
-    )
+    return EigenSystem(eigenvalues=lam, eigenvectors=vec,
+                       tickers=matrix.tickers, sectors=matrix.sectors)
 
 
-def mode_report(system: EigenSystem, sectors=None) -> ModeReport:
+def mode_report(system: EigenSystem) -> ModeReport:
     """Localization diagnostics of every eigenvector.
 
     Participation ratio 1 / (n * sum(u_i^4)) is 1 for a uniform vector and
-    1/n for a basis vector.  Sector masses are sums of squared components,
-    so they add to one per eigenvector.
+    1/n for a basis vector.  Sector masses are sums of squared components
+    over the stocks of each of the system's sectors, so they add to one
+    per eigenvector.
     """
-    if sectors is None:
-        sectors = system.sectors
-    if sectors is None:
-        raise ValidationError("no sector labels available for the mode report")
-    if hasattr(sectors, "get") and system.tickers is not None:
-        sectors = tuple(sectors[t] for t in system.tickers)
-    sectors = tuple(str(s) for s in sectors)
     n = system.eigenvectors.shape[0]
-    if len(sectors) != n:
-        raise ValidationError("sector labels do not cover all components")
     u2 = system.eigenvectors**2
     pr = 1.0 / (n * (u2**2).sum(axis=0))
-    sector_ids = tuple(sorted(set(sectors)))
+    sector_ids = tuple(sorted(set(system.sectors)))
     masses = np.zeros((system.eigenvectors.shape[1], len(sector_ids)))
-    labels = np.asarray(sectors)
+    labels = np.asarray(system.sectors)
     for j, sid in enumerate(sector_ids):
         masses[:, j] = u2[labels == sid, :].sum(axis=0)
     dominant = tuple(sector_ids[j] for j in masses.argmax(axis=1))
@@ -185,8 +164,6 @@ _CSV_MODES = 3
 
 def write_eigenvector_csv(path, system: EigenSystem) -> None:
     """Leading eigenvector components per ticker, sector-blocked rows."""
-    if system.tickers is None or system.sectors is None:
-        raise ValidationError("eigen-system carries no ticker labels")
     n_modes = min(_CSV_MODES, system.eigenvectors.shape[1])
     rows = sorted(
         range(len(system.tickers)),

@@ -51,7 +51,6 @@ class CorrelationCurve:
 
     lags: np.ndarray
     values: np.ndarray
-    estimator_id: str
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def autocorrelation_abs(series, max_lag: int) -> CorrelationCurve:
     vals = np.empty(max_lag)
     for i, t in enumerate(lags):
         vals[i] = ((x[:-t] * x[t:]).mean() - mu * mu) / a0
-    return CorrelationCurve(lags=lags, values=vals, estimator_id="A")
+    return CorrelationCurve(lags=lags, values=vals)
 
 
 def return_volatility_correlation(series, max_lag: int) -> CorrelationCurve:
@@ -126,7 +125,7 @@ def return_volatility_correlation(series, max_lag: int) -> CorrelationCurve:
     vals = np.empty(max_lag)
     for i, t in enumerate(lags):
         vals[i] = (r[:-t] * r2[t:]).mean() / z
-    return CorrelationCurve(lags=lags, values=vals, estimator_id="L")
+    return CorrelationCurve(lags=lags, values=vals)
 
 
 #: Smallest window size of the DFA grid.

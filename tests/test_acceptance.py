@@ -44,7 +44,7 @@ from herdsim.stats import (
     return_volatility_correlation,
     tail_exponent,
 )
-from test_spectral import correlation_oracle
+from test_spectral import correlation_oracle, make_panel
 from test_stats import acf_abs_oracle, lcurve_oracle
 
 N_SEEDS = 20
@@ -124,7 +124,7 @@ def c_runs():
 def test_criterion_1_leverage_effect(sp_ensemble):
     mean_l = sp_ensemble["L"].mean(axis=0)
     fit = fit_exponential(
-        CorrelationCurve(np.arange(1, 11), mean_l[:10], "L")
+        CorrelationCurve(np.arange(1, 11), mean_l[:10])
     )
     c, tau = fit.params["c"], fit.params["tau"]
     ok = (
@@ -144,7 +144,7 @@ def test_criterion_1_leverage_effect(sp_ensemble):
 def test_criterion_2_anti_leverage(anti_ensemble):
     mean_l = anti_ensemble["L"].mean(axis=0)
     fit = fit_exponential(
-        CorrelationCurve(np.arange(1, 11), mean_l[:10], "L")
+        CorrelationCurve(np.arange(1, 11), mean_l[:10])
     )
     ok = bool(np.all(mean_l[:6] > 0.0)) and fit.params["c"] > 0.0
     _report(
@@ -301,9 +301,10 @@ def test_criterion_9_numerical_kernels():
     worst_trace = 0.0
     for _ in range(100):
         order = int(rng.integers(2, 101))
-        a = rng.normal(size=(order, order))
-        sym = (a + a.T) / 2.0
-        system = eigen_decompose(sym)
+        # a correlation matrix of a panel of `order` days of `order` stocks
+        corr = cross_correlation(make_panel(rng.normal(size=(order, order))))
+        system = eigen_decompose(corr)
+        sym = corr.values
         rebuilt = (
             system.eigenvectors
             @ np.diag(system.eigenvalues)

@@ -14,11 +14,18 @@ from herdsim.calibrate import (
     info_force_asymmetry,
     info_states,
     infoforce_report,
+    round_half_away,
     shift_relation,
     trading_asymmetry,
 )
 from herdsim.errors import FitDomainError, InputError, InsufficientDataError
-from herdsim.ingest import IndexSeries, ReturnSeries, ReturnsPanel, SearchSeries
+from herdsim.ingest import (
+    DEFAULT_TAU_WEEKS,
+    IndexSeries,
+    ReturnSeries,
+    ReturnsPanel,
+    SearchSeries,
+)
 from herdsim.simcore import rprime_weights
 from herdsim.stats import CorrelationCurve, normalize
 
@@ -121,14 +128,6 @@ class TestHerdingShift:
         with pytest.raises(InsufficientDataError):
             herding_shift(np.array([0.1, 0.2, 0.3]), np.ones(3))
 
-    def test_works_on_normalized_returns_object(self):
-        rng = np.random.default_rng(6)
-        r = rng.normal(size=300)
-        v = rng.uniform(1, 2, 300)
-        assert herding_shift(normalize(r), v) == pytest.approx(
-            herding_shift(normalize(r).values, v), abs=1e-15
-        )
-
     def test_us_large_cap_regime_maps_to_offset_three(self):
         # bear magnitudes 2 * 0.067 above bull ones reproduce the published
         # large-cap shift, which the frozen relation sends to delta_R = 3
@@ -158,8 +157,9 @@ class TestShiftRelation:
     def test_sp500_regime(self):
         assert herding_offset_from_shift(0.067) == 3
 
-    def test_single_pair_table(self):
-        assert herding_offset_from_shift(0.05, pairs=[(0.1, 5)]) == 3  # 2.5 rounds up
+    def test_halves_round_away_from_zero(self):
+        assert round_half_away(2.5) == 3
+        assert round_half_away(-2.5) == -3
 
 
 class TestComovement:
@@ -325,7 +325,6 @@ class TestInfoForceAsymmetry:
     def force_series(starts, forces, tau=4):
         return InfoForceSeries(
             ticker="X",
-            states=np.zeros(100, dtype=np.int8),
             window_starts=np.asarray(starts),
             forces=np.asarray(forces, dtype=float),
             tau=tau,
@@ -357,22 +356,22 @@ class TestInfoForceAsymmetry:
 
 class TestInfoForceReport:
     @staticmethod
-    def inputs(n_search=80, volume_weeks=slice(10, 80)):
+    def inputs(n_search=80, volume_weeks=slice(10, 80), n=100):
         """Two tickers whose attention cycles every 20 weeks, volumes 40%
-        higher in high-attention weeks, and a weekly index."""
+        higher in high-attention weeks, and a weekly index, over n weeks."""
         rng = np.random.default_rng(5)
-        weeks = weekly_dates(100)
-        t = np.arange(100)
+        weeks = weekly_dates(n)
+        t = np.arange(n)
         searches, volumes = [], []
         for ticker, phase in (("AAA", 0.0), ("BBB", 2.0)):
             g = 5 + 2 * np.sin(2 * np.pi * t / 20 + phase)
-            v = 100 * (1 + 0.4 * (g > g.mean())) * rng.uniform(0.9, 1.1, 100)
+            v = 100 * (1 + 0.4 * (g > g.mean())) * rng.uniform(0.9, 1.1, n)
             searches.append(SearchSeries(ticker, tuple(weeks[:n_search]),
                                          g[:n_search]))
             volumes.append(SearchSeries(ticker, tuple(weeks[volume_weeks]),
                                         v[volume_weeks]))
-        close = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, 100)))
-        index = IndexSeries(dates=tuple(weeks), close=close, volume=np.ones(100))
+        close = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
+        index = IndexSeries(dates=tuple(weeks), close=close, volume=np.ones(n))
         return searches, volumes, index
 
     def test_estimators_on_the_common_weeks(self):
@@ -394,6 +393,16 @@ class TestInfoForceReport:
             assert got.window_starts.tolist() == want.window_starts.tolist()
             assert got.forces.tolist() == want.forces.tolist()
 
+    def test_unfittable_attention_curve_falls_back_to_default_tau(self):
+        # attention cycling every 20 weeks has a negative autocorrelation
+        # from lag 6 on, so correlating_time has no power law to fit
+        searches, volumes, index = self.inputs(200, slice(0, 200), n=200)
+        rep = infoforce_report(searches, volumes, index)
+        assert rep.tau == DEFAULT_TAU_WEEKS
+        assert rep.tau_deviation_found is False
+        fixed = infoforce_report(searches, volumes, index, tau=DEFAULT_TAU_WEEKS)
+        assert rep.delta_F == fixed.delta_F
+
     def test_missing_volume_ticker_rejected(self):
         searches, volumes, index = self.inputs()
         with pytest.raises(InputError, match="no trading volumes for ticker 'BBB'"):
@@ -411,7 +420,6 @@ class TestCorrelatingTime:
         return CorrelationCurve(
             lags=np.arange(1, len(values) + 1),
             values=np.asarray(values, dtype=float),
-            estimator_id="A",
         )
 
     def test_pure_power_law_returns_fallback(self):

@@ -105,7 +105,6 @@ def reference_info_driving_force(states, volumes, tau: int, ticker: str = ""):
         forces.append(high.mean() / v0 - 1.0)
     return InfoForceSeries(
         ticker=ticker,
-        states=s,
         window_starts=np.asarray(starts, dtype=np.int64),
         forces=np.asarray(forces, dtype=float),
         tau=tau,
@@ -340,8 +339,7 @@ def labelled_cases(draw):
         starts = np.flatnonzero(kept).astype(np.int64)
         forces = rng.normal(0.3, 0.5, len(starts))
         series.append(InfoForceSeries(
-            ticker=f"W{i}", states=np.zeros(length, np.int8),
-            window_starts=starts, forces=forces, tau=tau))
+            ticker=f"W{i}", window_starts=starts, forces=forces, tau=tau))
     return series, market
 
 
@@ -360,7 +358,7 @@ def test_window_labels_and_delta_f_match_window_loop(case):
 
 
 def test_short_market_rejected_before_labelling():
-    series = InfoForceSeries(ticker="W", states=np.zeros(10, np.int8),
+    series = InfoForceSeries(ticker="W",
                              window_starts=np.array([0, 1], np.int64),
                              forces=np.array([0.1, 0.2]), tau=5)
     with pytest.raises(ValidationError, match="shorter than tau"):
@@ -371,7 +369,7 @@ def test_short_market_rejected_before_labelling():
 
 def test_nan_and_overhanging_windows_stay_unlabelled():
     series = InfoForceSeries(
-        ticker="W", states=np.zeros(8, np.int8),
+        ticker="W",
         window_starts=np.arange(5, dtype=np.int64),
         forces=np.ones(5), tau=3)
     market = np.array([1.0, -1.0, 0.0, np.nan, 1.0, 2.0])

@@ -383,6 +383,25 @@ class TestCalibrateCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["tau"] >= 2
 
+    def test_infoforce_falls_back_when_tau_cannot_be_fitted(self, tmp_path,
+                                                             info_files):
+        search, volumes, index = info_files
+        # attention cycling every 12 weeks: its autocorrelation is negative
+        # at lag 6, inside the lags the power law of tau is fitted on
+        t = np.arange(200)
+        g = 5 + 2 * np.sin(2 * np.pi * t / 12)
+        fast = write_csv(
+            tmp_path / "fast_search.csv", ["week_start", "ticker", "volume"],
+            [(w.isoformat(), ticker, repr(float(x)))
+             for ticker in ("AAA", "BBB") for w, x in zip(weekly_dates(200), g)],
+        )
+        out = tmp_path / "cal4"
+        assert run(["calibrate", "infoforce", "--search", fast,
+                    "--volumes", volumes, "--index", index, "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["tau"] == ingest.DEFAULT_TAU_WEEKS
+        assert report["tau_deviation_found"] is False
+
     def test_infoforce_aligns_offset_week_grids(self, tmp_path, info_files):
         search, volumes, index = info_files
         # drop the first 20 volume weeks: commands must align on the overlap
@@ -425,7 +444,7 @@ class TestPipeline:
         assert manifest["config"]["delta_R"] == report["delta_R"]
         assert (lc_dir / "lcurve.csv").exists()
 
-    def test_failing_step_aborts(self, tmp_path):
+    def test_failing_step_aborts(self, tmp_path, capsys):
         steps_path = tmp_path / "steps.json"
         steps_path.write_text(json.dumps({
             "steps": [
@@ -437,6 +456,9 @@ class TestPipeline:
         }))
         assert run(["pipeline", steps_path]) == 2
         assert not (tmp_path / "y").exists()
+        # the failed step's error is the one line on stderr
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: no such file")
 
 
 def test_default_out_root_env(tmp_path, monkeypatch):
@@ -482,6 +504,13 @@ class TestBadInputsExit2:
             capsys, ["simulate", "a", "--config", small_config(tmp_path),
                      "--out", blocker / "run"], "Not a directory")
 
+    def test_out_is_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        self.expect_exit_2(
+            capsys, ["simulate", "a", "--config", small_config(tmp_path),
+                     "--out", blocker], "File exists")
+
     def test_invalid_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"N": 1000,')
@@ -522,6 +551,18 @@ class TestBadInputsExit2:
             ["pipeline", str(steps)],
         ]}))
         self.expect_exit_2(capsys, ["pipeline", steps], "step 1 runs a pipeline")
+        assert not out.exists()
+
+    def test_pipeline_step_that_does_not_parse(self, tmp_path, capsys):
+        steps = tmp_path / "steps.json"
+        out = tmp_path / "r"
+        steps.write_text(json.dumps({"steps": [
+            ["simulate", "a", "--config", str(small_config(tmp_path)),
+             "--out", str(out)],
+            ["simulate", "e", "--config", str(small_config(tmp_path))],
+        ]}))
+        self.expect_exit_2(capsys, ["pipeline", steps],
+                           "step 1: herdsim simulate: error: argument model")
         assert not out.exists()
 
     def test_ensemble_seed_past_the_bound(self, tmp_path, capsys):

@@ -77,9 +77,6 @@ def test_simulation_writers_match_reference(model, tmp_path):
 def test_writers_match_reference_on_awkward_values(tmp_path):
     n = len(AWKWARD)
     out = SimOutput(
-        model="c",
-        config=ModelConfig(),
-        seed=0,
         returns=np.arange(-2 * n, 2 * n, dtype=np.int64).reshape(n, 4),
         diagnostics={"x": AWKWARD, "counts": np.arange(n), "nan": np.full(n, np.nan)},
         tickers=("A", "B,C", 'say "D"', "E"),
@@ -98,6 +95,7 @@ def test_save_returns_panel_matches_reference(dates, tmp_path):
         dates=dates, tickers=("X", "Y,Z", "W"),
         sector_of={"X": "1", "Y,Z": "1", "W": "2"}, matrix=matrix,
     )
-    assert_same_bytes(
-        ingest.save_returns_panel, reference_save_returns_panel, panel, tmp_path
-    )
+    def save(panel, path):
+        ingest.save_returns_panel(panel, path, tmp_path / "sectors.csv")
+
+    assert_same_bytes(save, reference_save_returns_panel, panel, tmp_path)

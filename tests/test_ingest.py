@@ -242,7 +242,7 @@ class TestReturnsPanel:
             matrix=matrix[:, perm],
         )
         out = tmp_path / "perm.csv"
-        save_returns_panel(permuted, out)
+        save_returns_panel(permuted, out, tmp_path / "perm_sectors.csv")
         back = load_returns_panel(out, sectors_path)
         for ticker in tickers:
             assert np.array_equal(column(back, ticker), column(panel, ticker))

@@ -79,9 +79,6 @@ def reference_run_model_d(config: ModelConfig) -> SimOutput:
         size_trace[i] = avg_size
 
     return SimOutput(
-        model="d",
-        config=config,
-        seed=config.seed,
         returns=history[warmup:].astype(np.int64),
         diagnostics={
             "S": state_trace.astype(float),

@@ -1,8 +1,11 @@
-"""Property-based checks of the estimator invariants, the CSV loaders and
-the exit codes of `simulate` for arbitrary config values."""
+"""Property-based checks of the estimator invariants, the CSV loaders, the
+exit codes of `simulate` for arbitrary config values and those of every
+command for damaged input files."""
 
+import io
 import json
-from contextlib import nullcontext
+import os
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from datetime import date, timedelta
 from unittest.mock import patch
 
@@ -402,3 +405,141 @@ def test_simulate_exit_code_for_any_field_value(fuzz_dir, model, field, value):
     code = main(["simulate", model, "--config", str(path),
                  "--out", str(fuzz_dir / "run")])
     assert code in (0, 1, 2)
+
+
+# --- exit codes of every subcommand for damaged input files -----------------
+
+# Each command with its input files as {name} placeholders; the damaged file
+# is one of these, the others stay intact.
+COMMANDS = {
+    "lcurve": ["analyze", "lcurve", "--in", "{returns}", "--max-lag", "10"],
+    "stats": ["analyze", "stats", "--in", "{returns}", "--max-lag", "10"],
+    "spectrum": ["analyze", "spectrum", "--panel", "{panel}",
+                 "--sectors", "{sectors}"],
+    "asymmetry": ["calibrate", "asymmetry", "--index", "{index}",
+                  "--horizon", "50"],
+    "comovement": ["calibrate", "comovement", "--panel", "{panel}",
+                   "--sectors", "{sectors}"],
+    "infoforce": ["calibrate", "infoforce", "--search", "{search}",
+                  "--volumes", "{volumes}", "--index", "{weekly_index}"],
+    "simulate": ["simulate", "a", "--config", "{config}",
+                 "--calibration", "{calibration}"],
+    "pipeline": ["pipeline", "{steps}"],
+}
+# Digits keep a file parseable and change its numbers; the syntax bytes of
+# CSV and JSON change its shape.
+EDIT_BYTES = (st.sampled_from(list(b"0123456789"))
+              | st.sampled_from(list(b'.-+eE,"[]{}: \n\rnN'))
+              | st.integers(0, 255))
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Small valid input files of every command, by placeholder name."""
+    d = tmp_path_factory.mktemp("cli_inputs")
+    rng = np.random.default_rng(0)
+    days = [(date(2015, 1, 1) + timedelta(days=i)).isoformat() for i in range(400)]
+    weeks = [(date(2015, 1, 5) + timedelta(weeks=i)).isoformat()
+             for i in range(201)]
+    returns = rng.normal(0, 50, 2000).round().astype(int)
+    close = 100 * np.exp(np.cumsum(rng.normal(0, 0.01, 400)))
+    volume = rng.uniform(1e5, 2e5, 400)
+    weekly_close = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, 201)))
+    files = {
+        "returns": write_csv(d / "returns.csv", ["day", "R"],
+                             enumerate(returns.tolist(), start=1)),
+        "panel": write_csv(d / "panel.csv", ["date", "A", "B", "C", "D"],
+                           [[day] + [repr(x) for x in row] for day, row in
+                            zip(days, rng.normal(0, 0.02, (80, 4)).tolist())]),
+        "sectors": write_csv(d / "sectors.csv", ["ticker", "sector_id"],
+                             [("A", "1"), ("B", "1"), ("C", "2"), ("D", "2")]),
+        "index": write_csv(d / "index.csv", ["date", "close", "volume"],
+                           zip(days, map(repr, close.tolist()),
+                               map(repr, volume.tolist()))),
+        "weekly_index": write_csv(d / "weekly_index.csv",
+                                  ["date", "close", "volume"],
+                                  [(w, repr(c), "1") for w, c in
+                                   zip(weeks, weekly_close.tolist())]),
+    }
+    t = np.arange(200)
+    search, traded = [], []
+    for ticker, phase in (("AAA", 0.0), ("BBB", 1.3)):
+        g = np.maximum(5 + 2 * np.sin(2 * np.pi * t / 80 + phase)
+                       + rng.normal(0, 0.3, 200), 0.0)
+        v = rng.uniform(50, 150, 200) + 40 * (g > g.mean())
+        search += [(w, ticker, repr(x)) for w, x in zip(weeks[1:], g.tolist())]
+        traded += [(w, ticker, repr(x)) for w, x in zip(weeks[1:], v.tolist())]
+    header = ["week_start", "ticker", "volume"]
+    files["search"] = write_csv(d / "search.csv", header, search)
+    files["volumes"] = write_csv(d / "volumes.csv", header, traded)
+    files["config"] = d / "config.json"
+    files["config"].write_text(json.dumps(SMALL_CONFIGS["a"]))
+    assert main(["calibrate", "asymmetry", "--index", str(files["index"]),
+                 "--horizon", "50", "--out", str(d / "cal")]) == 0
+    files["calibration"] = d / "cal" / "report.json"
+    # The steps write only below $HERDSIM_OUT, so no damage to a path in
+    # them can send output outside the test's directory.
+    files["steps"] = d / "steps.json"
+    files["steps"].write_text(json.dumps({"steps": [
+        ["simulate", "a", "--config", str(files["config"])],
+        ["analyze", "lcurve", "--in", str(d / "out" / "simulate-a" / "returns.csv"),
+         "--max-lag", "10"],
+    ]}))
+    (d / "directory").mkdir()
+    for command in COMMANDS:  # intact, every command runs
+        assert run_command(d, command, {k: str(p) for k, p in files.items()}) == 0
+    return d, files
+
+
+def run_command(d, command, paths):
+    argv = [a.format(**paths) for a in COMMANDS[command]]
+    if command != "pipeline":
+        argv += ["--out", str(d / "out" / command)]
+    with patch.dict(os.environ, {"HERDSIM_OUT": str(d / "out")}):
+        return main(argv)
+
+
+def _damaged(data, original: bytes) -> bytes:
+    """The file after one to three byte edits, or cut short."""
+    if data.draw(st.integers(0, 3)) == 0:
+        return original[: data.draw(st.integers(0, len(original)))]
+    buf = bytearray(original)
+    for _ in range(data.draw(st.integers(1, 3))):
+        pos = data.draw(st.integers(0, len(buf)))
+        op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = data.draw(EDIT_BYTES)
+        if op == "insert":
+            buf.insert(pos, byte)
+        elif pos < len(buf):
+            if op == "replace":
+                buf[pos] = byte
+            else:
+                del buf[pos]
+    return bytes(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(sorted(COMMANDS)), data=st.data())
+def test_exit_code_for_any_damaged_input_file(cli_inputs, command, data):
+    d, files = cli_inputs
+    argv = COMMANDS[command]
+    name = data.draw(st.sampled_from(
+        [a[1:-1] for a in argv if a.startswith("{")]))
+    paths = {k: str(p) for k, p in files.items()}
+    if data.draw(st.integers(0, 9)) == 0:
+        paths[name] = str(d / "directory")
+    else:
+        damaged = d / f"damaged{files[name].suffix}"
+        damaged.write_bytes(_damaged(data, files[name].read_bytes()))
+        paths[name] = str(damaged)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = run_command(d, command, paths)
+        except SystemExit as exc:  # argparse's way out, which `main` lets pass
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.count("\n") == 1, err

@@ -9,6 +9,7 @@ from herdsim.errors import (
 from herdsim.ingest import ReturnsPanel
 from herdsim.spectral import (
     CorrelationMatrix,
+    EigenSystem,
     cross_correlation,
     eigen_decompose,
     marchenko_pastur_bounds,
@@ -27,6 +28,27 @@ def make_panel(matrix, sectors=None):
         tickers=tickers,
         sector_of=sectors,
         matrix=np.asarray(matrix, dtype=float),
+    )
+
+
+def labelled(values):
+    """A CorrelationMatrix of the given values, one sector for all stocks."""
+    n = len(values)
+    return CorrelationMatrix(
+        values=np.asarray(values, dtype=float),
+        tickers=tuple(f"T{i}" for i in range(n)),
+        sectors=("1",) * n,
+    )
+
+
+def hand_system(eigenvectors, sectors):
+    """An EigenSystem of the given eigenvector columns and sector labels."""
+    n, modes = eigenvectors.shape
+    return EigenSystem(
+        eigenvalues=np.ones(modes),
+        eigenvectors=eigenvectors,
+        tickers=tuple(f"T{i}" for i in range(n)),
+        sectors=tuple(sectors),
     )
 
 
@@ -79,7 +101,7 @@ class TestCrossCorrelation:
 class TestEigenDecompose:
     def test_two_by_two_closed_form(self):
         rho = 0.6
-        system = eigen_decompose(np.array([[1.0, rho], [rho, 1.0]]))
+        system = eigen_decompose(labelled([[1.0, rho], [rho, 1.0]]))
         assert system.eigenvalues == pytest.approx([1 + rho, 1 - rho], abs=1e-12)
         sq = 1.0 / np.sqrt(2.0)
         assert np.abs(system.eigenvectors[:, 0]) == pytest.approx([sq, sq], abs=1e-12)
@@ -88,16 +110,15 @@ class TestEigenDecompose:
         assert system.eigenvectors[0, 1] > 0
 
     def test_identity_matrix(self):
-        system = eigen_decompose(np.eye(5))
+        system = eigen_decompose(labelled(np.eye(5)))
         assert system.eigenvalues == pytest.approx(np.ones(5), abs=1e-12)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(4)
-        a = rng.normal(size=(20, 20))
-        sym = (a + a.T) / 2
-        system = eigen_decompose(sym)
+        corr = cross_correlation(make_panel(rng.normal(size=(20, 20))))
+        system = eigen_decompose(corr)
         rebuilt = system.eigenvectors @ np.diag(system.eigenvalues) @ system.eigenvectors.T
-        assert np.max(np.abs(rebuilt - sym)) < 1e-8
+        assert np.max(np.abs(rebuilt - corr.values)) < 1e-8
         gram = system.eigenvectors.T @ system.eigenvectors
         assert np.max(np.abs(gram - np.eye(20))) < 1e-8
 
@@ -109,7 +130,7 @@ class TestEigenDecompose:
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValidationError):
-            eigen_decompose(np.array([[1.0, 0.5], [0.1, 1.0]]))
+            eigen_decompose(labelled([[1.0, 0.5], [0.1, 1.0]]))
 
     def test_column_permutation_permutes_components(self):
         rng = np.random.default_rng(6)
@@ -129,22 +150,19 @@ class TestEigenDecompose:
 class TestModeReport:
     def test_uniform_vector_fully_delocalized(self):
         n = 16
-        system = eigen_decompose(np.ones((n, n)) / n + np.eye(n) * 1e-9)
-        report = mode_report(system, sectors=["1"] * n)
+        report = mode_report(hand_system(np.full((n, 1), n**-0.5), ["1"] * n))
         assert report.participation_ratio[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_basis_vector_fully_localized(self):
-        values = np.diag([5.0, 1.0, 1.0, 1.0])
-        system = eigen_decompose(values)
-        report = mode_report(system, sectors=["a", "b", "b", "b"])
+        report = mode_report(hand_system(np.eye(4), ["a", "b", "b", "b"]))
         assert report.participation_ratio[0] == pytest.approx(0.25, abs=1e-12)
         assert report.dominant_sector[0] == "a"
 
     def test_sector_masses_sum_to_one(self):
         rng = np.random.default_rng(7)
-        c = cross_correlation(make_panel(rng.normal(size=(200, 9))))
-        sectors = ["1", "1", "1", "2", "2", "2", "3", "3", "3"]
-        report = mode_report(eigen_decompose(c), sectors=sectors)
+        sectors = {f"T{i}": str(1 + i // 3) for i in range(9)}
+        c = cross_correlation(make_panel(rng.normal(size=(200, 9)), sectors))
+        report = mode_report(eigen_decompose(c))
         assert report.sector_mass.sum(axis=1) == pytest.approx(
             np.ones(9), abs=1e-10
         )
@@ -156,7 +174,7 @@ class TestModeReport:
             sectors={"T0": "x", "T1": "x", "T2": "y", "T3": "y"},
         )
         system = eigen_decompose(cross_correlation(panel))
-        report = mode_report(system, sectors={"T0": "x", "T1": "x", "T2": "y", "T3": "y"})
+        report = mode_report(system)
         assert report.sector_ids == ("x", "y")
 
 

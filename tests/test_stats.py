@@ -195,7 +195,7 @@ class TestTailExponent:
 class TestFits:
     def test_exponential_exact_recovery(self):
         t = np.arange(1, 16)
-        curve = CorrelationCurve(t, -0.2 * np.exp(-t / 5.0), "L")
+        curve = CorrelationCurve(t, -0.2 * np.exp(-t / 5.0))
         fit = fit_exponential(curve)
         assert fit.params["c"] == pytest.approx(-0.2, abs=1e-9)
         assert fit.params["tau"] == pytest.approx(5.0, abs=1e-9)
@@ -203,22 +203,22 @@ class TestFits:
 
     def test_noise_curve_has_larger_residual(self):
         t = np.arange(1, 16)
-        exact = fit_exponential(CorrelationCurve(t, 0.5 * np.exp(-t / 4.0), "L"))
+        exact = fit_exponential(CorrelationCurve(t, 0.5 * np.exp(-t / 4.0)))
         rng = np.random.default_rng(21)  # seed chosen to give a decaying fit
         noisy = fit_exponential(
-            CorrelationCurve(t, 0.5 * np.exp(-t / 4.0) * rng.uniform(0.3, 1.7, 15), "L")
+            CorrelationCurve(t, 0.5 * np.exp(-t / 4.0) * rng.uniform(0.3, 1.7, 15))
         )
         assert noisy.residual_rms > exact.residual_rms + 0.05
 
     def test_mixed_signs_rejected(self):
-        curve = CorrelationCurve(np.arange(1, 6), np.array([1.0, -1.0, 1.0, -1.0, 1.0]), "L")
+        curve = CorrelationCurve(np.arange(1, 6), np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
         with pytest.raises(FitDomainError):
             fit_exponential(curve)
 
     def test_growing_curve_rejected(self):
         t = np.arange(1, 10)
         with pytest.raises(FitDomainError):
-            fit_exponential(CorrelationCurve(t, np.exp(t / 3.0), "L"))
+            fit_exponential(CorrelationCurve(t, np.exp(t / 3.0)))
 
     def test_power_law_exact_recovery(self):
         t = np.arange(1, 30)
@@ -227,7 +227,7 @@ class TestFits:
         assert fit.params["exponent"] == pytest.approx(-0.7, abs=1e-9)
 
 
-def read_curve_csv(path, estimator_id: str = "") -> CorrelationCurve:
+def read_curve_csv(path) -> CorrelationCurve:
     lags = []
     values = []
     with open(path, newline="") as fh:
@@ -236,9 +236,7 @@ def read_curve_csv(path, estimator_id: str = "") -> CorrelationCurve:
         for row in reader:
             lags.append(int(row[0]))
             values.append(float(row[1]))
-    return CorrelationCurve(
-        lags=np.asarray(lags), values=np.asarray(values), estimator_id=estimator_id
-    )
+    return CorrelationCurve(lags=np.asarray(lags), values=np.asarray(values))
 
 
 def test_curve_csv_roundtrip(tmp_path):
@@ -246,6 +244,6 @@ def test_curve_csv_roundtrip(tmp_path):
     curve = return_volatility_correlation(rng.normal(size=500), 10)
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path)
-    back = read_curve_csv(path, "L")
+    back = read_curve_csv(path)
     assert back.lags.tolist() == curve.lags.tolist()
     assert np.array_equal(back.values, curve.values)
