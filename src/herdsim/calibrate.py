@@ -8,6 +8,7 @@ their bull/bear asymmetry and the correlating time of attention data.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -234,13 +235,8 @@ def asymmetry_report(index_series, m: int = 150, k: float = 1.0) -> AsymmetryEst
     returns = log_returns(index_series)
     est = trading_asymmetry(returns, m=m, k=k)
     shift = herding_shift(normalize(returns).values, returns.volume)
-    return AsymmetryEstimate(
-        alpha=est.alpha,
-        beta=est.beta,
-        volume_ratio=est.volume_ratio,
-        delta_r=shift,
-        delta_R=herding_offset_from_shift(shift),
-    )
+    return dataclasses.replace(est, delta_r=shift,
+                               delta_R=herding_offset_from_shift(shift))
 
 
 #: Days per block of the co-movement pass: its temporaries stay a few

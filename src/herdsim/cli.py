@@ -85,8 +85,9 @@ def _write_report(out: Path, values: dict, table_lines: list[str]) -> None:
 
 
 def cmd_calibrate(args, argv) -> int:
-    out = _out_dir(args, f"calibrate-{args.what}")
     if args.what == "asymmetry":
+        # the report's M and k must be values simulate --calibration accepts
+        ModelConfig(M=args.horizon, k=args.gain).validate()
         est = calibrate.asymmetry_report(
             ingest.load_index_series(args.index), m=args.horizon, k=args.gain
         )
@@ -107,6 +108,7 @@ def cmd_calibrate(args, argv) -> int:
             tau=args.tau,
         ).report()
         inputs = [args.search, args.volumes, args.index]
+    out = _out_dir(args, f"calibrate-{args.what}")
     _write_report(out, values, lines)
     _write_manifest(out, argv, inputs, outputs=[out / "report.json"])
     print(f"report written to {out}")
@@ -371,7 +373,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+    except OSError as exc:
+        if exc.filename is None:
+            raise
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except NumericError as exc:

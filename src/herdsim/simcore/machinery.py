@@ -1,9 +1,10 @@
 """Shared machinery of the simulation drivers.
 
-Horizon weights, the weighted return R', the aggregate return of a day of
-clustered or independent agents and the record of one run.  Everything
-here is pure given an explicit `numpy.random.Generator`, so runs are
-reproducible from the seed alone.
+Horizon weights, the weighted return R', the two draws every model's day
+is made of (agents trading on their own, and agents following groups they
+pick uniformly) and the record of one run.  Everything here is pure given
+an explicit `numpy.random.Generator`, so runs are reproducible from the
+seed alone.
 """
 
 from __future__ import annotations
@@ -61,6 +62,32 @@ def weighted_returns(returns, m: int, k: float) -> np.ndarray:
     return np.convolve(r, rprime_weights(m)[::-1], mode="valid") * k
 
 
+def independent_day_return(agents, p: float, rng: np.random.Generator, size=None):
+    """Aggregate return of days of agents that each buy with p, sell with p
+    and hold otherwise, independently.
+
+    An array of counts or a `size` gives one return per entry, drawn in
+    order with the stream of as many one-day calls.
+    """
+    counts = rng.multinomial(agents, (p, p, 1.0 - 2.0 * p), size=size)
+    return counts[..., 0] - counts[..., 1]
+
+
+def draw_picks(buy, sell, pool, draws, rng: np.random.Generator):
+    """Buy/sell counts among `draws` picks made uniformly, with replacement.
+
+    Each pool holds `pool` groups, `buy` of them buying and `sell` selling;
+    the arguments are ints or arrays broadcast to one shape.  The
+    conditional binomial pair is the three-way multinomial with each
+    category probability an exact ratio of integers.
+    """
+    buys = rng.binomial(draws, buy / pool)
+    rest = pool - buy
+    # rest == 0: every group of the pool buys, so no pick is left to split
+    sells = rng.binomial(draws - buys, sell / (rest + (rest == 0)))
+    return buys, sells
+
+
 def sample_aggregate_return(
     n_agents: int,
     n_clusters: int,
@@ -73,31 +100,13 @@ def sample_aggregate_return(
     Every agent picks one of `n_clusters` clusters uniformly and
     independently, each cluster buys with p_buy, sells with p_sell and
     holds otherwise, and its members follow.  Drawn as the buy/sell counts
-    among clusters, then the agent headcounts, which are multinomial.
+    among clusters, then the agent headcounts among their picks.
     """
-    p_hold = 1.0 - p_buy - p_sell
     n_buy, n_sell, _ = rng.multinomial(
-        n_clusters, (p_buy, p_sell, p_hold)
+        n_clusters, (p_buy, p_sell, 1.0 - p_buy - p_sell)
     ).tolist()
-    if n_buy == 0 and n_sell == 0:
-        return 0
-    # Conditional binomials keep the category probabilities exact ratios
-    # of integers, which a float pvals vector cannot guarantee.
-    buys = int(rng.binomial(n_agents, n_buy / n_clusters))
-    if n_sell == 0:
-        return buys
-    sells = int(rng.binomial(n_agents - buys, n_sell / (n_clusters - n_buy)))
+    buys, sells = draw_picks(n_buy, n_sell, n_clusters, n_agents, rng)
     return buys - sells
-
-
-def independent_day_return(
-    n_agents: int, p_buy: float, p_sell: float, rng: np.random.Generator
-) -> int:
-    """Aggregate return of one day of fully independent agents."""
-    buys, sells, _ = rng.multinomial(
-        n_agents, (p_buy, p_sell, 1.0 - p_buy - p_sell)
-    )
-    return int(buys) - int(sells)
 
 
 @dataclass

@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ModelConfig
-from .machinery import SimOutput, round_count, rprime_weights
+from .machinery import (
+    SimOutput,
+    draw_picks,
+    independent_day_return,
+    round_count,
+    rprime_weights,
+)
 
 
 def mgroup_slots(sgroup_count, n_stocks: int, h_m: float):
@@ -23,21 +29,6 @@ def mgroup_slots(sgroup_count, n_stocks: int, h_m: float):
     count or an array of counts.
     """
     return np.maximum(1, round_count(sgroup_count / (n_stocks * h_m)))
-
-
-def _draw_uniform(buy, sell, pool, draws, rng: np.random.Generator):
-    """Buy/sell counts among `draws` picks made uniformly, with replacement.
-
-    Each pool holds `pool` groups, `buy` of them buying and `sell` selling;
-    all arguments are arrays of one shape (or broadcast to one).  The
-    conditional binomial pair is the three-way multinomial with each
-    category probability an exact ratio of integers.
-    """
-    buys = rng.binomial(draws, buy / pool)
-    rest = pool - buy
-    # rest == 0: every group of the pool buys, so no pick is left to split
-    sells = rng.binomial(draws - buys, sell / np.maximum(rest, 1))
-    return buys, sells
 
 
 def _draw_spread(buy, sell, pool, draws, rng: np.random.Generator):
@@ -57,7 +48,7 @@ def _draw_spread(buy, sell, pool, draws, rng: np.random.Generator):
         buys = rng.hypergeometric(buy, pool - buy, first)
         sells = rng.hypergeometric(sell, pool - buy - sell, first - buys)
     if (extra > 0).any():
-        more_buys, more_sells = _draw_uniform(
+        more_buys, more_sells = draw_picks(
             buy, sell, pool, np.maximum(extra, 0), rng
         )
         buys = buys + more_buys
@@ -101,7 +92,7 @@ def sample_day_returns(
         igroups,
         rng,
     )
-    buys, sells = _draw_uniform(buy_i, sell_i, igroups, agents_per_stock, rng)
+    buys, sells = draw_picks(buy_i, sell_i, igroups, agents_per_stock, rng)
     return buys - sells
 
 
@@ -139,17 +130,15 @@ def run_model_c(config: ModelConfig) -> SimOutput:
 
     w = rprime_weights(m)
     history = np.zeros((t_max, n_stocks), dtype=float)
-    hold = 1.0 - 2.0 * p_group
 
     kept = t_max - warmup
     mgroup_trace = np.empty(kept, dtype=np.int64)
     igroup_trace = np.empty(kept)
 
     # Bootstrap: every agent trades on its own at the group probability.
-    trades = rng.multinomial(
-        agents_per_stock, (p_group, p_group, hold), size=(warmup, n_stocks)
+    history[:warmup] = independent_day_return(
+        agents_per_stock, p_group, rng, (warmup, n_stocks)
     )
-    history[:warmup] = trades[..., 0] - trades[..., 1]
 
     # an unheld stock (possible at small N) degenerates to one empty group
     holders = np.maximum(agents_per_stock, 1).astype(float)

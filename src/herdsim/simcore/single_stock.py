@@ -77,8 +77,7 @@ def _run_herding_model(config: ModelConfig, model: str) -> SimOutput:
     cluster_count = np.empty(kept)
     xi_trace = np.empty(kept) if with_preference else None
 
-    for t in range(warmup):
-        history[t] = independent_day_return(n_agents, config.p, config.p, rng)
+    history[:warmup] = independent_day_return(n_agents, config.p, rng, warmup)
     if with_preference:
         # |R| day by day, and its integer sum over the last M days
         abs_history = np.abs(history)
@@ -198,8 +197,7 @@ def run_model_d(config: ModelConfig) -> SimOutput:
     force_trace = np.empty(kept)
     size_trace = np.empty(kept)
 
-    for t in range(warmup):
-        history[t] = independent_day_return(n_agents, config.p, config.p, rng)
+    history[:warmup] = independent_day_return(n_agents, config.p, rng, warmup)
 
     state = bool(rng.integers(0, 2))
     for start in range(warmup, t_max, _DRAW_BLOCK):
@@ -208,10 +206,9 @@ def run_model_d(config: ModelConfig) -> SimOutput:
         flips = rng.random(stop - start) < 1.0 / tau
         states = np.logical_xor(state, np.logical_xor.accumulate(flips))
         state = bool(states[-1])
-        counts = rng.multinomial(
-            np.where(states, n_rest, n_dominating), (p0 / 2.0, p0 / 2.0, 1.0 - p0)
+        history[start:stop] = independent_day_return(
+            np.where(states, n_rest, n_dominating), p0 / 2.0, rng
         )
-        history[start:stop] = counts[:, 0] - counts[:, 1]
         y_draws = rng.exponential(1.0 / config.b1, stop - start)
         state_trace[start - warmup : stop - warmup] = states
 

@@ -101,11 +101,8 @@ def eigen_decompose(matrix: CorrelationMatrix) -> EigenSystem:
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     vec = vec[:, order]
-    for col in range(vec.shape[1]):
-        u = vec[:, col]
-        nonzero = np.nonzero(np.abs(u) > 1e-12)[0]
-        if len(nonzero) and u[nonzero[0]] < 0.0:
-            vec[:, col] = -u
+    first = vec[np.argmax(np.abs(vec) > 1e-12, axis=0), np.arange(vec.shape[1])]
+    vec[:, first < 0.0] *= -1.0
     return EigenSystem(eigenvalues=lam, eigenvectors=vec,
                        tickers=matrix.tickers, sectors=matrix.sectors)
 

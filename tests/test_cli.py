@@ -574,6 +574,40 @@ class TestBadInputsExit2:
             capsys, ["simulate", "a", "--config", small_config(tmp_path),
                      "--out", blocker], "File exists")
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "a", "--config", "CONFIG", "--out", "LONG/run"],
+        ["analyze", "lcurve", "--in", "LONG/returns.csv", "--out", "OUT"],
+    ], ids=["simulate-out", "analyze-in"])
+    def test_path_component_too_long(self, tmp_path, capsys, args):
+        long = str(tmp_path / ("x" * 300))
+        paths = {"CONFIG": str(small_config(tmp_path)), "OUT": str(tmp_path / "o")}
+        args = [paths.get(a, a.replace("LONG", long)) for a in args]
+        self.expect_exit_2(capsys, args, "File name too long")
+
+    def test_os_error_without_a_path_propagates(self, tmp_path, monkeypatch):
+        def fail(args, argv):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr("herdsim.cli.cmd_analyze", fail)
+        with pytest.raises(OSError, match="Input/output error"):
+            run(["analyze", "stats", "--in", tmp_path / "r.csv"])
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--gain", "-0.1", "k must be positive, got -0.1"),
+        ("--gain", "0", "k must be positive, got 0.0"),
+        ("--gain", "inf", "k must be finite, got inf"),
+        ("--gain", "nan", "k must be finite, got nan"),
+        ("--horizon", "20", "M must lie in [50, 500], got 20"),
+    ])
+    def test_asymmetry_gain_or_horizon_a_config_rejects(
+        self, tmp_path, capsys, index_csv, flag, value, message
+    ):
+        # simulate --calibration would reject the report's k or M
+        out = tmp_path / "cal"
+        self.expect_exit_2(capsys, ["calibrate", "asymmetry", "--index", index_csv,
+                                    flag, value, "--out", out], message)
+        assert not out.exists()
+
     def test_invalid_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"N": 1000,')

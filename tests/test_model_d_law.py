@@ -45,7 +45,7 @@ def reference_run_model_d(config: ModelConfig) -> SimOutput:
     size_trace = np.empty(kept)
 
     for t in range(warmup):
-        history[t] = independent_day_return(n_agents, config.p, config.p, rng)
+        history[t] = independent_day_return(n_agents, config.p, rng)
 
     state = int(rng.integers(0, 2))
     for t in range(warmup, t_max):
@@ -68,9 +68,7 @@ def reference_run_model_d(config: ModelConfig) -> SimOutput:
         else:
             avg_size = 0.0
         if n_pos < n_agents:
-            r += independent_day_return(
-                n_agents - n_pos, p0 / 2.0, p0 / 2.0, rng
-            )
+            r += independent_day_return(n_agents - n_pos, p0 / 2.0, rng)
         history[t] = r
 
         i = t - warmup

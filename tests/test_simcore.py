@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,6 +8,7 @@ from herdsim.errors import ConfigError
 from herdsim.simcore import (
     ModelConfig,
     horizon_weights,
+    independent_day_return,
     mgroup_slots,
     round_count,
     rprime_weights,
@@ -58,6 +60,22 @@ def cluster_decide(partition: ClusterPartition, p_buy, p_sell, rng):
     phi_cluster[(u >= p_buy) & (u < p_buy + p_sell)] = -1
     phi = phi_cluster[partition.assignment]
     return phi, int(phi.sum())
+
+
+def scalar_aggregate_return(n_agents, n_clusters, p_buy, p_sell, rng) -> int:
+    """The scalar draw `sample_aggregate_return` made before it shared the
+    uniform-pick draw with model C: conditional binomials, skipped when no
+    cluster trades or none sells."""
+    n_buy, n_sell, _ = rng.multinomial(
+        n_clusters, (p_buy, p_sell, 1.0 - p_buy - p_sell)
+    ).tolist()
+    if n_buy == 0 and n_sell == 0:
+        return 0
+    buys = int(rng.binomial(n_agents, n_buy / n_clusters))
+    if n_sell == 0:
+        return buys
+    sells = int(rng.binomial(n_agents - buys, n_sell / (n_clusters - n_buy)))
+    return buys - sells
 
 
 def perceived_volatility(volatilities, gamma) -> float:
@@ -243,6 +261,42 @@ class TestAggregateSampler:
         rng = np.random.default_rng(7)
         assert sample_aggregate_return(100, 1, 1.0, 0.0, rng) == 100
         assert sample_aggregate_return(100, 5, 0.0, 0.0, rng) == 0
+
+    @pytest.mark.parametrize("n_agents, n_clusters, probs", itertools.product(
+        (1, 1000),
+        (1, 3, 200),
+        # no trading cluster, n_sell == 0, every cluster buying, a tiny and
+        # a large trade probability, sellers only
+        ((0.0, 0.0), (0.2, 0.0), (1.0, 0.0), (0.01, 0.01), (0.3, 0.3),
+         (0.0, 0.5)),
+    ))
+    def test_same_stream_as_the_scalar_formula(self, n_agents, n_clusters, probs):
+        shared, scalar = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(300):
+            assert sample_aggregate_return(
+                n_agents, n_clusters, *probs, shared
+            ) == scalar_aggregate_return(n_agents, n_clusters, *probs, scalar)
+        assert shared.bit_generator.state == scalar.bit_generator.state
+
+
+class TestIndependentDayReturn:
+    @pytest.mark.parametrize("agents", [10_000, np.arange(1, 101) * 37],
+                             ids=["int", "array"])
+    def test_days_at_once_keep_the_day_by_day_stream(self, agents):
+        p, days = 0.0154, 150
+        at_once, by_day, formula = (np.random.default_rng(9) for _ in range(3))
+        block = independent_day_return(
+            agents, p, at_once, (days,) + np.shape(agents)
+        )
+        singles = [independent_day_return(agents, p, by_day) for _ in range(days)]
+        np.testing.assert_array_equal(block, singles)
+        assert at_once.bit_generator.state == by_day.bit_generator.state
+        # the one-day draw is the multinomial with the hold probability 1-p-p
+        counts = [formula.multinomial(agents, (p, p, 1.0 - p - p))
+                  for _ in range(days)]
+        np.testing.assert_array_equal(
+            block, [c[..., 0] - c[..., 1] for c in counts]
+        )
 
 
 class TestPerceivedVolatility:
