@@ -1,4 +1,4 @@
-"""Command-line pipelines: calibrate, simulate, analyze.
+"""Command-line interface: calibrate, simulate, analyze.
 
 Every command writes its results under an output directory (``--out``, or
 ``$HERDSIM_OUT/<command>-<subcommand>``) together with a run manifest that
@@ -18,12 +18,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -207,13 +206,7 @@ def cmd_analyze(args, argv) -> int:
             results["exponential_fit"] = stats.fit_exponential(curve)
         except NumericError as exc:
             results["exponential_fit_error"] = str(exc)
-        if args.format == "json":
-            stats.write_results_json(
-                out / "lcurve.json",
-                {"lags": curve.lags, "values": curve.values},
-            )
-        else:
-            stats.write_curve_csv(curve, out / "lcurve.csv")
+        stats.write_curve_csv(curve, out / "lcurve.csv")
         stats.write_results_json(out / "lcurve_fit.json", results)
         inputs = [args.infile]
     elif args.what == "stats":
@@ -253,35 +246,6 @@ def cmd_analyze(args, argv) -> int:
         inputs = [args.panel, args.sectors]
     _write_manifest(out, argv, inputs)
     print(f"analysis written to {out}")
-    return 0
-
-
-def cmd_pipeline(args, argv) -> int:
-    spec = read_json(args.steps)
-    steps = spec.get("steps") if isinstance(spec, dict) else None
-    if not isinstance(steps, list) or not steps:
-        raise InputError(f"{args.steps}: expected a non-empty 'steps' list")
-    for i, step in enumerate(steps):
-        if not isinstance(step, list) or not all(isinstance(s, str) for s in step):
-            raise InputError(f"{args.steps}: step {i} is not a list of strings")
-        if step[:1] == ["pipeline"]:
-            raise InputError(f"{args.steps}: step {i} runs a pipeline; "
-                             "pipelines do not nest")
-        err = io.StringIO()
-        try:
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                build_parser().parse_args(step)
-        except SystemExit:
-            # argparse's last line names the fault; --help writes none
-            reason = err.getvalue().rstrip().rpartition("\n")[2] or "asks for help"
-            raise InputError(f"{args.steps}: step {i}: {reason}") from None
-    for i, step in enumerate(steps):
-        print(f"[pipeline] step {i + 1}/{len(steps)}: {' '.join(step)}")
-        code = main(step)
-        if code != 0:
-            # stdout: the failed step has written its one error line
-            print(f"[pipeline] step {i + 1} failed with exit code {code}")
-            return code
     return 0
 
 
@@ -342,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     lcu = ana_sub.add_parser("lcurve", help="return-volatility correlation")
     lcu.add_argument("--in", dest="infile", required=True)
     lcu.add_argument("--max-lag", type=int, default=40)
-    lcu.add_argument("--format", choices=["csv", "json"], default="csv")
     lcu.add_argument("--out")
     st = ana_sub.add_parser("stats", help="hurst, tail exponent, kurtosis")
     st.add_argument("--in", dest="infile", required=True)
@@ -355,10 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--forward-fill", action="store_true",
                       help="zero-fill panel gaps of up to 2 days")
     spec.add_argument("--out")
-
-    pipe = sub.add_parser("pipeline", help="run a JSON list of herdsim steps")
-    pipe.set_defaults(run=cmd_pipeline)
-    pipe.add_argument("steps", help="JSON file with {'steps': [[...], ...]}")
     return parser
 
 

@@ -169,6 +169,15 @@ class ModelConfig:
                     raise ConfigError(
                         f"sector {j}: H_j={h} must exceed H_M={self.H_M}"
                     )
+            # At most N + n I-groups make 1 to (N + n) / (n (H_j - H_M))
+            # S-groups in a sector, and those over n H_M the M-group slots of
+            # a day.  The bounds are multiplied out: a denominator may underflow.
+            igroups_max = INT_FIELD_MAX * self.n * (min(self.H_j) - self.H_M)
+            if (self.N + self.n > min(igroups_max, igroups_max * self.n * self.H_M)
+                    or INT_FIELD_MAX * self.n * self.H_M < 1):
+                raise ConfigError(f"H_M={self.H_M} and H_j={self.H_j} allow "
+                                  f"more than {INT_FIELD_MAX} S-groups in a "
+                                  "sector or M-group slots")
         elif model in ("a", "b"):
             # the bull and bear trade probabilities 2p*alpha and 2p*beta
             if 2.0 * self.p * max(self.alpha, self.beta) > 1.0:

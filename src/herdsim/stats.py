@@ -246,14 +246,6 @@ def write_curve_csv(curve: CorrelationCurve, path) -> None:
 
 
 def write_results_json(path, results: dict) -> None:
-    """Write estimator/fit results; FitResult and array values are expanded
-    in place."""
-
-    def expand(value):
-        if isinstance(value, FitResult):
-            return dataclasses.asdict(value)
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        return value
-
-    write_json(path, {k: expand(v) for k, v in results.items()})
+    """Write estimator/fit results; FitResult values are expanded in place."""
+    write_json(path, {k: dataclasses.asdict(v) if isinstance(v, FitResult) else v
+                      for k, v in results.items()})

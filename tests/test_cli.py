@@ -1,13 +1,17 @@
 import csv
 import hashlib
 import json
+import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import weekly_dates, write_csv
 from herdsim import calibrate, errors, ingest
-from herdsim.cli import main
+from herdsim.cli import build_parser, main
 
 
 def run(args):
@@ -162,6 +166,24 @@ class TestSimulate:
         assert run(["simulate", "c", "--config", cfg, "--out", tmp_path / "r"]) == 2
         assert "H_M must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h_m, h_j", [
+        (1e-300, [0.5, 0.5]),
+        (1e-12, [0.5, 0.5]),
+        (0.001, [math.nextafter(0.001, 1)] * 2),
+        (0.3, [math.nextafter(0.3, 1)] * 2),
+    ], ids=["H_M-1e-300", "H_M-1e-12", "H_j-ulp-above-0.001", "H_j-ulp-above-0.3"])
+    def test_group_counts_beyond_the_bound_exit_2(self, tmp_path, capsys, h_m, h_j):
+        # without the bound these run with one M-group slot a day (a cast
+        # overflow), run out of memory (hundreds of TiB), run with 250 slots a
+        # day, and run out of memory or raise "array is too big" (by seed)
+        cfg = small_config(tmp_path, N=600, n=4, n_sec=2, H_M=h_m, H_j=h_j,
+                           P_group=0.1, t_max=60)
+        assert run(["simulate", "c", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: H_M={h_m} and H_j={tuple(h_j)} allow more than "
+                       "2147483647 S-groups in a sector or M-group slots\n")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("detail", ["", "Unable to allocate 22.4 GiB"])
     def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, detail):
         def exhausted(model, config):
@@ -253,13 +275,6 @@ class TestAnalyze:
             rows = list(csv.reader(fh))
         assert len(rows) - 1 == 40
         assert rows[0] == ["lag", "value"]
-
-    def test_lcurve_json_format(self, tmp_path, run_dir):
-        out = tmp_path / "lcj"
-        assert run(["analyze", "lcurve", "--in", run_dir / "returns.csv",
-                    "--max-lag", 10, "--format", "json", "--out", out]) == 0
-        data = json.loads((out / "lcurve.json").read_text())
-        assert len(data["values"]) == 10
 
     def test_stats_fields(self, tmp_path, run_dir):
         out = tmp_path / "st"
@@ -482,46 +497,52 @@ class TestCalibrateCommands:
 
 
 class TestPipeline:
+    """The calibrate -> simulate -> analyze chain, one command at a time."""
+
     def test_calibrate_simulate_analyze_chain(self, tmp_path, index_csv):
         cal_dir = tmp_path / "cal"
         sim_dir = tmp_path / "sim"
         lc_dir = tmp_path / "lc"
         cfg = small_config(tmp_path, N=2000, t_max=2000)
-        steps = {
-            "steps": [
-                ["calibrate", "asymmetry", "--index", str(index_csv),
-                 "--horizon", "50", "--out", str(cal_dir)],
-                ["simulate", "a", "--config", str(cfg),
-                 "--calibration", str(cal_dir / "report.json"),
-                 "--out", str(sim_dir)],
-                ["analyze", "lcurve", "--in", str(sim_dir / "returns.csv"),
-                 "--max-lag", "15", "--out", str(lc_dir)],
-            ]
-        }
-        steps_path = tmp_path / "steps.json"
-        steps_path.write_text(json.dumps(steps))
-        assert run(["pipeline", steps_path]) == 0
+        assert run(["calibrate", "asymmetry", "--index", index_csv,
+                    "--horizon", 50, "--out", cal_dir]) == 0
+        assert run(["simulate", "a", "--config", cfg,
+                    "--calibration", cal_dir / "report.json",
+                    "--out", sim_dir]) == 0
+        assert run(["analyze", "lcurve", "--in", sim_dir / "returns.csv",
+                    "--max-lag", 15, "--out", lc_dir]) == 0
         manifest = json.loads((sim_dir / "manifest.json").read_text())
         report = json.loads((cal_dir / "report.json").read_text())
         assert manifest["config"]["alpha"] == report["alpha"]
         assert manifest["config"]["delta_R"] == report["delta_R"]
         assert (lc_dir / "lcurve.csv").exists()
 
-    def test_failing_step_aborts(self, tmp_path, capsys):
-        steps_path = tmp_path / "steps.json"
-        steps_path.write_text(json.dumps({
-            "steps": [
-                ["simulate", "a", "--config", str(tmp_path / "ghost.json"),
-                 "--out", str(tmp_path / "x")],
-                ["analyze", "stats", "--in", str(tmp_path / "x" / "returns.csv"),
-                 "--out", str(tmp_path / "y")],
-            ]
-        }))
-        assert run(["pipeline", steps_path]) == 2
-        assert not (tmp_path / "y").exists()
-        # the failed step's error is the one line on stderr
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: no such file")
+
+@pytest.mark.parametrize("args", [
+    ["pipeline", "steps.json"],
+    ["analyze", "lcurve", "--in", "returns.csv", "--format", "json"],
+], ids=["pipeline", "lcurve-format"])
+def test_retired_command_lines_exit_2(capsys, args):
+    with pytest.raises(SystemExit) as exit_info:
+        run(args)
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _readme_command_lines():
+    """Each `herdsim ...` line in the code blocks of the README's "Command
+    line" section, continuations joined, split as the shell would."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, re.DOTALL)
+    lines = re.sub(r"\\\n\s*", " ", "".join(blocks)).splitlines()
+    return [shlex.split(line, comments=True)[1:]
+            for line in map(str.strip, lines) if line.startswith("herdsim ")]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_line_parses(argv):
+    build_parser().parse_args(argv)
 
 
 def test_default_out_root_env(tmp_path, monkeypatch):
@@ -621,16 +642,6 @@ class TestBadInputsExit2:
             capsys, ["simulate", "a", "--config", small_config(tmp_path),
                      "--calibration", bad, "--out", tmp_path / "r"], "invalid JSON")
 
-    def test_invalid_json_steps(self, tmp_path, capsys):
-        bad = tmp_path / "steps.json"
-        bad.write_text('{"steps": [["simulate"]')
-        self.expect_exit_2(capsys, ["pipeline", bad], "invalid JSON")
-
-    def test_steps_file_holding_a_list(self, tmp_path, capsys):
-        listed = tmp_path / "steps.json"
-        listed.write_text(json.dumps([["analyze", "stats"]]))
-        self.expect_exit_2(capsys, ["pipeline", listed], "'steps' list")
-
     @pytest.mark.parametrize("flag, value", [("--ensemble", -3), ("--jobs", -5)])
     def test_counts_below_one(self, tmp_path, capsys, flag, value):
         self.expect_exit_2(
@@ -638,29 +649,6 @@ class TestBadInputsExit2:
                      "--ensemble", 2, flag, value, "--out", tmp_path / "r"],
             f"{flag} must be >= 1, got {value}")
         assert not (tmp_path / "r").exists()
-
-    def test_pipeline_step_running_a_pipeline(self, tmp_path, capsys):
-        steps = tmp_path / "steps.json"
-        out = tmp_path / "r"
-        steps.write_text(json.dumps({"steps": [
-            ["simulate", "a", "--config", str(small_config(tmp_path)),
-             "--out", str(out)],
-            ["pipeline", str(steps)],
-        ]}))
-        self.expect_exit_2(capsys, ["pipeline", steps], "step 1 runs a pipeline")
-        assert not out.exists()
-
-    def test_pipeline_step_that_does_not_parse(self, tmp_path, capsys):
-        steps = tmp_path / "steps.json"
-        out = tmp_path / "r"
-        steps.write_text(json.dumps({"steps": [
-            ["simulate", "a", "--config", str(small_config(tmp_path)),
-             "--out", str(out)],
-            ["simulate", "e", "--config", str(small_config(tmp_path))],
-        ]}))
-        self.expect_exit_2(capsys, ["pipeline", steps],
-                           "step 1: herdsim simulate: error: argument model")
-        assert not out.exists()
 
     def test_ensemble_seed_past_the_bound(self, tmp_path, capsys):
         config = small_config(tmp_path, t_max=120)

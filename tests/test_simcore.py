@@ -1,5 +1,6 @@
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from herdsim.simcore import (
     single_stock,
     weighted_returns,
 )
+from herdsim.simcore.config import INT_FIELD_MAX
 
 
 @dataclass(frozen=True)
@@ -424,6 +426,31 @@ class TestModelConfig:
         )
         with pytest.raises(ConfigError, match="sector 2"):
             cfg.validate_for("c")
+
+    @pytest.mark.parametrize("h_m, h_j", [
+        (1e-300, (0.5, 0.5)),
+        (1e-12, (0.5, 0.5)),
+        (0.001, (math.nextafter(0.001, 1),) * 2),
+        (0.3, (math.nextafter(0.3, 1),) * 2),
+        # (N + n) / (n^2 (H_j - H_M) H_M) would divide by a product of 0.0
+        (5e-324, (1e-323, 1e-323)),
+        # one S-group a sector still makes 1 / (4e-300) M-group slots
+        (1e-300, (1e308, 1e308)),
+    ])
+    def test_model_c_group_counts_bounded(self, h_m, h_j):
+        cfg = ModelConfig(N=600, M=50, n=4, n_sec=2, H_M=h_m, H_j=h_j,
+                          P_group=0.1, t_max=60)
+        with pytest.raises(ConfigError, match="S-groups in a sector or M-group slots"):
+            cfg.validate_for("c")
+
+    def test_model_c_slot_bound_is_tight(self):
+        # 604 I-groups make at most 302 S-groups a sector, over 4 H_M slots
+        h_m = 302 / (4 * INT_FIELD_MAX)
+        cfg = ModelConfig(N=600, M=50, n=4, n_sec=2, H_j=(0.5, 0.5),
+                          P_group=0.1, t_max=60)
+        replace(cfg, H_M=h_m * 1.001).validate_for("c")
+        with pytest.raises(ConfigError, match="M-group slots"):
+            replace(cfg, H_M=h_m * 0.999).validate_for("c")
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
