@@ -78,8 +78,21 @@ def sample_day_returns(
     many of its groups end in a buy or a sell at each level: the counts
     are drawn level by level instead of the maps themselves, which gives
     the same joint law over all stocks.
+
+    Every sector's slots are a prefix of the market's M-groups, so on a day
+    when all M-groups decide alike, every S-group, I-group and agent
+    follows that one decision.  The day is then fixed by the M-level draw,
+    and the levels below draw nothing: the law is the same, the stream is
+    shorter.
     """
     u = rng.random(int(slots.max()))
+    low, high = u.min(), u.max()
+    if high < p_group:  # every M-group buys
+        return agents_per_stock.copy()
+    if p_group <= low and high < 2.0 * p_group:  # every M-group sells
+        return -agents_per_stock
+    if low >= 2.0 * p_group:  # every M-group holds
+        return np.zeros_like(agents_per_stock)
     buy_m = (u < p_group).cumsum()[slots - 1]
     sell_m = (u < 2.0 * p_group).cumsum()[slots - 1] - buy_m
     buy_s, sell_s = _draw_spread(buy_m, sell_m, slots, sgroups, rng)
@@ -105,7 +118,9 @@ def run_model_c(config: ModelConfig) -> SimOutput:
       M-group slots of j:   max(1, round(N_j_S / (n * H_M)))
     The market holds max_j slots_j M-groups; sector j's S-groups join only
     the first slots_j of them.  Each M-group buys with P_group, sells with
-    P_group, holds otherwise, and all member agents follow.
+    P_group, holds otherwise, and all member agents follow.  On a day when
+    every M-group decides alike, each stock's return is that decision
+    times its agent count, with no draw below the M-level.
     """
     config.validate_for("c")
     rng = np.random.default_rng(config.seed)

@@ -156,18 +156,14 @@ def hurst_exponent(values) -> float:
     log_s = []
     log_f = []
     for s in sizes:
-        n_seg = n // s
-        t = np.arange(s, dtype=float)
-        segs = [
-            profile[: n_seg * s].reshape(n_seg, s),
-            profile[n - n_seg * s :].reshape(n_seg, s),
-        ]
-        sq = 0.0
-        for seg in segs:
-            coef = np.polyfit(t, seg.T, 1)
-            trend = np.outer(coef[0], t) + coef[1][:, None]
-            sq += np.mean((seg - trend) ** 2)
-        f = np.sqrt(sq / 2.0)
+        used = n // s * s
+        seg = np.concatenate([profile[:used], profile[n - used :]]).reshape(-1, s)
+        # detrend every window in place by its least-squares line, in
+        # closed form on centered time
+        tc = np.arange(s) - (s - 1) / 2.0
+        seg -= seg.mean(axis=1, keepdims=True)
+        seg -= np.outer(seg @ tc / (tc @ tc), tc)
+        f = np.sqrt(np.mean(seg**2))
         if f > 0.0:
             log_s.append(np.log(s))
             log_f.append(np.log(f))

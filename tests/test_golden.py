@@ -28,8 +28,9 @@ CONFIGS = {
 DIGESTS = {
     "a": "84ef7962576385f736c9e324e68fdf6b55aa01fb01eb8930e7fb53f9844e3e92",
     "b": "bbe756bd62e574899da652b70c1d5838be880e7d045372d26eb19cd5d0d8a3c6",
-    # count-level day sampler (same law as the per-group loop, new stream)
-    "c": "123026037ea1a1ba49d2a971b9556f8146002a646855ea0220cba57c215fbeab",
+    # count-level day sampler with no draws below the M-level on days whose
+    # M-groups all decide alike (same law as the per-group loop, new stream)
+    "c": "e480450806578766e642b1d73e4f502264f85d2309ad669929af4af86a952c03",
     # feedback-free draws made before the day loop (same law as the
     # day-by-day loop, new stream)
     "d": "b5201ab0bc3d229ec23f76442aa3e5257031b74c2369a2d9f64b4ea2e894bd0c",

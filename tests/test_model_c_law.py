@@ -51,7 +51,10 @@ def reference_day_returns(agents_per_stock, igroups, sgroups, slots, p_group, rn
 # and exactly as many I-groups as their sector has S-groups; an unheld
 # stock.  WHOLE_POOLS has as many S-groups as slots in each sector (both
 # sector draws skipped) and stocks with at most as many I-groups as S-groups,
-# some with one fewer (stock extras skipped, stock draws partial).
+# some with one fewer (stock extras skipped, stock draws partial).  MIXED
+# has one slot in sector 1 and two in sector 2, so on about a third of the
+# days (0.3**2 + 0.3**2 + 0.4**2) both M-groups decide alike and the levels
+# below draw nothing; the other days take the full path.
 STATES = {
     "branches": dict(
         agents_per_stock=np.array([40, 25, 0, 30, 50, 15]),
@@ -66,6 +69,13 @@ STATES = {
         sgroups=np.array([2, 3]),
         slots=np.array([2, 3]),
         p_group=0.35,
+    ),
+    "mixed": dict(
+        agents_per_stock=np.array([30, 45, 20, 55, 10, 40]),
+        igroups=np.array([2, 5, 3, 4, 1, 6]),
+        sgroups=np.array([3, 4]),
+        slots=np.array([1, 2]),
+        p_group=0.3,
     ),
 }
 DRAWS = 20_000
@@ -144,6 +154,28 @@ def test_day_returns_fixed_cases():
             assert any(
                 np.array_equal(r[sector], sign * agents[sector]) for sign in (-1, 0, 1)
             )
+
+
+def test_alike_day_draws_nothing_below_the_market():
+    # One slot per sector: every day's M-groups decide alike.  Pools of 40
+    # S-groups and samples of 15-30 I-groups per stock put numpy's
+    # hypergeometric in its HRUA branch, which draws from the stream even
+    # when the pool holds one colour, so only a skipped draw leaves the
+    # stream where the M-level left it.
+    state = dict(
+        agents_per_stock=np.array([60, 80, 70, 90, 50, 75]),
+        igroups=np.array([15, 22, 30, 18, 25, 27]),
+        sgroups=np.array([40, 40]),
+        slots=np.array([1, 1]),
+        p_group=0.3,
+    )
+    agents = state["agents_per_stock"]
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(300):
+        r = multi_stock.sample_day_returns(**state, rng=rng)
+        twin.random(int(state["slots"].max()))
+        assert any(np.array_equal(r, sign * agents) for sign in (-1, 0, 1))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 SMALL_RUN = dict(N=2000, M=50, n=6, n_sec=2, H_M=0.3, H_j=(0.4, 0.5),

@@ -46,6 +46,29 @@ def lcurve_oracle(values, max_lag):
     return np.array(out)
 
 
+def hurst_oracle(values):
+    """DFA with one np.polyfit line fit per window set (the original loop)."""
+    x = np.asarray(values, dtype=float)
+    profile = np.cumsum(x - x.mean())
+    n = len(profile)
+    sizes = np.unique(np.round(np.geomspace(16, n // 8, 24)).astype(int))
+    log_s, log_f = [], []
+    for s in sizes:
+        n_seg = n // s
+        t = np.arange(s, dtype=float)
+        sq = 0.0
+        for seg in (
+            profile[: n_seg * s].reshape(n_seg, s),
+            profile[n - n_seg * s :].reshape(n_seg, s),
+        ):
+            coef = np.polyfit(t, seg.T, 1)
+            trend = np.outer(coef[0], t) + coef[1][:, None]
+            sq += np.mean((seg - trend) ** 2)
+        log_s.append(np.log(s))
+        log_f.append(np.log(np.sqrt(sq / 2.0)))
+    return float(np.clip(np.polyfit(log_s, log_f, 1)[0], 0.0, 1.5))
+
+
 class TestNormalize:
     def test_already_normalized_passthrough(self):
         out = normalize([1.0, -1.0, 1.0, -1.0])
@@ -146,6 +169,17 @@ class TestReturnVolatilityCorrelation:
 
 
 class TestHurstExponent:
+    @pytest.mark.parametrize("kind", ["white", "walk", "integer", "odd_length"])
+    def test_matches_polyfit_oracle(self, kind):
+        rng = np.random.default_rng(13)
+        x = {
+            "white": lambda: rng.normal(size=20_000),
+            "walk": lambda: np.cumsum(rng.normal(size=20_000)),
+            "integer": lambda: rng.integers(-50, 51, size=20_000),
+            "odd_length": lambda: rng.standard_t(3, size=5_003),
+        }[kind]()
+        assert hurst_exponent(x) == pytest.approx(hurst_oracle(x), rel=1e-12)
+
     def test_white_noise(self):
         rng = np.random.default_rng(8)
         h = hurst_exponent(rng.normal(size=2**14))
