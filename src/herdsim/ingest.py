@@ -36,6 +36,13 @@ from .errors import InputError, ParseError, ValidationError
 DEFAULT_TAU_WEEKS = 26
 
 
+def _shown(text: str, limit: int = 80) -> str:
+    """File text for a one-line error message: line breaks and other
+    unprintable characters escaped, and cut after `limit` characters."""
+    text = repr(text)[1:-1]
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _check_increasing(labels, what: str) -> None:
     for a, b in zip(labels, labels[1:]):
         if not a < b:
@@ -267,9 +274,10 @@ def _parse_number(token, path, row, column, strip, forward_fill) -> float:
         value = float(token)
     except ValueError:
         raise ParseError(
-            f"{path}: row {row}: cannot parse {column} {token!r}") from None
+            f"{path}: row {row}: cannot parse {_shown(column)} '{_shown(token)}'"
+        ) from None
     if not np.isfinite(value):
-        raise ValidationError(f"{path}: row {row}: non-finite {column}")
+        raise ValidationError(f"{path}: row {row}: non-finite {_shown(column)}")
     return value
 
 
@@ -278,7 +286,7 @@ def _header(*expected):
     def check(path, header):
         if [h.strip().lower() for h in header] != list(expected):
             raise ParseError(f"{path}: expected header {','.join(expected)}, "
-                             f"got {','.join(header)}")
+                             f"got {_shown(','.join(header))}")
         return expected
     return check
 

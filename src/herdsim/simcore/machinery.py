@@ -74,16 +74,19 @@ def independent_day_return(agents, p: float, rng: np.random.Generator, size=None
 
 
 def draw_picks(buy, sell, pool, draws, rng: np.random.Generator):
-    """Buy/sell counts among `draws` picks made uniformly, with replacement.
+    """Buy/sell counts among `draws` independent trials that each buy with
+    probability buy / pool, sell with sell / pool and hold otherwise.
 
-    Each pool holds `pool` groups, `buy` of them buying and `sell` selling;
-    the arguments are ints or arrays broadcast to one shape.  The
-    conditional binomial pair is the three-way multinomial with each
-    category probability an exact ratio of integers.
+    With integer counts these are picks made uniformly, with replacement,
+    among `pool` groups, `buy` of them buying and `sell` selling; with
+    `pool` 1.0, `buy` and `sell` are the probabilities themselves.  The
+    arguments are numbers or arrays broadcast to one shape.  The
+    conditional binomial pair is the three-way multinomial, drawn as the
+    same two binomials that numpy's `multinomial` draws.
     """
     buys = rng.binomial(draws, buy / pool)
     rest = pool - buy
-    # rest == 0: every group of the pool buys, so no pick is left to split
+    # rest == 0: every trial buys, so none is left to split
     sells = rng.binomial(draws - buys, sell / (rest + (rest == 0)))
     return buys, sells
 
@@ -99,12 +102,11 @@ def sample_aggregate_return(
 
     Every agent picks one of `n_clusters` clusters uniformly and
     independently, each cluster buys with p_buy, sells with p_sell and
-    holds otherwise, and its members follow.  Drawn as the buy/sell counts
-    among clusters, then the agent headcounts among their picks.
+    holds otherwise, and its members follow.  Drawn by `draw_picks` twice:
+    the buy/sell counts among clusters, then the agent headcounts among
+    their picks.
     """
-    n_buy, n_sell, _ = rng.multinomial(
-        n_clusters, (p_buy, p_sell, 1.0 - p_buy - p_sell)
-    ).tolist()
+    n_buy, n_sell = draw_picks(p_buy, p_sell, 1.0, n_clusters, rng)
     buys, sells = draw_picks(n_buy, n_sell, n_clusters, n_agents, rng)
     return buys - sells
 

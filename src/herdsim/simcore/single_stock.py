@@ -23,9 +23,6 @@ from .machinery import (
     sample_aggregate_return,
 )
 
-#: Days of model D's feedback-free draws made at once: bounds their memory.
-_DRAW_BLOCK = 1024
-
 
 def _volatility_coefficients(gamma) -> np.ndarray:
     """Weights of a chronological volatility window (oldest day first) in
@@ -165,14 +162,13 @@ def run_model_d(config: ModelConfig) -> SimOutput:
     per-agent trading probability at 2p.
 
     The state path, the exponential draws y and the day returns of the
-    independent agents never depend on R', so they are drawn ahead of the
-    days that use them: after the warm-up the initial state, then for each
-    block of _DRAW_BLOCK days one uniform per day for the flips, one
-    multinomial per day over the independent agents and one exponential
-    per day.  The day loop draws only the clustered agents' return.  This
-    is the law of drawing everything day by day, but not its random
-    stream: a seed gives other returns than a driver that interleaves the
-    draws.
+    independent agents never depend on R', so they are drawn for all
+    output days at once, ahead of the day loop: after the warm-up the
+    initial state, then one uniform per day for the flips, one multinomial
+    per day over the independent agents and one exponential per day.  The
+    day loop draws only the clustered agents' return.  This is the law of
+    drawing everything day by day, but not its random stream: a seed gives
+    other returns than a driver that interleaves the draws.
     """
     config.validate_for("d")
     rng = np.random.default_rng(config.seed)
@@ -189,59 +185,52 @@ def run_model_d(config: ModelConfig) -> SimOutput:
     # 1 - a * sgn(R') for a bull and a bear R'
     bull, bear = 1.0 - config.a, 1.0 + config.a
     n_dominating = round_count(config.f * n_agents)
-    n_rest = n_agents - n_dominating
 
     history = np.zeros(t_max, dtype=float)
     kept = t_max - warmup
-    state_trace = np.empty(kept)
     force_trace = np.empty(kept)
     size_trace = np.empty(kept)
 
     history[:warmup] = independent_day_return(n_agents, config.p, rng, warmup)
 
+    # S flips with probability 1/tau a day: S_t is S_0 xor the flip parity
     state = bool(rng.integers(0, 2))
-    for start in range(warmup, t_max, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, t_max)
-        # S flips with probability 1/tau a day: S_t is S_0 xor the flip parity
-        flips = rng.random(stop - start) < 1.0 / tau
-        states = np.logical_xor(state, np.logical_xor.accumulate(flips))
-        state = bool(states[-1])
-        history[start:stop] = independent_day_return(
-            np.where(states, n_rest, n_dominating), p0 / 2.0, rng
-        )
-        y_draws = rng.exponential(1.0 / config.b1, stop - start)
-        state_trace[start - warmup : stop - warmup] = states
+    flips = rng.random(kept) < 1.0 / tau
+    states = np.logical_xor(state, np.logical_xor.accumulate(flips))
+    # the agents with s_i = 1 trade in clusters, the rest independently
+    n_clustered = np.where(states, n_dominating, n_agents - n_dominating)
+    history[warmup:] = independent_day_return(n_agents - n_clustered, p0 / 2.0, rng)
+    y_draws = rng.exponential(1.0 / config.b1, kept)
 
-        # memoryviews iterate as Python floats and bools, without a list
-        days = zip(range(start, stop), memoryview(y_draws), memoryview(states))
-        for t, y, s in days:
-            n_pos = n_dominating if s else n_rest
-            rprime = k * float(np.dot(w, history[t - m : t]))
-            if rprime > 0.0:
-                force = y * bull
-            elif rprime < 0.0:
-                force = y * bear
-            else:
-                force = y
-            if n_pos > 0:
-                p_half = min((1.0 + force) * p0, 1.0) / 2.0
-                avg_size = min(max(tau * n_pos * force / n_agents, 1.0), float(n_pos))
-                # round_count inlined; n_pos / avg_size >= 1, so int() floors
-                n_clusters = int(n_pos / avg_size + 0.5)
-                history[t] += sample_aggregate_return(
-                    n_pos, n_clusters, p_half, p_half, rng
-                )
-            else:
-                avg_size = 0.0
+    # memoryviews iterate as Python floats and ints, without a list
+    days = zip(range(warmup, t_max), memoryview(y_draws), memoryview(n_clustered))
+    for t, y, n_pos in days:
+        rprime = k * float(np.dot(w, history[t - m : t]))
+        if rprime > 0.0:
+            force = y * bull
+        elif rprime < 0.0:
+            force = y * bear
+        else:
+            force = y
+        if n_pos > 0:
+            p_half = min((1.0 + force) * p0, 1.0) / 2.0
+            avg_size = min(max(tau * n_pos * force / n_agents, 1.0), float(n_pos))
+            # round_count inlined; n_pos / avg_size >= 1, so int() floors
+            n_clusters = int(n_pos / avg_size + 0.5)
+            history[t] += sample_aggregate_return(
+                n_pos, n_clusters, p_half, p_half, rng
+            )
+        else:
+            avg_size = 0.0
 
-            i = t - warmup
-            force_trace[i] = force
-            size_trace[i] = avg_size
+        i = t - warmup
+        force_trace[i] = force
+        size_trace[i] = avg_size
 
     return SimOutput(
         returns=history[warmup:].astype(np.int64),
         diagnostics={
-            "S": state_trace,
+            "S": states.astype(float),
             "F": force_trace,
             "cluster_size": size_trace,
         },

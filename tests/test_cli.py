@@ -159,6 +159,22 @@ class TestSimulate:
         cfg = small_config(tmp_path, N=100, t_max=120, p=0.4, alpha=1.25)
         assert run(["simulate", "a", "--config", cfg, "--out", tmp_path / "r"]) == 0
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_sec": 3}, "n_sec=3 must divide the stock count n=10"),
+        ({"H_M": None}, "model c requires H_M and H_j"),
+        ({"H_j": None}, "model c requires H_M and H_j"),
+        ({"H_j": [0.4, 0.5, 0.6]}, "H_j has 3 entries for n_sec=2"),
+    ], ids=["n_sec-not-dividing-n", "no-H_M", "no-H_j", "H_j-length"])
+    def test_sector_layout_model_c_rejects_exits_2(
+        self, tmp_path, capsys, overrides, message
+    ):
+        layout = {"n": 10, "n_sec": 2, "H_M": 0.3, "H_j": [0.4, 0.5],
+                  "P_group": 0.3}
+        cfg = small_config(tmp_path, **{**layout, **overrides})
+        assert run(["simulate", "c", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("h_m", [0, 0.0, -0.1])
     def test_nonpositive_market_comovement_exits_2(self, tmp_path, capsys, h_m):
         cfg = small_config(tmp_path, n=4, n_sec=2, H_M=h_m, H_j=[0.4, 0.5],
@@ -560,6 +576,7 @@ class TestBadInputsExit2:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert message in err
+        return err
 
     @pytest.mark.parametrize("command, flag", [
         (["analyze", "stats"], "--in"),
@@ -627,6 +644,69 @@ class TestBadInputsExit2:
         out = tmp_path / "cal"
         self.expect_exit_2(capsys, ["calibrate", "asymmetry", "--index", index_csv,
                                     flag, value, "--out", out], message)
+        assert not out.exists()
+
+    def test_header_with_an_open_quote(self, tmp_path, capsys, index_csv):
+        # csv reads the rest of the file into the header's first cell
+        index_csv.write_text('"' + index_csv.read_text())
+        out = tmp_path / "cal"
+        self.expect_exit_2(capsys, ["calibrate", "asymmetry", "--index", index_csv,
+                                    "--out", out], "expected header date,close,volume")
+        assert not out.exists()
+
+    def test_cell_with_an_open_quote(self, tmp_path, capsys, index_csv):
+        # csv reads the rest of the file into the last cell of row 3
+        rows = index_csv.read_text().splitlines(keepends=True)
+        day, close, volume = rows[2].split(",")
+        rows[2] = f'{day},{close},"{volume}'
+        index_csv.write_text("".join(rows))
+        out = tmp_path / "cal"
+        err = self.expect_exit_2(capsys, ["calibrate", "asymmetry", "--index",
+                                          index_csv, "--out", out],
+                                 "row 3: cannot parse volume '")
+        assert len(err) < 300
+        assert not out.exists()
+
+    def test_ticker_with_a_line_break(self, tmp_path, capsys):
+        sectors = write_csv(tmp_path / "s.csv", ["ticker", "sector_id"],
+                            [("A\nB", "1"), ("C", "1")])
+        panel = write_csv(tmp_path / "p.csv", ["date", "A\nB", "C"],
+                          [("2020-01-01", "0.1", "0.2"), ("2020-01-02", "x", "0.1")])
+        out = tmp_path / "cal"
+        self.expect_exit_2(capsys, ["calibrate", "comovement", "--panel", panel,
+                                    "--sectors", sectors, "--out", out],
+                           "row 3: cannot parse A\\nB 'x'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["comovement", "--panel", "PANEL", "--sectors", "ONE_STOCK_SECTOR"],
+         "sector '2' has fewer than 2 stocks"),
+        (["infoforce", "--search", "HEADER_ONLY", "--volumes", "SEARCH",
+          "--index", "INDEX"], "no data rows"),
+        (["asymmetry", "--index", "INDEX", "--horizon", "50"],
+         "need more than 50 days of returns, got 50"),
+    ], ids=["one-stock-sector", "header-only-search", "index-of-horizon-days"])
+    def test_inputs_too_small_to_estimate(
+        self, tmp_path, capsys, panel_files, command, message
+    ):
+        header = ["week_start", "ticker", "volume"]
+        weeks = weekly_dates(60)
+        files = {
+            "PANEL": panel_files[0],
+            "ONE_STOCK_SECTOR": write_csv(
+                tmp_path / "one.csv", ["ticker", "sector_id"],
+                [("AAA", "1"), ("BBB", "1"), ("CCC", "1"), ("DDD", "2")]),
+            "HEADER_ONLY": write_csv(tmp_path / "empty.csv", header, []),
+            "SEARCH": write_csv(tmp_path / "search.csv", header,
+                                [(w.isoformat(), "AAA", "1") for w in weeks]),
+            # 51 closes make 50 returns, one fewer than horizon 50 needs
+            "INDEX": write_csv(tmp_path / "index.csv", ["date", "close", "volume"],
+                               [(w.isoformat(), str(100 + i % 3), "1")
+                                for i, w in enumerate(weeks[:51])]),
+        }
+        out = tmp_path / "cal"
+        args = ["calibrate"] + [files.get(a, a) for a in command]
+        self.expect_exit_2(capsys, args + ["--out", out], message)
         assert not out.exists()
 
     def test_invalid_json_config(self, tmp_path, capsys):

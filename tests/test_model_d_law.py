@@ -4,15 +4,16 @@
 draws the state flip, the force and the independent agents' return inside
 the day loop, interleaved with the clustered agents' draws.
 `single_stock.run_model_d` draws everything that does not depend on R'
-ahead of the days that use it, a block of days at a time.  The two consume the random stream differently, so they
-are compared in law over many seeds, and the traces are checked day by day
-for the meaning they had in the reference.
+for all output days at once, ahead of the day loop.  The two consume the
+random stream differently, so they are compared in law over many seeds,
+and the traces are checked day by day for the meaning they had in the
+reference.
 """
 
 import numpy as np
 import pytest
 
-from herdsim.simcore import ModelConfig, run_model_d, single_stock
+from herdsim.simcore import ModelConfig, run_model_d
 from herdsim.simcore.machinery import (
     SimOutput,
     independent_day_return,
@@ -146,14 +147,9 @@ def reference_statistics():
     return _run_statistics(reference_run_model_d, seed_base=2000)
 
 
-# the default block, and a short one that puts many block boundaries
-# (where the state must carry over) into each run
-@pytest.fixture(scope="module", params=[single_stock._DRAW_BLOCK, 7])
-def run_statistics(request, reference_statistics):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(single_stock, "_DRAW_BLOCK", request.param)
-        fast = _run_statistics(run_model_d, seed_base=1000)
-    return fast, reference_statistics
+@pytest.fixture(scope="module")
+def run_statistics(reference_statistics):
+    return _run_statistics(run_model_d, seed_base=1000), reference_statistics
 
 
 @pytest.mark.parametrize("i", range(len(STATISTICS)), ids=STATISTICS)
@@ -173,15 +169,9 @@ def test_force_means_follow_the_sign_of_r_prime(run_statistics):
         assert stats[:, 8].mean() == pytest.approx((1.0 + a) / b1, rel=0.05)
 
 
-@pytest.mark.parametrize(
-    "driver,block",
-    [(run_model_d, single_stock._DRAW_BLOCK), (run_model_d, 7),
-     (reference_run_model_d, None)],
-)
+@pytest.mark.parametrize("driver", [run_model_d, reference_run_model_d])
 @pytest.mark.parametrize("f", [0.8, 1.0])
-def test_traces_keep_their_daily_meaning(monkeypatch, driver, block, f):
-    if block is not None:
-        monkeypatch.setattr(single_stock, "_DRAW_BLOCK", block)
+def test_traces_keep_their_daily_meaning(driver, f):
     config = ModelConfig(**SMALL_RUN, f=f, seed=5)
     out = driver(config)
     s = out.diagnostics["S"]

@@ -420,6 +420,10 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(n=10, n_sec=2).validate_for("c")
 
+    def test_unknown_model_is_rejected(self):
+        with pytest.raises(ConfigError, match="unknown model 'e'"):
+            ModelConfig().validate_for("e")
+
     def test_model_c_sector_violation_names_sector(self):
         cfg = ModelConfig(
             n=10, n_sec=2, H_M=0.4, H_j=(0.5, 0.3), P_group=0.3
