@@ -164,7 +164,8 @@ def trading_asymmetry(returns, m: int = 150, k: float = 1.0) -> AsymmetryEstimat
 
     With the trading probability proportional to volume, the bull/bear
     volume ratio rho = V+/V- equals alpha/beta, and alpha + beta = 2 gives
-    alpha = 2 rho / (1 + rho).
+    alpha = 2 rho / (1 + rho).  A day is bull or bear by the sign of R'
+    alone, so a gain k > 0 only scales R' and leaves the labels unchanged.
     """
     r = np.asarray(returns.returns, dtype=float)
     volume = np.asarray(returns.volume, dtype=float)
@@ -231,7 +232,11 @@ def herding_offset_from_shift(delta_r: float) -> int:
 
 
 def asymmetry_report(index_series, m: int = 150, k: float = 1.0) -> AsymmetryEstimate:
-    """Full asymmetry calibration of one index: alpha, delta_r and delta_R."""
+    """Full asymmetry calibration of one index: alpha, delta_r and delta_R.
+
+    Any gain k > 0 gives the same estimate: it only scales R', whose sign
+    labels the days.
+    """
     returns = log_returns(index_series)
     est = trading_asymmetry(returns, m=m, k=k)
     shift = herding_shift(normalize(returns).values, returns.volume)
@@ -357,18 +362,15 @@ def _window_labels(force_series, market: np.ndarray) -> list[np.ndarray]:
     the market series and windows with NaN entries, whose sum is NaN and
     so neither positive nor negative, stay unlabelled.
     """
-    totals = {}
     labels = []
     for series in force_series:
         tau = series.tau
         if len(market) < tau:
             raise ValidationError("market return series shorter than tau")
-        if tau not in totals:
-            totals[tau] = sliding_window_view(market, tau).sum(axis=1)
         starts = np.asarray(series.window_starts, dtype=np.int64)
         inside = starts + tau <= len(market)
         label = np.zeros(len(starts), dtype=np.int8)
-        total = totals[tau][starts[inside]]
+        total = sliding_window_view(market, tau).sum(axis=1)[starts[inside]]
         label[inside] = (total > 0.0).astype(np.int8) - (total < 0.0)
         labels.append(label)
     return labels

@@ -41,11 +41,8 @@ REPORT_KEYS = (
 
 
 def _sha256(path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _out_dir(args, default_name: str) -> Path:
@@ -85,13 +82,12 @@ def _write_report(out: Path, values: dict, table_lines: list[str]) -> None:
 
 def cmd_calibrate(args, argv) -> int:
     if args.what == "asymmetry":
-        # the report's M and k must be values simulate --calibration accepts
-        ModelConfig(M=args.horizon, k=args.gain).validate()
-        est = calibrate.asymmetry_report(
-            ingest.load_index_series(args.index), m=args.horizon, k=args.gain
-        )
-        values, lines = est.report()
-        values.update(M=args.horizon, k=args.gain)
+        # the report's M must be a value simulate --calibration accepts
+        ModelConfig(M=args.horizon).validate()
+        values, lines = calibrate.asymmetry_report(
+            ingest.load_index_series(args.index), m=args.horizon
+        ).report()
+        values.update(M=args.horizon)
         inputs = [args.index]
     elif args.what == "comovement":
         panel = ingest.load_returns_panel(
@@ -269,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     asym.add_argument("--index", required=True, help="index.csv")
     asym.add_argument("--horizon", type=int, default=150,
                       help="max investment horizon M (default 150)")
-    asym.add_argument("--gain", type=float, default=0.1,
-                      help="weighted-return coefficient k (default 0.1)")
     asym.add_argument("--out")
     como = cal_sub.add_parser("comovement", help="H_M and per-sector H_j")
     como.add_argument("--panel", required=True, help="panel.csv of returns")

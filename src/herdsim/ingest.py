@@ -525,5 +525,4 @@ def save_returns_panel(panel: ReturnsPanel, path, sectors_path) -> None:
     with open(sectors_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ticker", "sector_id"])
-        for ticker in sorted(panel.sector_of):
-            writer.writerow([ticker, panel.sector_of[ticker]])
+        writer.writerows(sorted(panel.sector_of.items()))

@@ -199,7 +199,7 @@ class ModelConfig:
         return cls(**_coerce(data))
 
     @classmethod
-    def from_fragment(cls, data: dict, base: "ModelConfig | None" = None) -> "ModelConfig":
+    def from_fragment(cls, data: dict, base: "ModelConfig") -> "ModelConfig":
         """Overlay a calibration-report fragment onto a base config.
 
         Keys that are not ModelConfig fields (beta, delta_r, delta_F, ...)
@@ -208,7 +208,6 @@ class ModelConfig:
         _require_object(data)
         known = {f.name for f in dataclasses.fields(cls)}
         updates = {k: v for k, v in data.items() if k in known and v is not None}
-        base = base if base is not None else cls()
         return dataclasses.replace(base, **_coerce(updates))
 
 

@@ -9,7 +9,6 @@ seed alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +20,9 @@ from .config import HORIZON_DECAY
 def round_count(x):
     """Round positive reals to the nearest integer, ties upward.
 
-    A scalar gives an int, an array an int64 array of the same shape.
+    A scalar gives an `np.int64`, an array an int64 array of the same shape.
     """
-    if isinstance(x, np.ndarray):
-        return np.floor(x + 0.5).astype(np.int64)
-    return int(math.floor(x + 0.5))
+    return np.floor(x + 0.5).astype(np.int64)
 
 
 def horizon_weights(m: int) -> np.ndarray:

@@ -79,22 +79,19 @@ def sample_day_returns(
     are drawn level by level instead of the maps themselves, which gives
     the same joint law over all stocks.
 
-    Every sector's slots are a prefix of the market's M-groups, so on a day
-    when all M-groups decide alike, every S-group, I-group and agent
-    follows that one decision.  The day is then fixed by the M-level draw,
-    and the levels below draw nothing: the law is the same, the stream is
-    shorter.
+    Each M-group's side comes from one uniform: 0 (buy) below p_group, 1
+    (sell) below 2 p_group, 2 (hold) above.  Every sector's slots are a
+    prefix of the market's M-groups, so on a day when all M-groups decide
+    alike, every S-group, I-group and agent follows that one decision.
+    The day is then fixed by the M-level draw, and the levels below draw
+    nothing: the law is the same, the stream is shorter.
     """
     u = rng.random(int(slots.max()))
-    low, high = u.min(), u.max()
-    if high < p_group:  # every M-group buys
-        return agents_per_stock.copy()
-    if p_group <= low and high < 2.0 * p_group:  # every M-group sells
-        return -agents_per_stock
-    if low >= 2.0 * p_group:  # every M-group holds
-        return np.zeros_like(agents_per_stock)
-    buy_m = (u < p_group).cumsum()[slots - 1]
-    sell_m = (u < 2.0 * p_group).cumsum()[slots - 1] - buy_m
+    side = (u >= p_group).astype(np.int64) + (u >= 2.0 * p_group)
+    if (side == side[0]).all():
+        return agents_per_stock * (1, -1, 0)[side[0]]
+    buy_m = (side == 0).cumsum()[slots - 1]
+    sell_m = (side == 1).cumsum()[slots - 1]
     buy_s, sell_s = _draw_spread(buy_m, sell_m, slots, sgroups, rng)
 
     per_sector = len(igroups) // len(sgroups)
@@ -173,9 +170,9 @@ def run_model_c(config: ModelConfig) -> SimOutput:
         igroup_trace[i] = igroups.mean()
 
     tickers = tuple(f"S{s + 1:03d}" for s in range(n_stocks))
-    sector_of = {
-        tickers[s]: str(sector_of_stock[s] + 1) for s in range(n_stocks)
-    }
+    # sector ids 1..n_sec, zero-padded so they sort as strings in model order
+    width = len(str(n_sectors))
+    sector_of = {t: f"{j:0{width}d}" for t, j in zip(tickers, sector_of_stock + 1)}
     return SimOutput(
         returns=history[warmup:].astype(np.int64),
         diagnostics={

@@ -31,12 +31,8 @@ class CorrelationMatrix:
     tickers: tuple[str, ...]
     sectors: tuple[str, ...]
 
-    @property
-    def order(self) -> int:
-        return self.values.shape[0]
-
     def __post_init__(self):
-        n = self.order
+        n = self.values.shape[0]
         if self.values.shape != (n, n):
             raise ValidationError("correlation matrix must be square")
         if len(self.tickers) != n or len(self.sectors) != n:

@@ -169,12 +169,13 @@ def test_alike_day_draws_nothing_below_the_market():
         slots=np.array([1, 1]),
         p_group=0.3,
     )
-    agents = state["agents_per_stock"]
+    agents, p = state["agents_per_stock"], state["p_group"]
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(300):
         r = multi_stock.sample_day_returns(**state, rng=rng)
-        twin.random(int(state["slots"].max()))
-        assert any(np.array_equal(r, sign * agents) for sign in (-1, 0, 1))
+        (u,) = twin.random(int(state["slots"].max()))
+        sign = 1 if u < p else -1 if u < 2 * p else 0
+        assert np.array_equal(r, sign * agents)
         assert rng.bit_generator.state == twin.bit_generator.state
 
 

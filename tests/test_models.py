@@ -118,6 +118,16 @@ class TestModelC:
         assert set(out.sector_of.values()) == {"1", "2"}
         assert [out.sector_of[t] for t in out.tickers] == ["1"] * 5 + ["2"] * 5
 
+    def test_ten_sector_ids_sort_in_model_order(self):
+        # calibrate comovement lists H_j by sector ids sorted as strings,
+        # and simulate --calibration reads H_j by position
+        cfg = ModelConfig(N=2000, M=50, t_max=100, warmup=50, seed=4,
+                          n=20, n_sec=10, H_M=0.3, P_group=0.3,
+                          H_j=tuple(0.4 + 0.01 * j for j in range(10)))
+        out = run_model_c(cfg)
+        in_model_order = list(dict.fromkeys(out.sector_of[t] for t in out.tickers))
+        assert sorted(set(out.sector_of.values())) == in_model_order
+
     def test_hkse_parameters_spectrum(self):
         # second published co-movement table: same qualitative structure,
         # market mode far outside the noise bulk plus sector-local modes
