@@ -14,7 +14,6 @@ and a short run confirms the calibrated regime produces the leverage-
 style negative return-volatility correlation.
 """
 
-import dataclasses
 import json
 import tempfile
 from datetime import date, timedelta
@@ -61,18 +60,13 @@ with tempfile.TemporaryDirectory() as tmp:
     series = load_index_series(index_path)
     est = asymmetry_report(series, m=m, k=0.1)
 
-report = {
-    "alpha": est.alpha,
-    "beta": est.beta,
-    "delta_r": est.delta_r,
-    "delta_R": est.delta_R,
-}
+report, _ = est.report()
 print("\ncalibration report (the simulate --calibration fragment):")
 print(json.dumps(report, indent=2))
 
 # --- simulate with the calibrated parameters ----------------------------
 base = ModelConfig(N=10_000, M=150, t_max=20_150, warmup=150, seed=0)
-cfg = dataclasses.replace(base, alpha=est.alpha, delta_R=est.delta_R)
+cfg = ModelConfig.from_fragment(report, base)
 print(f"\nrunning the herding model at (alpha, delta_R) = "
       f"({cfg.alpha:.3f}, {cfg.delta_R}) ...")
 out = run_model_a(cfg)

@@ -17,13 +17,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import stats
 from .errors import (
+    DegenerateSeriesError,
     FitDomainError,
     InputError,
     InsufficientDataError,
     ValidationError,
 )
 from .ingest import DEFAULT_TAU_WEEKS, ReturnsPanel, log_returns
-from .stats import CorrelationCurve, fit_power_law, normalize
+from .stats import CorrelationCurve, fit_power_law, normalize, normalize_columns
 from .simcore import weighted_returns
 
 #: Published (delta_r, delta_R) anchors for six major index families, used
@@ -181,7 +182,10 @@ def trading_asymmetry(returns, m: int = 150, k: float = 1.0) -> AsymmetryEstimat
     bear = next_vol[signs < 0]
     if len(bull) == 0 or len(bear) == 0:
         raise InsufficientDataError("no bull or no bear days in the sample")
-    ratio = float(bull.mean() / bear.mean())
+    v_bull, v_bear = bull.mean(), bear.mean()
+    if v_bull == 0.0 or v_bear == 0.0:
+        raise InsufficientDataError("zero mean volume after bull or bear days")
+    ratio = float(v_bull / v_bear)
     alpha = 2.0 * ratio / (1.0 + ratio)
     return AsymmetryEstimate(alpha=alpha, beta=2.0 - alpha, volume_ratio=ratio)
 
@@ -239,7 +243,7 @@ def asymmetry_report(index_series, m: int = 150, k: float = 1.0) -> AsymmetryEst
     """
     returns = log_returns(index_series)
     est = trading_asymmetry(returns, m=m, k=k)
-    shift = herding_shift(normalize(returns).values, returns.volume)
+    shift = herding_shift(normalize(returns.returns).values, returns.volume)
     return dataclasses.replace(est, delta_r=shift,
                                delta_R=herding_offset_from_shift(shift))
 
@@ -290,13 +294,13 @@ def comovement(panel: ReturnsPanel) -> ComovementEstimate:
 
     zeta is the fraction of stocks in the dominating trend of the day and
     v_d - v_n the amplitude gap between the dominating and the other trend.
-    Columns are normalized before grouping.
+    Columns are normalized by `normalize_columns` before grouping.
     """
     sectors = panel.sectors
     sector_ids = sorted(set(sectors))
     # stocks grouped by sector, in ticker order within each sector
     order = sorted(range(len(sectors)), key=sectors.__getitem__)
-    normalized = np.vstack([normalize(panel.matrix[:, i]).values for i in order])
+    normalized = normalize_columns(panel)[order]
     sizes = [sectors.count(sid) for sid in sector_ids]
     for sid, size in zip(sector_ids, sizes):
         if size < 2:
@@ -354,15 +358,16 @@ def info_driving_force(states, volumes, tau: int, ticker: str = "") -> InfoForce
     )
 
 
-def _window_labels(force_series, market: np.ndarray) -> list[np.ndarray]:
-    """Per series, the label of each window: 1 bull, -1 bear, 0 unlabelled.
+def _window_labels(force_series, market: np.ndarray) -> np.ndarray:
+    """The label of each window, series after series: 1 bull, -1 bear, 0
+    unlabelled.
 
     A window is bull (bear) when the cumulative market return over it is
     positive (negative).  Flat windows, windows running past the end of
     the market series and windows with NaN entries, whose sum is NaN and
     so neither positive nor negative, stay unlabelled.
     """
-    labels = []
+    labels = [np.empty(0, np.int8)]
     for series in force_series:
         tau = series.tau
         if len(market) < tau:
@@ -373,7 +378,7 @@ def _window_labels(force_series, market: np.ndarray) -> list[np.ndarray]:
         total = sliding_window_view(market, tau).sum(axis=1)[starts[inside]]
         label[inside] = (total > 0.0).astype(np.int8) - (total < 0.0)
         labels.append(label)
-    return labels
+    return np.concatenate(labels)
 
 
 def info_force_asymmetry(force_series, market_returns) -> float:
@@ -385,10 +390,7 @@ def info_force_asymmetry(force_series, market_returns) -> float:
     positive (negative); flat windows, and windows with missing market
     data (NaN entries), stay unlabeled.
     """
-    market = np.asarray(market_returns, dtype=float)
-    labels = np.concatenate(
-        [np.empty(0, np.int8)] + _window_labels(force_series, market)
-    )
+    labels = _window_labels(force_series, np.asarray(market_returns, dtype=float))
     forces = np.concatenate([np.empty(0)] + [s.forces for s in force_series])
     bull = forces[labels > 0]
     bear = forces[labels < 0]
@@ -423,8 +425,6 @@ def correlating_time(curve: CorrelationCurve) -> CorrelatingTime:
             f"curve has {len(curve.lags)} lags; need at least {_TAU_LAGS}"
         )
     head = curve.lags <= 10
-    if np.any(curve.values[head] <= 0.0):
-        raise FitDomainError("non-positive early-lag values")
     fit = fit_power_law(curve.lags[head], curve.values[head])
     predicted = fit.params["amplitude"] * np.asarray(curve.lags, float) ** (
         fit.params["exponent"]
@@ -470,10 +470,13 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
     deviation_found = None
     if not tau:
         max_lag = min(len(weeks) // 4 - 1, 60)
-        curves = [
-            stats.autocorrelation_abs(s.volume[search_idx], max_lag).values
-            for s in searches
-        ]
+        curves = []
+        for s in searches:
+            try:
+                curve = stats.autocorrelation_abs(s.volume[search_idx], max_lag)
+            except DegenerateSeriesError as exc:
+                raise DegenerateSeriesError(f"attention of {s.ticker!r}: {exc}")
+            curves.append(curve.values)
         mean_curve = CorrelationCurve(
             lags=np.arange(1, max_lag + 1),
             values=np.mean(curves, axis=0),
@@ -495,10 +498,7 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
             )
         )
     delta_f = info_force_asymmetry(forces, market_vec)
-    unlabelled = sum(
-        int(np.count_nonzero(label == 0))
-        for label in _window_labels(forces, market_vec)
-    )
+    unlabelled = int(np.count_nonzero(_window_labels(forces, market_vec) == 0))
     return InfoForceReport(
         tau=tau,
         tau_deviation_found=deviation_found,

@@ -463,13 +463,12 @@ def load_search_series(path) -> list[SearchSeries]:
                    else f"duplicate week {weeks[week_rank[i]]}")
         raise ValidationError(f"{path}: row {table.row(i)}: {problem} for "
                               f"{tickers[ticker_codes[i]]!r}")
-    if len(tickers) > 1:
-        common = np.bincount(week_rank) == len(tickers)
-        if not common.any():
-            raise ValidationError(f"{path}: tickers share no common weeks")
-        keep = common[week_rank]
-        ticker_codes, week_rank, volume = (
-            ticker_codes[keep], week_rank[keep], volume[keep])
+    common = np.bincount(week_rank) == len(tickers)
+    if not common.any():
+        raise ValidationError(f"{path}: tickers share no common weeks")
+    keep = common[week_rank]
+    ticker_codes, week_rank, volume = (
+        ticker_codes[keep], week_rank[keep], volume[keep])
     order = np.lexsort((week_rank, ticker_codes))
     per_ticker = np.split(order, np.cumsum(np.bincount(ticker_codes))[:-1])
     return [

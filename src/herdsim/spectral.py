@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSeriesError,
-    UnsupportedRegimeError,
-    ValidationError,
-)
+from .errors import UnsupportedRegimeError, ValidationError
 from .ingest import ReturnsPanel, write_json
+from .stats import normalize_columns
 
 SYMMETRY_TOL = 1e-12
 
@@ -66,20 +63,11 @@ class ModeReport:
 def cross_correlation(panel: ReturnsPanel) -> CorrelationMatrix:
     """Equal-time cross-correlation C_ij = <r_i r_j> of a returns panel.
 
-    Columns are normalized individually (mean removed, population sigma);
-    a constant column is degenerate and reported by ticker.
+    Columns are normalized by `normalize_columns` (mean removed, population
+    sigma); a constant column is degenerate and reported by ticker.
     """
-    matrix = np.asarray(panel.matrix, dtype=float)
-    if matrix.shape[0] < 2:
-        raise ValidationError("need at least 2 rows to correlate")
-    sigma = matrix.std(axis=0)
-    dead = np.nonzero(sigma == 0.0)[0]
-    if len(dead):
-        raise DegenerateSeriesError(
-            f"constant return column for ticker {panel.tickers[dead[0]]!r}"
-        )
-    r = (matrix - matrix.mean(axis=0)) / sigma
-    c = (r.T @ r) / matrix.shape[0]
+    r = normalize_columns(panel)
+    c = (r @ r.T) / r.shape[1]
     c = (c + c.T) / 2.0
     np.fill_diagonal(c, 1.0)
     return CorrelationMatrix(
@@ -94,9 +82,8 @@ def eigen_decompose(matrix: CorrelationMatrix) -> EigenSystem:
     oriented so its first component of noticeable size is positive.
     """
     lam, vec = np.linalg.eigh(matrix.values)
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    vec = vec[:, order]
+    # eigh returns the eigenvalues ascending
+    lam, vec = lam[::-1], vec[:, ::-1]
     first = vec[np.argmax(np.abs(vec) > 1e-12, axis=0), np.arange(vec.shape[1])]
     vec[:, first < 0.0] *= -1.0
     return EigenSystem(eigenvalues=lam, eigenvectors=vec,
@@ -167,8 +154,8 @@ def write_eigenvector_csv(path, system: EigenSystem) -> None:
         writer.writerow(
             ["ticker", "sector_id"] + [f"u{k}" for k in range(n_modes)]
         )
-        for i in rows:
-            writer.writerow(
-                [system.tickers[i], system.sectors[i]]
-                + [repr(float(system.eigenvectors[i, k])) for k in range(n_modes)]
-            )
+        writer.writerows(
+            [system.tickers[i], system.sectors[i]]
+            + [repr(float(system.eigenvectors[i, k])) for k in range(n_modes)]
+            for i in rows
+        )

@@ -3,8 +3,8 @@
 Normalization, volatility autocorrelation, return-volatility correlation,
 detrended-fluctuation Hurst exponents, Hill tail exponents and simple
 curve fits.  All estimators accept either a plain sequence or the richer
-objects produced elsewhere in the package (anything with a `.values` or
-`.returns` attribute).
+objects produced elsewhere in the package (anything with a `.values`
+attribute).
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .ingest import write_csv_table, write_json
+from .ingest import ReturnsPanel, write_csv_table, write_json
 
 
 def _as_series(values) -> np.ndarray:
     if hasattr(values, "values"):
         values = values.values
-    elif hasattr(values, "returns"):
-        values = values.returns
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValidationError(f"expected a 1-d series, got shape {x.shape}")
@@ -73,6 +71,25 @@ def normalize(returns) -> NormalizedReturns:
     if sigma == 0.0:
         raise DegenerateSeriesError("zero variance; cannot normalize")
     return NormalizedReturns(values=(x - mean) / sigma, mean_removed=mean, sigma=sigma)
+
+
+def normalize_columns(panel: ReturnsPanel) -> np.ndarray:
+    """Every column of a returns panel normalized as `normalize` does it,
+    as one row per stock in ticker order.
+
+    Each row is reduced along its contiguous memory, the order in which a
+    1-d series is summed, so a row equals normalize(column).values bit for
+    bit.  A constant column is degenerate and reported by ticker.
+    """
+    x = panel.matrix.T.astype(float, order="C")
+    sigma = x.std(axis=1)
+    dead = np.flatnonzero(sigma == 0.0)
+    if len(dead):
+        raise DegenerateSeriesError(f"constant return column for ticker "
+                                    f"{panel.tickers[dead[0]]!r}")
+    x -= x.mean(axis=1, keepdims=True)
+    x /= sigma[:, None]
+    return x
 
 
 def _check_max_lag(length: int, max_lag: int) -> None:

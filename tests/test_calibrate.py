@@ -18,7 +18,12 @@ from herdsim.calibrate import (
     shift_relation,
     trading_asymmetry,
 )
-from herdsim.errors import FitDomainError, InputError, InsufficientDataError
+from herdsim.errors import (
+    DegenerateSeriesError,
+    FitDomainError,
+    InputError,
+    InsufficientDataError,
+)
 from herdsim.ingest import (
     DEFAULT_TAU_WEEKS,
     IndexSeries,
@@ -93,6 +98,18 @@ class TestTradingAsymmetry:
         )
         with pytest.raises(InsufficientDataError):
             trading_asymmetry(series, m=60)
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["bull", "bear"])
+    def test_zero_volume_after_one_side_rejected(self, side):
+        # alpha would be 0 (bull) or NaN (bear), with a volume ratio of 0 or inf
+        series, signs = series_with_controlled_volumes(1.5)
+        volume = series.volume.copy()
+        volume[60 + np.flatnonzero(signs[:-1] == side)] = 0.0
+        zeroed = ReturnSeries(dates=series.dates, returns=series.returns,
+                              volume=volume)
+        with pytest.raises(InsufficientDataError,
+                           match="zero mean volume after bull or bear days"):
+            trading_asymmetry(zeroed, m=60)
 
     def test_us_large_cap_regime(self):
         # volume ratio tuned to the published large-cap value alpha = 1.01
@@ -211,6 +228,14 @@ class TestComovement:
         est2 = comovement(self.panel_from(matrix[:, [2, 0, 1, 5, 4, 3]], sectors))
         assert est1.H_M == pytest.approx(est2.H_M, abs=1e-14)
         assert est1.H_j["1"] == pytest.approx(est2.H_j["1"], abs=1e-14)
+
+    def test_constant_column_names_its_ticker(self):
+        # sector order would reach T3 first; the ticker order reaches T1
+        matrix = np.random.default_rng(10).normal(size=(50, 4))
+        matrix[:, [1, 3]] = 0.25
+        with pytest.raises(DegenerateSeriesError,
+                           match="constant return column for ticker 'T1'"):
+            comovement(self.panel_from(matrix, ["1", "2", "2", "1"]))
 
     def test_all_zero_day_counted_not_skipped(self):
         # Columns sum to zero so normalization keeps the all-zero day at

@@ -24,7 +24,12 @@ from herdsim.calibrate import (
     info_driving_force,
     info_force_asymmetry,
 )
-from herdsim.errors import HerdsimError, InsufficientDataError, ValidationError
+from herdsim.errors import (
+    DegenerateSeriesError,
+    HerdsimError,
+    InsufficientDataError,
+    ValidationError,
+)
 from herdsim.ingest import ReturnsPanel
 from herdsim.stats import normalize
 
@@ -58,9 +63,14 @@ def reference_group_degree(normalized: np.ndarray, cols) -> float:
 
 
 def reference_comovement(panel: ReturnsPanel) -> calibrate.ComovementEstimate:
-    normalized = np.column_stack(
-        [normalize(panel.matrix[:, i]).values for i in range(len(panel.tickers))]
-    )
+    columns = []
+    for i, ticker in enumerate(panel.tickers):
+        try:
+            columns.append(normalize(panel.matrix[:, i]).values)
+        except DegenerateSeriesError:
+            raise DegenerateSeriesError(
+                f"constant return column for ticker {ticker!r}") from None
+    normalized = np.column_stack(columns)
     sector_ids = sorted(set(panel.sectors))
     sector_cols = {
         sid: [i for i, s in enumerate(panel.sectors) if s == sid]
@@ -349,7 +359,7 @@ def test_window_labels_and_delta_f_match_window_loop(case):
     series, market = case
     got = calibrate._window_labels(series, market)
     expected = reference_window_labels(series, market)
-    assert [g.tolist() for g in got] == [e.tolist() for e in expected]
+    assert got.tolist() == np.concatenate(expected).tolist()
     outcome = same_outcome(info_force_asymmetry, reference_info_force_asymmetry,
                            series, market)
     if outcome is not None:
@@ -374,4 +384,4 @@ def test_nan_and_overhanging_windows_stay_unlabelled():
         forces=np.ones(5), tau=3)
     market = np.array([1.0, -1.0, 0.0, np.nan, 1.0, 2.0])
     # windows: [1,-1,0] flat, [-1,0,nan], [0,nan,1], [nan,1,2], [1,2] past end
-    assert calibrate._window_labels([series], market)[0].tolist() == [0] * 5
+    assert calibrate._window_labels([series], market).tolist() == [0] * 5

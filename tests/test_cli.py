@@ -11,6 +11,7 @@ import pytest
 
 from conftest import weekly_dates, write_csv
 from herdsim import calibrate, errors, ingest
+from herdsim.simcore import weighted_returns
 from herdsim.cli import build_parser, main
 
 
@@ -384,6 +385,22 @@ class TestCalibrateCommands:
         assert report["H_M"] > 0
         assert len(report["H_j"]) == 2
 
+    def test_comovement_constant_column_names_its_ticker(self, tmp_path, capsys,
+                                                         panel_files):
+        panel, sectors, *_ = panel_files
+        rows = [line.split(",") for line in panel.read_text().splitlines()]
+        col = rows[0].index("CCC")
+        for row in rows[1:]:
+            row[col] = "0.0"
+        panel.write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "cal"
+        assert run(["calibrate", "comovement", "--panel", panel,
+                    "--sectors", sectors, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: DegenerateSeriesError: constant return column "
+                       "for ticker 'CCC'\n")
+        assert not out.exists()
+
     @pytest.fixture
     def info_files(self, tmp_path):
         rng = np.random.default_rng(20)
@@ -480,6 +497,25 @@ class TestCalibrateCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["tau"] == ingest.DEFAULT_TAU_WEEKS
         assert report["tau_deviation_found"] is False
+
+    def test_infoforce_names_a_constant_attention_series(self, tmp_path, capsys,
+                                                         info_files):
+        search, volumes, index = info_files
+        lines = search.read_text().splitlines()
+        flat = tmp_path / "flat_search.csv"
+        flat.write_text("\n".join(
+            [lines[0]] + [re.sub(r",BBB,.*", ",BBB,5.0", r) for r in lines[1:]])
+            + "\n")
+        argv = ["calibrate", "infoforce", "--search", flat, "--volumes", volumes,
+                "--index", index, "--out", tmp_path / "cal"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: DegenerateSeriesError: attention of 'BBB': "
+            "constant magnitudes; A0 = 0\n")
+        # a given tau needs no attention curve; BBB's windows are all skipped
+        assert run(argv + ["--tau", 20]) == 0
+        report = json.loads((tmp_path / "cal" / "report.json").read_text())
+        assert report["windows_skipped"] >= 200 - 20 + 1
 
     def test_infoforce_tau_estimate_needs_124_common_weeks(self, tmp_path, capsys,
                                                            info_files):
@@ -643,6 +679,24 @@ class TestBadInputsExit2:
         out = tmp_path / "cal"
         self.expect_exit_2(capsys, ["calibrate", "asymmetry", "--index", index_csv,
                                     flag, value, "--out", out], message)
+        assert not out.exists()
+
+    def test_asymmetry_zero_volume_after_bear_days(self, tmp_path, capsys,
+                                                   index_csv):
+        # index row t + 1 holds the volume that follows the R' of return t
+        series = ingest.load_index_series(index_csv)
+        returns = ingest.log_returns(series)
+        signs = np.sign(weighted_returns(returns.returns, 60, 1.0))
+        bear_rows = 60 + 1 + np.flatnonzero(signs[: len(returns.returns) - 60] < 0)
+        rows = index_csv.read_text().splitlines()
+        for i in bear_rows:
+            day, close, _ = rows[1 + i].split(",")
+            rows[1 + i] = f"{day},{close},0"
+        index_csv.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "cal"
+        self.expect_exit_2(capsys, ["calibrate", "asymmetry", "--index", index_csv,
+                                    "--horizon", 60, "--out", out],
+                           "zero mean volume after bull or bear days")
         assert not out.exists()
 
     def test_header_with_an_open_quote(self, tmp_path, capsys, index_csv):

@@ -8,6 +8,7 @@ from herdsim.errors import (
     FitDomainError,
     InsufficientDataError,
 )
+from herdsim.ingest import ReturnsPanel
 from herdsim.stats import (
     CorrelationCurve,
     autocorrelation_abs,
@@ -15,6 +16,7 @@ from herdsim.stats import (
     fit_power_law,
     hurst_exponent,
     normalize,
+    normalize_columns,
     return_volatility_correlation,
     tail_exponent,
     write_curve_csv,
@@ -102,6 +104,26 @@ class TestNormalize:
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             normalize([1.0])
+
+
+class TestNormalizeColumns:
+    # lengths below, at and past numpy's pairwise-summation blocks
+    @pytest.mark.parametrize("days", [2, 7, 9, 128, 129, 1537, 5000])
+    @pytest.mark.parametrize("kind", ["random", "integer"])
+    def test_rows_equal_normalize_bit_for_bit(self, days, kind):
+        rng = np.random.default_rng(days)
+        if kind == "integer":
+            matrix = rng.integers(-1000, 1001, (days, 9))
+        else:
+            matrix = (rng.standard_t(3, (days, 9)) * rng.uniform(1e-3, 1e3, 9)
+                      + rng.normal(0.0, 5.0, 9))
+        tickers = tuple(f"T{i}" for i in range(9))
+        rows = normalize_columns(ReturnsPanel(
+            dates=tuple(range(days)), tickers=tickers,
+            sector_of={t: "1" for t in tickers}, matrix=matrix))
+        assert rows.shape == (9, days)
+        for i in range(9):
+            assert rows[i].tobytes() == normalize(matrix[:, i]).values.tobytes()
 
 
 class TestAutocorrelationAbs:
