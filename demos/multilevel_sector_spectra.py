@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from herdsim.ingest import ReturnsPanel
 from herdsim.simcore import ModelConfig, run_model_c
 from herdsim.spectral import (
     cross_correlation,
@@ -43,13 +42,7 @@ cfg = ModelConfig(
 print("simulating 50 stocks x 2500 days with three-level herding ...")
 out = run_model_c(cfg)
 
-panel = ReturnsPanel(
-    dates=tuple(range(out.returns.shape[0])),
-    tickers=out.tickers,
-    sector_of=out.sector_of,
-    matrix=out.returns.astype(float),
-)
-system = eigen_decompose(cross_correlation(panel))
+system = eigen_decompose(cross_correlation(out.panel()))
 report = mode_report(system)
 lo, hi = marchenko_pastur_bounds(cfg.n, out.returns.shape[0])
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from datetime import date
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -71,9 +72,10 @@ class AsymmetryEstimate:
             f"  volume ratio V+/V-   {self.volume_ratio:.4f}",
             f"  alpha                {self.alpha:.4f}",
             f"  beta                 {self.beta:.4f}",
-            f"  delta_r              {self.delta_r:.4f}",
-            f"  delta_R              {self.delta_R}",
         ]
+        if self.delta_r is not None:  # the herding side was estimated
+            lines += [f"  delta_r              {self.delta_r:.4f}",
+                      f"  delta_R              {self.delta_R}"]
         return values, lines
 
 
@@ -440,10 +442,18 @@ def correlating_time(curve: CorrelationCurve) -> CorrelatingTime:
     return CorrelatingTime(tau=DEFAULT_TAU_WEEKS, deviation_found=False)
 
 
+def _common_weeks(a, b):
+    """The labels the strictly increasing `a` and `b` share, with their
+    positions in each; dates and day numbers share none."""
+    if isinstance(a[0], date) != isinstance(b[0], date):
+        a = b = ()
+    return np.intersect1d(a, b, assume_unique=True, return_indices=True)
+
+
 def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
     """Full information-force calibration: tau, delta_F and a = delta_F / 2.
 
-    searches and volumes are the SearchSeries of a search.csv and of a
+    searches and volumes are the SearchPanels of a search.csv and of a
     weekly trading-volume file, index the weekly IndexSeries that labels
     windows bull or bear.  All three are put on one weekly clock: the
     search weeks that also carry volumes.  With tau = 0 the window length
@@ -453,29 +463,33 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
     2 * DEFAULT_TAU_WEEKS weeks with tau given, 4 * (_TAU_LAGS + 1)
     without.
     """
-    vol_of = {s.ticker: s for s in volumes}
-    market = log_returns(index)
-    vol_pos = {w: i for i, w in enumerate(volumes[0].weeks)}
-    search_idx = [i for i, w in enumerate(searches[0].weeks) if w in vol_pos]
-    weeks = [searches[0].weeks[i] for i in search_idx]
+    for ticker in searches.tickers:
+        if ticker not in volumes.tickers:
+            raise InputError(f"no trading volumes for ticker {ticker!r}")
+    weeks, search_rows, volume_rows = _common_weeks(searches.weeks, volumes.weeks)
     need = 2 * DEFAULT_TAU_WEEKS if tau else 4 * (_TAU_LAGS + 1)
     if len(weeks) < need:
         hint = "" if tau else " to estimate tau; --tau sets it and needs fewer"
         raise InputError(f"search and volume files share only {len(weeks)} "
                          f"weeks; need {need}{hint}")
-    vol_idx = [vol_pos[w] for w in weeks]
-    market_of_week = dict(zip(market.dates, market.returns))
-    market_vec = np.array([market_of_week.get(w, np.nan) for w in weeks])
+    # one row per ticker, in the order of searches.tickers
+    attention = searches.volume[search_rows].T
+    columns = [volumes.tickers.index(ticker) for ticker in searches.tickers]
+    trading = volumes.volume[np.ix_(volume_rows, columns)].T
+    market = log_returns(index)
+    _, on_clock, days = _common_weeks(weeks, market.dates)
+    market_vec = np.full(len(weeks), np.nan)
+    market_vec[on_clock] = market.returns[days]
 
     deviation_found = None
     if not tau:
         max_lag = min(len(weeks) // 4 - 1, 60)
         curves = []
-        for s in searches:
+        for ticker, volume in zip(searches.tickers, attention):
             try:
-                curve = stats.autocorrelation_abs(s.volume[search_idx], max_lag)
+                curve = stats.autocorrelation_abs(volume, max_lag)
             except DegenerateSeriesError as exc:
-                raise DegenerateSeriesError(f"attention of {s.ticker!r}: {exc}")
+                raise DegenerateSeriesError(f"attention of {ticker!r}: {exc}")
             curves.append(curve.values)
         mean_curve = CorrelationCurve(
             lags=np.arange(1, max_lag + 1),
@@ -487,16 +501,8 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
         except FitDomainError:
             # the early lags dip to zero: no power law to deviate from
             tau, deviation_found = DEFAULT_TAU_WEEKS, False
-    forces = []
-    for s in searches:
-        if s.ticker not in vol_of:
-            raise InputError(f"no trading volumes for ticker {s.ticker!r}")
-        states = info_states(s.volume[search_idx])
-        forces.append(
-            info_driving_force(
-                states, vol_of[s.ticker].volume[vol_idx], tau, ticker=s.ticker
-            )
-        )
+    forces = [info_driving_force(info_states(search), volume, tau, ticker=ticker)
+              for ticker, search, volume in zip(searches.tickers, attention, trading)]
     delta_f = info_force_asymmetry(forces, market_vec)
     unlabelled = int(np.count_nonzero(_window_labels(forces, market_vec) == 0))
     return InfoForceReport(

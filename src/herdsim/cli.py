@@ -135,13 +135,8 @@ def _run_one_seed(model: str, config: ModelConfig, out: Path) -> str:
     _returns_csv(output, out / "returns.csv")
     _diagnostics_csv(output, out / "diagnostics.csv")
     if output.tickers is not None:
-        panel = ingest.ReturnsPanel(
-            dates=tuple(range(1, len(output.returns) + 1)),
-            tickers=output.tickers,
-            sector_of=output.sector_of,
-            matrix=output.returns.astype(float),
-        )
-        ingest.save_returns_panel(panel, out / "panel.csv", out / "sectors.csv")
+        ingest.save_returns_panel(output.panel(), out / "panel.csv",
+                                  out / "sectors.csv")
     return _sha256(out / "returns.csv")
 
 
@@ -202,8 +197,9 @@ def cmd_analyze(args, argv) -> int:
             results["exponential_fit"] = stats.fit_exponential(curve)
         except NumericError as exc:
             results["exponential_fit_error"] = str(exc)
-        stats.write_curve_csv(curve, out / "lcurve.csv")
-        stats.write_results_json(out / "lcurve_fit.json", results)
+        outputs = [out / "lcurve.csv", out / "lcurve_fit.json"]
+        stats.write_curve_csv(curve, outputs[0])
+        stats.write_results_json(outputs[1], results)
         inputs = [args.infile]
     elif args.what == "stats":
         r = stats.normalize(_read_returns_column(args.infile))
@@ -220,8 +216,9 @@ def cmd_analyze(args, argv) -> int:
                 np.mean(pooled**4) / np.mean(pooled**2) ** 2 - 3.0
             ),
         }
-        stats.write_curve_csv(acurve, out / "acurve.csv")
-        stats.write_results_json(out / "stats.json", results)
+        outputs = [out / "acurve.csv", out / "stats.json"]
+        stats.write_curve_csv(acurve, outputs[0])
+        stats.write_results_json(outputs[1], results)
         inputs = [args.infile]
     else:  # spectrum
         panel = ingest.load_returns_panel(
@@ -232,15 +229,17 @@ def cmd_analyze(args, argv) -> int:
         lo, hi = spectral.marchenko_pastur_bounds(
             len(panel.tickers), len(panel.dates)
         )
-        spectral.write_spectrum_json(out / "spectrum.json", system, report)
-        spectral.write_eigenvector_csv(out / "eigenvectors.csv", system)
+        outputs = [out / "spectrum.json", out / "eigenvectors.csv",
+                   out / "bounds.json"]
+        spectral.write_spectrum_json(outputs[0], system, report)
+        spectral.write_eigenvector_csv(outputs[1], system)
         ingest.write_json(
-            out / "bounds.json",
+            outputs[2],
             {"lambda_minus": lo, "lambda_plus": hi,
              "n": len(panel.tickers), "T": len(panel.dates)},
         )
         inputs = [args.panel, args.sectors]
-    _write_manifest(out, argv, inputs)
+    _write_manifest(out, argv, inputs, outputs=outputs)
     print(f"analysis written to {out}")
     return 0
 

@@ -25,7 +25,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
-from itertools import count, islice
+from itertools import compress, count, islice
 
 import numpy as np
 
@@ -121,26 +121,28 @@ class ReturnsPanel:
 
 
 @dataclass(frozen=True)
-class SearchSeries:
-    """Weekly search volumes of one ticker."""
+class SearchPanel:
+    """Weekly volumes of several tickers on common weeks: one row per week,
+    one column per ticker."""
 
-    ticker: str
     weeks: tuple
+    tickers: tuple[str, ...]
     volume: np.ndarray
 
     def __post_init__(self):
-        if len(self.volume) != len(self.weeks):
-            raise ValidationError("search series columns have unequal lengths")
-        _check_increasing(self.weeks, f"weeks of {self.ticker}")
+        if self.volume.shape != (len(self.weeks), len(self.tickers)):
+            raise ValidationError(
+                f"search volume shape {self.volume.shape} does not match "
+                f"{len(self.weeks)} weeks x {len(self.tickers)} tickers"
+            )
+        _check_increasing(self.weeks, "search weeks")
         if len(self.weeks) < 2 * DEFAULT_TAU_WEEKS:
             raise ValidationError(
-                f"search series {self.ticker!r} has {len(self.weeks)} weeks; "
-                f"need at least {2 * DEFAULT_TAU_WEEKS} for moving windows"
+                f"search panel has {len(self.weeks)} weeks; need at least "
+                f"{2 * DEFAULT_TAU_WEEKS} for moving windows"
             )
         if np.any(self.volume < 0.0):
-            raise ValidationError(
-                f"search series {self.ticker!r} has negative volume"
-            )
+            raise ValidationError("search panel has negative volume")
 
 
 # --- one table reader: a numpy fast path and the row parser ---------------
@@ -442,11 +444,11 @@ def load_returns_column(path) -> np.ndarray:
     return values
 
 
-def load_search_series(path) -> list[SearchSeries]:
-    """Load a long-form search.csv into one SearchSeries per ticker.
+def load_search_series(path) -> SearchPanel:
+    """Load a long-form search.csv into a SearchPanel, sorted by ticker.
 
-    All series are restricted to the common intersection of week labels so
-    panel-wide comparisons share a clock.  Result is sorted by ticker.
+    Only the weeks that every ticker has are kept, so panel-wide
+    comparisons share a clock.
     """
     table = _read_table(path, _header("week_start", "ticker", "volume"),
                         keys=2)
@@ -467,15 +469,12 @@ def load_search_series(path) -> list[SearchSeries]:
     if not common.any():
         raise ValidationError(f"{path}: tickers share no common weeks")
     keep = common[week_rank]
-    ticker_codes, week_rank, volume = (
-        ticker_codes[keep], week_rank[keep], volume[keep])
-    order = np.lexsort((week_rank, ticker_codes))
-    per_ticker = np.split(order, np.cumsum(np.bincount(ticker_codes))[:-1])
-    return [
-        SearchSeries(ticker=ticker, volume=volume[rows],
-                     weeks=tuple(map(weeks.__getitem__, week_rank[rows].tolist())))
-        for ticker, rows in zip(tickers, per_ticker)
-    ]
+    # every common week has one row per ticker, so the scatter fills the panel
+    row = np.cumsum(common) - 1
+    matrix = np.empty((row[-1] + 1, len(tickers)))
+    matrix[row[week_rank[keep]], ticker_codes[keep]] = volume[keep]
+    return SearchPanel(weeks=tuple(compress(weeks, common)),
+                       tickers=tuple(tickers), volume=matrix)
 
 
 def write_json(path, obj) -> None:

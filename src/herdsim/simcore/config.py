@@ -27,6 +27,11 @@ DEFAULT_K = {"a": 0.1, "b": 0.1, "c": 0.25, "d": 0.1}
 #: stocks, ...) a C long on every platform, as numpy's samplers need.
 INT_FIELD_MAX = 2**31 - 1
 
+#: Largest S-group count of a sector and M-group slot count of a model C
+#: day: numpy's hypergeometric sampler, which spreads the groups of one
+#: level over those of the next, takes counts below 10**9 only.
+GROUP_COUNT_MAX = 10**9 - 1
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -148,6 +153,12 @@ class ModelConfig:
         """Validate the fields the given driver ('a'..'d') consumes."""
         self.validate()
         if model == "c":
+            if self.t_max - self.warmup_days < 2:
+                raise ConfigError(
+                    f"model c needs at least 2 output days for its panel; "
+                    f"t_max={self.t_max} leaves 1 after the "
+                    f"{self.warmup_days}-day warmup"
+                )
             if self.n < 1 or self.n_sec < 1 or self.n % self.n_sec != 0:
                 raise ConfigError(
                     f"n_sec={self.n_sec} must divide the stock count n={self.n}"
@@ -172,11 +183,11 @@ class ModelConfig:
             # At most N + n I-groups make 1 to (N + n) / (n (H_j - H_M))
             # S-groups in a sector, and those over n H_M the M-group slots of
             # a day.  The bounds are multiplied out: a denominator may underflow.
-            igroups_max = INT_FIELD_MAX * self.n * (min(self.H_j) - self.H_M)
+            igroups_max = GROUP_COUNT_MAX * self.n * (min(self.H_j) - self.H_M)
             if (self.N + self.n > min(igroups_max, igroups_max * self.n * self.H_M)
-                    or INT_FIELD_MAX * self.n * self.H_M < 1):
+                    or GROUP_COUNT_MAX * self.n * self.H_M < 1):
                 raise ConfigError(f"H_M={self.H_M} and H_j={self.H_j} allow "
-                                  f"more than {INT_FIELD_MAX} S-groups in a "
+                                  f"more than {GROUP_COUNT_MAX} S-groups in a "
                                   "sector or M-group slots")
         elif model in ("a", "b"):
             # the bull and bear trade probabilities 2p*alpha and 2p*beta

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
+from ..ingest import ReturnsPanel
 from .config import HORIZON_DECAY
 
 
@@ -120,3 +121,10 @@ class SimOutput:
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
     tickers: tuple[str, ...] | None = None
     sector_of: dict[str, str] | None = None
+
+    def panel(self) -> ReturnsPanel:
+        """The per-stock returns of a multi-stock run on days 1..T, as
+        panel.csv holds them."""
+        return ReturnsPanel(dates=tuple(range(1, len(self.returns) + 1)),
+                            tickers=self.tickers, sector_of=self.sector_of,
+                            matrix=self.returns.astype(float))

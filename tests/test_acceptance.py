@@ -199,13 +199,7 @@ def test_criterion_6_multilevel_spectra(c_runs):
     margin_ok = []
     identities = []
     for output in c_runs:
-        panel = ReturnsPanel(
-            dates=tuple(range(output.returns.shape[0])),
-            tickers=output.tickers,
-            sector_of=output.sector_of,
-            matrix=output.returns.astype(float),
-        )
-        system = eigen_decompose(cross_correlation(panel))
+        system = eigen_decompose(cross_correlation(output.panel()))
         report = mode_report(system)
         market_ok.append(
             system.eigenvalues[0] > lam_plus

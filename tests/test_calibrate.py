@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import business_dates, weekly_dates
+from herdsim import stats
 from herdsim.calibrate import (
     REFERENCE_SHIFT_PAIRS,
     CorrelatingTime,
@@ -19,19 +22,22 @@ from herdsim.calibrate import (
     trading_asymmetry,
 )
 from herdsim.errors import (
+    ConfigError,
     DegenerateSeriesError,
     FitDomainError,
     InputError,
     InsufficientDataError,
+    ValidationError,
 )
 from herdsim.ingest import (
     DEFAULT_TAU_WEEKS,
     IndexSeries,
     ReturnSeries,
     ReturnsPanel,
-    SearchSeries,
+    SearchPanel,
 )
-from herdsim.simcore import rprime_weights
+from herdsim.simcore import horizon_weights, rprime_weights
+from herdsim.spectral import marchenko_pastur_bounds
 from herdsim.stats import CorrelationCurve, normalize
 
 
@@ -110,6 +116,13 @@ class TestTradingAsymmetry:
         with pytest.raises(InsufficientDataError,
                            match="zero mean volume after bull or bear days"):
             trading_asymmetry(zeroed, m=60)
+
+    def test_report_of_the_volume_side_alone(self):
+        series, _ = series_with_controlled_volumes(1.5)
+        values, lines = trading_asymmetry(series, m=60).report()
+        assert values["delta_r"] is None and values["delta_R"] is None
+        assert lines[-1].startswith("  beta ")
+        assert not any("delta" in line for line in lines)
 
     def test_us_large_cap_regime(self):
         # volume ratio tuned to the published large-cap value alpha = 1.01
@@ -387,14 +400,17 @@ class TestInfoForceReport:
         rng = np.random.default_rng(5)
         weeks = weekly_dates(n)
         t = np.arange(n)
-        searches, volumes = [], []
-        for ticker, phase in (("AAA", 0.0), ("BBB", 2.0)):
+        attention, trading = [], []
+        for phase in (0.0, 2.0):
             g = 5 + 2 * np.sin(2 * np.pi * t / 20 + phase)
             v = 100 * (1 + 0.4 * (g > g.mean())) * rng.uniform(0.9, 1.1, n)
-            searches.append(SearchSeries(ticker, tuple(weeks[:n_search]),
-                                         g[:n_search]))
-            volumes.append(SearchSeries(ticker, tuple(weeks[volume_weeks]),
-                                        v[volume_weeks]))
+            attention.append(g)
+            trading.append(v)
+        tickers = ("AAA", "BBB")
+        searches = SearchPanel(tuple(weeks[:n_search]), tickers,
+                               np.column_stack(attention)[:n_search])
+        volumes = SearchPanel(tuple(weeks[volume_weeks]), tickers,
+                              np.column_stack(trading)[volume_weeks])
         close = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
         index = IndexSeries(dates=tuple(weeks), close=close, volume=np.ones(n))
         return searches, volumes, index
@@ -406,8 +422,9 @@ class TestInfoForceReport:
         # ln(close[w] / close[w - 1])
         market = np.diff(np.log(index.close))[9:79]
         forces = [
-            info_driving_force(info_states(s.volume[10:]), v.volume, 8, s.ticker)
-            for s, v in zip(searches, volumes)
+            info_driving_force(info_states(searches.volume[10:, j]),
+                               volumes.volume[:, j], 8, ticker)
+            for j, ticker in enumerate(searches.tickers)
         ]
         assert rep.tau == 8 and rep.tau_deviation_found is None
         assert rep.delta_F == info_force_asymmetry(forces, market)
@@ -431,7 +448,9 @@ class TestInfoForceReport:
     def test_missing_volume_ticker_rejected(self):
         searches, volumes, index = self.inputs()
         with pytest.raises(InputError, match="no trading volumes for ticker 'BBB'"):
-            infoforce_report(searches, volumes[:1], index, tau=8)
+            infoforce_report(searches, SearchPanel(volumes.weeks, ("AAA",),
+                                                   volumes.volume[:, :1]),
+                             index, tau=8)
 
     @pytest.mark.parametrize("weeks", [70, 123, 124])
     def test_tau_estimate_needs_124_common_weeks(self, weeks):
@@ -445,6 +464,15 @@ class TestInfoForceReport:
         else:
             rep = infoforce_report(searches, volumes, index)
             assert rep.tau == DEFAULT_TAU_WEEKS
+
+    def test_day_numbers_share_no_week_with_dates(self):
+        searches, volumes, index = self.inputs()
+        numbered = SearchPanel(tuple(range(70)), volumes.tickers, volumes.volume)
+        with pytest.raises(InputError, match="share only 0 weeks"):
+            infoforce_report(searches, numbered, index, tau=8)
+        numbered = IndexSeries(tuple(range(100)), index.close, index.volume)
+        with pytest.raises(InsufficientDataError, match="no bull or no bear"):
+            infoforce_report(searches, volumes, numbered, tau=8)
 
     def test_short_overlap_rejected(self):
         searches, volumes, index = self.inputs(volume_weeks=slice(40, 100))
@@ -484,3 +512,55 @@ class TestCorrelatingTime:
     def test_short_curve_rejected(self):
         with pytest.raises(InsufficientDataError):
             correlating_time(self.curve(np.ones(10)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: herding_shift(np.array([1.0, -1.0]), [1.0]),
+                 ValidationError, "returns and volumes have different lengths",
+                 id="herding_shift-lengths"),
+    pytest.param(lambda: herding_shift(np.array([1.0, -1.0]), [0.0, 1.0]),
+                 InsufficientDataError, "zero total volume on one side",
+                 id="herding_shift-zero-volume"),
+    pytest.param(lambda: info_states([1.0]),
+                 InsufficientDataError, "need at least 2 weeks",
+                 id="info_states-one-week"),
+    pytest.param(lambda: info_driving_force([0, 1], [1.0], 2),
+                 ValidationError, "states and volumes have different lengths",
+                 id="info_driving_force-lengths"),
+    pytest.param(lambda: info_driving_force([0, 1], [1.0, 2.0], 1),
+                 ValidationError, "tau must be >= 2, got 1",
+                 id="info_driving_force-tau-1"),
+    pytest.param(lambda: info_driving_force([0, 1], [1.0, 2.0], 3),
+                 InsufficientDataError, "series of length 2 shorter than tau=3",
+                 id="info_driving_force-short"),
+    # window 0 sums to 2 (bull), window 1 to -2 (bear); the forces cancel
+    pytest.param(lambda: info_force_asymmetry(
+                     [InfoForceSeries("", np.array([0, 1]), np.array([1.0, -1.0]), 2)],
+                     [1.0, 1.0, -3.0]),
+                 FitDomainError, "zero overall mean force",
+                 id="info_force_asymmetry-zero-mean"),
+    pytest.param(lambda: stats.normalize(np.ones((2, 2))),
+                 ValidationError, "expected a 1-d series, got shape (2, 2)",
+                 id="stats-2d"),
+    pytest.param(lambda: stats.normalize([1.0, np.nan]),
+                 ValidationError, "series contains non-finite values",
+                 id="stats-non-finite"),
+    pytest.param(lambda: stats.autocorrelation_abs(np.arange(10.0), 0),
+                 ValidationError, "max_lag must be >= 1, got 0",
+                 id="stats-max-lag-0"),
+    pytest.param(lambda: stats.return_volatility_correlation(np.zeros(8), 1),
+                 DegenerateSeriesError, "zero second moment; Z = 0",
+                 id="lcurve-zeros"),
+    pytest.param(lambda: stats.tail_exponent(np.ones(2000), 0.05),
+                 DegenerateSeriesError, "degenerate tail; all order stats equal",
+                 id="hill-tied-tail"),
+    pytest.param(lambda: marchenko_pastur_bounds(0, 100),
+                 ValidationError, "n must be >= 1, got 0",
+                 id="marchenko_pastur-n-0"),
+    pytest.param(lambda: horizon_weights(0),
+                 ConfigError, "horizon count must be >= 1, got 0",
+                 id="horizon_weights-0"),
+])
+def test_estimator_guards(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -198,7 +198,25 @@ class TestSimulate:
         assert run(["simulate", "c", "--config", cfg, "--out", tmp_path / "r"]) == 2
         err = capsys.readouterr().err
         assert err == (f"error: H_M={h_m} and H_j={tuple(h_j)} allow more than "
-                       "2147483647 S-groups in a sector or M-group slots\n")
+                       "999999999 S-groups in a sector or M-group slots\n")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        # 1.5e9 S-groups: within a C long, above numpy's hypergeometric limit
+        ({"N": 10000, "n": 1000, "n_sec": 1, "H_M": 0.5,
+          "H_j": [0.5000000073], "P_group": 0.01, "t_max": 52},
+         "more than 999999999 S-groups in a sector"),
+        # one output day makes no panel
+        ({"N": 200, "n": 4, "n_sec": 2, "H_M": 0.363, "H_j": [0.491, 0.546],
+          "P_group": 0.2, "t_max": 51},
+         "model c needs at least 2 output days for its panel; t_max=51 "
+         "leaves 1 after the 50-day warmup"),
+    ], ids=["hypergeometric-limit", "one-output-day"])
+    def test_config_c_failing_midway_exits_2(self, tmp_path, capsys, fields,
+                                             message):
+        cfg = small_config(tmp_path, seed=1, **fields)
+        assert run(["simulate", "c", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("detail", ["", "Unable to allocate 22.4 GiB"])
@@ -316,6 +334,23 @@ class TestAnalyze:
         assert (spec_out / "eigenvectors.csv").exists()
         bounds = json.loads((spec_out / "bounds.json").read_text())
         assert bounds["lambda_plus"] > bounds["lambda_minus"] > 0
+
+    def test_manifests_list_their_outputs(self, tmp_path, run_dir):
+        cfg = small_config(tmp_path, N=2000, n=10, n_sec=2, H_M=0.363,
+                           H_j=[0.491, 0.546], P_group=0.363, t_max=700)
+        assert run(["simulate", "c", "--config", cfg, "--out", tmp_path / "rc"]) == 0
+        returns = ["--in", run_dir / "returns.csv"]
+        panel = ["--panel", tmp_path / "rc" / "panel.csv",
+                 "--sectors", tmp_path / "rc" / "sectors.csv"]
+        for what, args, names in [
+            ("lcurve", returns, ["lcurve.csv", "lcurve_fit.json"]),
+            ("stats", returns, ["acurve.csv", "stats.json"]),
+            ("spectrum", panel, ["spectrum.json", "eigenvectors.csv", "bounds.json"]),
+        ]:
+            out = tmp_path / what
+            assert run(["analyze", what, *args, "--out", out]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["outputs"] == {name: digest(out / name) for name in names}
 
     def test_degenerate_series_exits_1(self, tmp_path, capsys):
         path = write_csv(

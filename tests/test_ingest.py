@@ -9,7 +9,7 @@ from herdsim.errors import InputError, ParseError, ValidationError
 from herdsim.ingest import (
     IndexSeries,
     ReturnsPanel,
-    SearchSeries,
+    SearchPanel,
     _scan_numeric_csv,
     load_index_series,
     load_returns_column,
@@ -22,14 +22,14 @@ from herdsim.ingest import (
 )
 
 
-def save_search_series(series_list: list[SearchSeries], path) -> None:
+def save_search_panel(panel: SearchPanel, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["week_start", "ticker", "volume"])
-        for series in series_list:
-            for week, volume in zip(series.weeks, series.volume):
+        for ticker, volumes in zip(panel.tickers, panel.volume.T):
+            for week, volume in zip(panel.weeks, volumes):
                 week = week.isoformat() if isinstance(week, date) else week
-                writer.writerow([week, series.ticker, repr(float(volume))])
+                writer.writerow([week, ticker, repr(float(volume))])
 
 
 def column(panel: ReturnsPanel, ticker: str) -> np.ndarray:
@@ -298,10 +298,10 @@ class TestSearchSeries:
         weeks = weekly_dates(104)
         rng = np.random.default_rng(2)
         path = self.make_file(tmp_path, [("AAA", weeks, rng.uniform(0, 100, 104))])
-        series = load_search_series(path)
-        assert len(series) == 1
-        assert series[0].ticker == "AAA"
-        assert len(series[0].weeks) == 104
+        panel = load_search_series(path)
+        assert panel.tickers == ("AAA",)
+        assert len(panel.weeks) == 104
+        assert panel.volume.shape == (104, 1)
 
     def test_negative_volume_rejected(self, tmp_path):
         weeks = weekly_dates(60)
@@ -321,10 +321,10 @@ class TestSearchSeries:
                 ("BBB", weeks[10:], rng.uniform(0, 10, 110)),
             ],
         )
-        series = load_search_series(path)
-        assert len(series[0].weeks) == len(series[1].weeks) == 100
-        assert series[0].weeks == series[1].weeks
-        assert series[0].weeks[0] == weeks[10]
+        panel = load_search_series(path)
+        assert panel.tickers == ("AAA", "BBB")
+        assert panel.volume.shape == (100, 2)
+        assert panel.weeks == tuple(weeks[10:110])
 
     def test_duplicate_week_names_row(self, tmp_path):
         weeks = weekly_dates(60)
@@ -340,19 +340,30 @@ class TestSearchSeries:
         with pytest.raises(ValidationError, match="at least 52"):
             load_search_series(path)
 
+    @pytest.mark.parametrize("weeks, volume, message", [
+        (weekly_dates(60), np.ones((60, 1)),
+         r"search volume shape \(60, 1\) does not match 60 weeks x 2 tickers"),
+        (weekly_dates(60)[::-1], np.ones((60, 2)),
+         "search weeks must be strictly increasing"),
+        (weekly_dates(51), np.ones((51, 2)),
+         "search panel has 51 weeks; need at least 52 for moving windows"),
+        (weekly_dates(60), -np.ones((60, 2)), "search panel has negative volume"),
+    ], ids=["shape", "decreasing", "short", "negative"])
+    def test_panel_checks(self, weeks, volume, message):
+        with pytest.raises(ValidationError, match=message):
+            SearchPanel(tuple(weeks), ("AAA", "BBB"), volume)
+
     def test_roundtrip(self, tmp_path):
         weeks = weekly_dates(80)
         rng = np.random.default_rng(4)
-        series = [
-            SearchSeries("AAA", tuple(weeks), rng.uniform(0, 5, 80)),
-            SearchSeries("BBB", tuple(weeks), rng.uniform(0, 5, 80)),
-        ]
+        panel = SearchPanel(tuple(weeks), ("AAA", "BBB"), np.column_stack(
+            [rng.uniform(0, 5, 80), rng.uniform(0, 5, 80)]))
         path = tmp_path / "out.csv"
-        save_search_series(series, path)
+        save_search_panel(panel, path)
         back = load_search_series(path)
-        assert back[0].ticker == "AAA"
-        assert np.array_equal(back[0].volume, series[0].volume)
-        assert back[1].weeks == series[1].weeks
+        assert back.tickers == panel.tickers
+        assert np.array_equal(back.volume, panel.volume)
+        assert back.weeks == panel.weeks
 
 
 class TestNumpyFastPath:

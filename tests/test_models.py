@@ -1,5 +1,7 @@
 """Behavioral tests of the four model drivers at small scale."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,6 @@ class TestModelC:
     def test_hkse_parameters_spectrum(self):
         # second published co-movement table: same qualitative structure,
         # market mode far outside the noise bulk plus sector-local modes
-        from herdsim.ingest import ReturnsPanel
         from herdsim.spectral import (
             cross_correlation,
             eigen_decompose,
@@ -145,13 +146,7 @@ class TestModelC:
             t_max=2650, warmup=150, seed=0,
         )
         out = run_model_c(cfg)
-        panel = ReturnsPanel(
-            dates=tuple(range(out.returns.shape[0])),
-            tickers=out.tickers,
-            sector_of=out.sector_of,
-            matrix=out.returns.astype(float),
-        )
-        system = eigen_decompose(cross_correlation(panel))
+        system = eigen_decompose(cross_correlation(out.panel()))
         report = mode_report(system)
         lam_plus = marchenko_pastur_bounds(50, 2500)[1]
         assert system.eigenvalues[0] > lam_plus
@@ -173,6 +168,16 @@ class TestModelD:
         assert np.all(out.diagnostics["S"] == 0.0)
         p0 = 2 * cfg.p / (1 + 1 / (2 * cfg.b1))
         assert np.var(out.returns) == pytest.approx(cfg.N * p0, rel=0.1)
+
+    def test_flat_rprime_leaves_the_force_unscaled(self):
+        # at p = 1e-9 every return is 0, so R' is 0 on every day and the force
+        # is y itself; a bull or a bear branch would scale it by 1 -/+ a
+        cfg = ModelConfig(N=10, M=50, warmup=50, t_max=2050, seed=3, p=1e-9,
+                          tau=10)
+        flat = run_model_d(cfg)
+        tilted = run_model_d(replace(cfg, a=0.4))
+        assert not flat.returns.any() and not tilted.returns.any()
+        assert np.array_equal(tilted.diagnostics["F"], flat.diagnostics["F"])
 
     def test_state_persistence_scales_with_tau(self):
         cfg = ModelConfig(N=1000, M=50, t_max=8050, warmup=50, seed=2, tau=26)

@@ -18,7 +18,7 @@ from herdsim.simcore import (
     single_stock,
     weighted_returns,
 )
-from herdsim.simcore.config import INT_FIELD_MAX
+from herdsim.simcore.config import GROUP_COUNT_MAX
 
 
 @dataclass(frozen=True)
@@ -449,7 +449,7 @@ class TestModelConfig:
 
     def test_model_c_slot_bound_is_tight(self):
         # 604 I-groups make at most 302 S-groups a sector, over 4 H_M slots
-        h_m = 302 / (4 * INT_FIELD_MAX)
+        h_m = 302 / (4 * GROUP_COUNT_MAX)
         cfg = ModelConfig(N=600, M=50, n=4, n_sec=2, H_j=(0.5, 0.5),
                           P_group=0.1, t_max=60)
         replace(cfg, H_M=h_m * 1.001).validate_for("c")
