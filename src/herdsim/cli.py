@@ -67,7 +67,8 @@ def _write_manifest(out: Path, argv, inputs, seed=None, config=None, outputs=())
         if config is not None
         else None,
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {Path(p).name: _sha256(p) for p in outputs},
+        "outputs": {Path(p).relative_to(out).as_posix(): _sha256(p)
+                    for p in outputs},
     }
     ingest.write_json(out / "manifest.json", manifest)
 
@@ -105,7 +106,8 @@ def cmd_calibrate(args, argv) -> int:
         inputs = [args.search, args.volumes, args.index]
     out = _out_dir(args, f"calibrate-{args.what}")
     _write_report(out, values, lines)
-    _write_manifest(out, argv, inputs, outputs=[out / "report.json"])
+    _write_manifest(out, argv, inputs,
+                    outputs=[out / "report.json", out / "report.txt"])
     print(f"report written to {out}")
     return 0
 
@@ -129,15 +131,18 @@ def _diagnostics_csv(out: SimOutput, path: Path) -> None:
     ingest.write_csv_table(path, ["day"] + keys, days, columns)
 
 
-def _run_one_seed(model: str, config: ModelConfig, out: Path) -> str:
+def _run_one_seed(model: str, config: ModelConfig, out: Path):
+    """Simulate one seed into `out`: the sha256 of its returns.csv and the
+    paths of every file written."""
     output = run_model(model, config)
     out.mkdir(parents=True, exist_ok=True)
-    _returns_csv(output, out / "returns.csv")
-    _diagnostics_csv(output, out / "diagnostics.csv")
+    written = [out / "returns.csv", out / "diagnostics.csv"]
+    _returns_csv(output, written[0])
+    _diagnostics_csv(output, written[1])
     if output.tickers is not None:
-        ingest.save_returns_panel(output.panel(), out / "panel.csv",
-                                  out / "sectors.csv")
-    return _sha256(out / "returns.csv")
+        written += [out / "panel.csv", out / "sectors.csv"]
+        ingest.save_returns_panel(output.panel(), *written[2:])
+    return _sha256(written[0]), written
 
 
 def cmd_simulate(args, argv) -> int:
@@ -160,14 +165,14 @@ def cmd_simulate(args, argv) -> int:
 
     jobs = min(args.jobs, len(members))
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        digests = list((pool.map if pool else map)(
+        digests, written = zip(*(pool.map if pool else map)(
             _run_one_seed, repeat(args.model), members, dirs))
+    outputs = [path for paths in written for path in paths]
     if len(members) == 1:
-        record = out / "returns.csv"
         done = f"run written to {out} (returns sha256 {digests[0][:12]})"
     else:
-        record = out / "ensemble.json"
-        ingest.write_json(record, {
+        outputs.append(out / "ensemble.json")
+        ingest.write_json(outputs[-1], {
             "model": args.model,
             "base_seed": config.seed,
             "members": [
@@ -177,7 +182,7 @@ def cmd_simulate(args, argv) -> int:
         })
         done = f"{len(members)} runs written to {out}"
     _write_manifest(out, argv, inputs, seed=config.seed,
-                    config=dataclasses.asdict(config), outputs=[record])
+                    config=dataclasses.asdict(config), outputs=outputs)
     print(done)
     return 0
 

@@ -100,12 +100,20 @@ def sample_aggregate_return(
 
     Every agent picks one of `n_clusters` clusters uniformly and
     independently, each cluster buys with p_buy, sells with p_sell and
-    holds otherwise, and its members follow.  Drawn by `draw_picks` twice:
-    the buy/sell counts among clusters, then the agent headcounts among
-    their picks.
+    holds otherwise, and its members follow.  Drawn as two `draw_picks`
+    pairs, the buy/sell counts among clusters and then the agent headcounts
+    among their picks, but by four scalar binomials made here: the same
+    arguments in the same order, so the same stream, at a fraction of the
+    cost of two calls on a day loop's hot path.
     """
-    n_buy, n_sell = draw_picks(p_buy, p_sell, 1.0, n_clusters, rng)
-    buys, sells = draw_picks(n_buy, n_sell, n_clusters, n_agents, rng)
+    binomial = rng.binomial
+    n_buy = binomial(n_clusters, p_buy)
+    rest = 1.0 - p_buy
+    # rest == 0: every trial buys, so none is left to split
+    n_sell = binomial(n_clusters - n_buy, p_sell / (rest + (rest == 0)))
+    buys = binomial(n_agents, n_buy / n_clusters)
+    rest = n_clusters - n_buy
+    sells = binomial(n_agents - buys, n_sell / (rest + (rest == 0)))
     return buys - sells
 
 

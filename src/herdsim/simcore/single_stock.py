@@ -12,6 +12,7 @@ Model D: trading probabilities driven by a two-state information force.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ModelConfig
 from .machinery import (
@@ -32,19 +33,6 @@ def _volatility_coefficients(gamma) -> np.ndarray:
     gamma_i / i, so xi is linear in the window.
     """
     return np.cumsum((gamma / np.arange(1, len(gamma) + 1))[::-1])
-
-
-def _xi(coefficients, window, total) -> float:
-    """Aggregate perception xi of a chronological volatility window whose
-    sum is `total`.
-
-    An agent with horizon i compares the mean volatility of the last i days
-    with the full-window background; xi is the gamma-weighted aggregate,
-    1.0 when the window is flat.
-    """
-    if total <= 0:
-        return 1.0
-    return len(coefficients) * float(np.dot(coefficients, window)) / total
 
 
 def _run_herding_model(config: ModelConfig, model: str) -> SimOutput:
@@ -75,13 +63,25 @@ def _run_herding_model(config: ModelConfig, model: str) -> SimOutput:
     xi_trace = np.empty(kept) if with_preference else None
 
     history[:warmup] = independent_day_return(n_agents, config.p, rng, warmup)
+    # Day warmup + i dots the window history[warmup + i - m : warmup + i]
+    # and writes day warmup + i through memoryviews, whose item writes cost
+    # about half a numpy one.  The sampler is bound here, at the start of
+    # the run, so a patch of this module's attribute is seen.
+    rprime_dot, sample = w.dot, sample_aggregate_return
+    windows = sliding_window_view(history, m)[warmup - m : t_max - m]
+    out, trade_out, herding_out, count_out = map(
+        memoryview, (history[warmup:], trade_prob, herding, cluster_count))
     if with_preference:
-        # |R| day by day, and its integer sum over the last M days
+        # |R| day by day, its windows, and its integer sum over the last M days
         abs_history = np.abs(history)
+        abs_windows = sliding_window_view(abs_history, m)[warmup - m : t_max - m]
         window_sum = int(abs_history[warmup - m : warmup].sum())
+        xi_dot = xi_weights.dot
+        abs_out, abs_leaving, xi_out = map(
+            memoryview, (abs_history[warmup:], abs_history[warmup - m :], xi_trace))
 
-    for t in range(warmup, t_max):
-        rprime = k * float(np.dot(w, history[t - m : t]))
+    for i, window in enumerate(windows):
+        rprime = k * float(rprime_dot(window))
         if rprime > 0.0:
             p_trade = p_bull
         elif rprime < 0.0:
@@ -90,27 +90,36 @@ def _run_herding_model(config: ModelConfig, model: str) -> SimOutput:
             p_trade = p_flat
 
         if with_preference:
-            xi = _xi(xi_weights, abs_history[t - m : t], window_sum)
-            split = min(max(0.5 * (pref * xi + (1.0 - pref)), 0.0), 1.0)
+            # each horizon's mean |R| against the full window's, weighted by
+            # gamma: M * dot(coefficients, window) / window sum, 1 when flat
+            if window_sum > 0:
+                xi = m * float(xi_dot(abs_windows[i])) / window_sum
+            else:
+                xi = 1.0
+            split = 0.5 * (pref * xi + (1.0 - pref))
+            split = 0.0 if split < 0.0 else 1.0 if split > 1.0 else split
         else:
             split = 0.5
         p_buy = p_trade * split
         p_sell = p_trade - p_buy
 
-        avg_size = min(max(abs(rprime - delta_r), 1.0), n_float)
+        # clamped into [1, N]; the conditionals pick the float min(max())
+        # would, at a fraction of its cost
+        avg_size = abs(rprime - delta_r)
+        avg_size = 1.0 if avg_size < 1.0 else (
+            n_float if avg_size > n_float else avg_size)
         # round_count inlined; N / avg_size >= 1, so int() floors to >= 1
         n_clusters = int(n_agents / avg_size + 0.5)
-        r = sample_aggregate_return(n_agents, n_clusters, p_buy, p_sell, rng)
-        history[t] = r
+        r = sample(n_agents, n_clusters, p_buy, p_sell, rng)
+        out[i] = r
 
-        i = t - warmup
-        trade_prob[i] = p_trade
-        herding[i] = avg_size / n_agents
-        cluster_count[i] = n_clusters
+        trade_out[i] = p_trade
+        herding_out[i] = avg_size / n_agents
+        count_out[i] = n_clusters
         if with_preference:
-            xi_trace[i] = xi
-            abs_history[t] = abs(r)
-            window_sum += abs(r) - int(abs_history[t - m])
+            xi_out[i] = xi
+            abs_out[i] = abs(r)
+            window_sum += abs(r) - int(abs_leaving[i])
 
     diagnostics = {
         "P_trade": trade_prob,
@@ -202,10 +211,16 @@ def run_model_d(config: ModelConfig) -> SimOutput:
     history[warmup:] = independent_day_return(n_agents - n_clustered, p0 / 2.0, rng)
     y_draws = rng.exponential(1.0 / config.b1, kept)
 
-    # memoryviews iterate as Python floats and ints, without a list
-    days = zip(range(warmup, t_max), memoryview(y_draws), memoryview(n_clustered))
-    for t, y, n_pos in days:
-        rprime = k * float(np.dot(w, history[t - m : t]))
+    # As in models A and B, day warmup + i dots its window and writes
+    # through memoryviews; memoryviews also iterate the pre-drawn arrays as
+    # Python floats and ints, without a list.
+    rprime_dot, sample = w.dot, sample_aggregate_return
+    windows = sliding_window_view(history, m)[warmup - m : t_max - m]
+    out, force_out, size_out = map(memoryview, (
+        history[warmup:], force_trace, size_trace))
+    days = zip(windows, memoryview(y_draws), memoryview(n_clustered))
+    for i, (window, y, n_pos) in enumerate(days):
+        rprime = k * float(rprime_dot(window))
         if rprime > 0.0:
             force = y * bull
         elif rprime < 0.0:
@@ -213,19 +228,20 @@ def run_model_d(config: ModelConfig) -> SimOutput:
         else:
             force = y
         if n_pos > 0:
-            p_half = min((1.0 + force) * p0, 1.0) / 2.0
-            avg_size = min(max(tau * n_pos * force / n_agents, 1.0), float(n_pos))
+            # clamps as conditionals, as in models A and B
+            p_half = (1.0 + force) * p0
+            p_half = (1.0 if p_half > 1.0 else p_half) / 2.0
+            avg_size = tau * n_pos * force / n_agents
+            avg_size = 1.0 if avg_size < 1.0 else (
+                float(n_pos) if avg_size > n_pos else avg_size)
             # round_count inlined; n_pos / avg_size >= 1, so int() floors
             n_clusters = int(n_pos / avg_size + 0.5)
-            history[t] += sample_aggregate_return(
-                n_pos, n_clusters, p_half, p_half, rng
-            )
+            out[i] += sample(n_pos, n_clusters, p_half, p_half, rng)
         else:
             avg_size = 0.0
 
-        i = t - warmup
-        force_trace[i] = force
-        size_trace[i] = avg_size
+        force_out[i] = force
+        size_out[i] = avg_size
 
     return SimOutput(
         returns=history[warmup:].astype(np.int64),

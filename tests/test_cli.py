@@ -23,6 +23,17 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def assert_manifest_lists_its_outputs(out):
+    """manifest.json lists every other file under `out`, keyed by its path
+    relative to `out`, with its sha256."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == {
+        path.relative_to(out).as_posix(): digest(path)
+        for path in out.rglob("*")
+        if path.is_file() and path != out / "manifest.json"
+    }
+
+
 def small_config(tmp_path, **overrides):
     cfg = {"N": 1000, "M": 50, "t_max": 400, "warmup": 50, "seed": 7}
     cfg.update(overrides)
@@ -265,6 +276,19 @@ class TestSimulate:
             json.dumps(manifest["config"], sort_keys=True).encode()
         ).hexdigest()
 
+    @pytest.mark.parametrize("model, flags", [
+        ("a", []),
+        ("c", []),
+        ("d", ["--ensemble", 2]),
+        ("c", ["--ensemble", 2, "--jobs", 2]),
+    ])
+    def test_manifest_lists_every_output(self, tmp_path, model, flags):
+        cfg = small_config(tmp_path, N=2000, n=10, n_sec=2, H_M=0.363,
+                           H_j=[0.491, 0.546], P_group=0.363, t_max=200)
+        out = tmp_path / "r"
+        assert run(["simulate", model, "--config", cfg, *flags, "--out", out]) == 0
+        assert_manifest_lists_its_outputs(out)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("model", ["a", "c"])
     def test_single_run_is_its_ensemble_member(self, tmp_path, model, jobs):
@@ -350,7 +374,8 @@ class TestAnalyze:
             out = tmp_path / what
             assert run(["analyze", what, *args, "--out", out]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["outputs"] == {name: digest(out / name) for name in names}
+            assert sorted(manifest["outputs"]) == sorted(names)
+            assert_manifest_lists_its_outputs(out)
 
     def test_degenerate_series_exits_1(self, tmp_path, capsys):
         path = write_csv(
@@ -471,6 +496,24 @@ class TestCalibrateCommands:
             ],
         )
         return search, volumes, index
+
+    @pytest.mark.parametrize("what", ["asymmetry", "comovement", "infoforce"])
+    def test_manifest_lists_every_output(self, tmp_path, request, what):
+        if what == "asymmetry":
+            args = ["--index", request.getfixturevalue("index_csv"),
+                    "--horizon", 60]
+        elif what == "comovement":
+            panel, sectors, *_ = request.getfixturevalue("panel_files")
+            args = ["--panel", panel, "--sectors", sectors]
+        else:
+            search, volumes, index = request.getfixturevalue("info_files")
+            args = ["--search", search, "--volumes", volumes, "--index", index,
+                    "--tau", 12]
+        out = tmp_path / "cal"
+        assert run(["calibrate", what, *args, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == ["report.json", "report.txt"]
+        assert_manifest_lists_its_outputs(out)
 
     def test_infoforce_report(self, tmp_path, info_files):
         search, volumes, index = info_files

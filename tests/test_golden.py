@@ -1,9 +1,12 @@
-"""Golden sha256 digests of returns.csv for one small config per model.
+"""Golden sha256 digests of returns.csv and diagnostics.csv for one small
+config per model.
 
-Each digest pins the model's random stream end to end through `cli.main`:
-a refactor that keeps the stream keeps the digest.  A change that alters
-the stream on purpose (a new sampler with the same law) updates the
-digest here and says so in CHANGES.md.  The digests hold for the numpy
+Each returns digest pins the model's random stream end to end through
+`cli.main`: a refactor that keeps the stream keeps the digest.  Each
+diagnostics digest pins the per-day traces the same way, so a rewrite of a
+day loop that keeps the stream must also keep every trace value.  A change
+that alters the stream on purpose (a new sampler with the same law) updates
+the digests here and says so in CHANGES.md.  The digests hold for the numpy
 release line the suite runs on (2.x), whose Generator streams they encode.
 """
 
@@ -37,11 +40,32 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("model", sorted(CONFIGS))
-def test_returns_digest(tmp_path, model):
+DIAGNOSTICS_DIGESTS = {
+    "a": "8de80024aec503e3110902f80437d0f05b0baa4df5d0e34785946bfd857bdef8",
+    "b": "3592e021b6a70f3f9e794813784c954ae91a05f9207169cda801fdd5eb561df2",
+    "c": "a3d82e93c39bdd219a006f4f57b8ef9ea05b3b75fe412e2f4f79a4db844804bc",
+    "d": "e822ac419c9969af938907fbf20248bca1496fd5f55600e15ad6a179c930c4ec",
+}
+
+
+def _simulate(tmp_path, model):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIGS[model]))
     out = tmp_path / "run"
     assert main(["simulate", model, "--config", str(config), "--out", str(out)]) == 0
-    digest = hashlib.sha256((out / "returns.csv").read_bytes()).hexdigest()
-    assert digest == DIGESTS[model]
+    return out
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("model", sorted(CONFIGS))
+def test_returns_digest(tmp_path, model):
+    assert _sha256(_simulate(tmp_path, model) / "returns.csv") == DIGESTS[model]
+
+
+@pytest.mark.parametrize("model", sorted(CONFIGS))
+def test_diagnostics_digest(tmp_path, model):
+    out = _simulate(tmp_path, model)
+    assert _sha256(out / "diagnostics.csv") == DIAGNOSTICS_DIGESTS[model]

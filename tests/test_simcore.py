@@ -13,12 +13,14 @@ from herdsim.simcore import (
     mgroup_slots,
     round_count,
     rprime_weights,
+    run_model,
     run_model_b,
     sample_aggregate_return,
     single_stock,
     weighted_returns,
 )
 from herdsim.simcore.config import GROUP_COUNT_MAX
+from herdsim.simcore.machinery import draw_picks
 
 
 @dataclass(frozen=True)
@@ -80,13 +82,27 @@ def scalar_aggregate_return(n_agents, n_clusters, p_buy, p_sell, rng) -> int:
     return buys - sells
 
 
+def paired_aggregate_return(n_agents, n_clusters, p_buy, p_sell, rng) -> int:
+    """The clustered day as two `draw_picks` pairs, the composition whose
+    four binomials `sample_aggregate_return` now makes itself: its stream
+    oracle."""
+    n_buy, n_sell = draw_picks(p_buy, p_sell, 1.0, n_clusters, rng)
+    buys, sells = draw_picks(n_buy, n_sell, n_clusters, n_agents, rng)
+    return buys - sells
+
+
 def perceived_volatility(volatilities, gamma) -> float:
-    """xi of the last M daily volatilities, through model B's own helpers."""
+    """xi of the last M daily volatilities by model B's formula: M times the
+    dot of its window coefficients with the window, over the window sum, and
+    1 for a flat window."""
     v = np.asarray(volatilities, dtype=float)
     if len(v) != len(gamma):
         raise ConfigError(f"need exactly {len(gamma)} volatilities, got {len(v)}")
+    total = float(v.sum())
+    if total <= 0:
+        return 1.0
     coefficients = single_stock._volatility_coefficients(gamma)
-    return single_stock._xi(coefficients, v, float(v.sum()))
+    return len(coefficients) * float(np.dot(coefficients, v)) / total
 
 
 class TestHorizonWeights:
@@ -279,6 +295,59 @@ class TestAggregateSampler:
                 n_agents, n_clusters, *probs, shared
             ) == scalar_aggregate_return(n_agents, n_clusters, *probs, scalar)
         assert shared.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("n_agents, n_clusters, probs", [
+        (1000, 7, (1.0, 0.0)),  # every cluster buys: n_buy = n_clusters
+        (1000, 7, (0.4, 0.0)),  # p_sell = 0
+        (1000, 7, (0.3, 0.7)),  # p_buy + p_sell = 1
+        (1000, 1, (0.2, 0.3)),  # one cluster
+        (1000, 1000, (0.2, 0.3)),  # N clusters
+        (10_000, 3000, (0.0154, 0.0154)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_same_stream_as_two_draw_picks_pairs(
+        self, n_agents, n_clusters, probs, seed
+    ):
+        inlined, paired = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(300):
+            assert sample_aggregate_return(
+                n_agents, n_clusters, *probs, inlined
+            ) == paired_aggregate_return(n_agents, n_clusters, *probs, paired)
+        assert inlined.bit_generator.state == paired.bit_generator.state
+
+
+class TestDrawsThroughModuleAttributes:
+    """The single-stock drivers draw through `single_stock`'s attributes
+    `sample_aggregate_return` and `independent_day_return`, looked up once
+    per run, so a wrapper set on them (the benchmark's per-layer tracer sets
+    one) sees every call."""
+
+    @pytest.mark.parametrize("model, overrides", [
+        ("a", {"alpha": 1.2, "delta_R": 2}),
+        ("b", {"c": 0.5}),
+        # f = 1: on S = 0 days no agent is clustered and nothing is sampled
+        ("d", {"a": 0.2, "tau": 10, "f": 1.0}),
+    ])
+    def test_one_sampler_call_per_clustered_day(self, monkeypatch, model,
+                                                overrides):
+        calls = {"sample_aggregate_return": 0, "independent_day_return": 0}
+        for name in calls:
+            def counted(*args, _name=name, _draw=getattr(single_stock, name)):
+                calls[_name] += 1
+                return _draw(*args)
+            monkeypatch.setattr(single_stock, name, counted)
+        config = ModelConfig(N=1000, M=50, t_max=600, warmup=50, seed=5,
+                             **overrides)
+        out = run_model(model, config)
+        if model == "d":
+            clustered = int(np.count_nonzero(out.diagnostics["cluster_size"]))
+            assert 0 < clustered < len(out.returns)
+            # the warm-up and the independent agents of every output day
+            assert calls == {"sample_aggregate_return": clustered,
+                             "independent_day_return": 2}
+        else:
+            assert calls == {"sample_aggregate_return": len(out.returns),
+                             "independent_day_return": 1}
 
 
 class TestIndependentDayReturn:
