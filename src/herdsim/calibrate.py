@@ -224,11 +224,8 @@ def shift_relation() -> tuple[float, float]:
     right rounding bin), so the frozen relation keeps the intercept.
     """
     x, y = np.array(REFERENCE_SHIFT_PAIRS, dtype=float).T
-    x_mean = x.mean()
-    y_mean = y.mean()
-    sxx = float(((x - x_mean) ** 2).sum())
-    slope = float(((x - x_mean) * (y - y_mean)).sum() / sxx)
-    return slope, float(y_mean - slope * x_mean)
+    slope, intercept = np.polyfit(x, y, 1)
+    return float(slope), float(intercept)
 
 
 def herding_offset_from_shift(delta_r: float) -> int:
@@ -432,13 +429,10 @@ def correlating_time(curve: CorrelationCurve) -> CorrelatingTime:
         fit.params["exponent"]
     )
     deviates = np.abs(curve.values - predicted) / np.abs(predicted) > _DEVIATION_FACTOR
-    run = 0
-    for i, flag in enumerate(deviates):
-        run = run + 1 if flag else 0
-        if run >= _PERSISTENCE:
-            return CorrelatingTime(
-                tau=int(curve.lags[i - _PERSISTENCE + 1]), deviation_found=True
-            )
+    # runs[i]: every entry of deviates[i : i + _PERSISTENCE] is set
+    runs = sliding_window_view(deviates, _PERSISTENCE).all(axis=1)
+    if runs.any():
+        return CorrelatingTime(tau=int(curve.lags[runs.argmax()]), deviation_found=True)
     return CorrelatingTime(tau=DEFAULT_TAU_WEEKS, deviation_found=False)
 
 
@@ -478,6 +472,9 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
     trading = volumes.volume[np.ix_(volume_rows, columns)].T
     market = log_returns(index)
     _, on_clock, days = _common_weeks(weeks, market.dates)
+    if not len(on_clock):
+        raise InsufficientDataError("the index has no return on any week the "
+                                    "search and volume files share")
     market_vec = np.full(len(weeks), np.nan)
     market_vec[on_clock] = market.returns[days]
 

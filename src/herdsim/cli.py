@@ -2,9 +2,9 @@
 
 Every command writes its results under an output directory (``--out``, or
 ``$HERDSIM_OUT/<command>-<subcommand>``) together with a run manifest that
-records the command line, config hash, seed, tool version and input file
-digests.  Exit codes: 0 success, 1 runtime/numeric failure (out of memory
-included), 2 input or validation failure.
+records the command line, config hash, seed, tool version, numpy build and
+input file digests.  Exit codes: 0 success, 1 runtime/numeric failure (out
+of memory included), 2 input or validation failure.
 
 Simulation output schema: ``returns.csv`` with columns ``day,R`` (plus one
 column per stock for model c), ``diagnostics.csv`` with per-day traces, and
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, calibrate, ingest, spectral, stats
 from .errors import InputError, NumericError
-from .simcore import ModelConfig, load_config, run_model
+from .simcore import ModelConfig, run_model
 from .simcore.config import read_json
 from .simcore.machinery import SimOutput
 
@@ -54,10 +54,23 @@ def _out_dir(args, default_name: str) -> Path:
     return out
 
 
+def _numpy_build() -> dict:
+    """The numpy of this run: its version, the name and version of the BLAS
+    it was built with, and OPENBLAS_NUM_THREADS; null where not known."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):  # no build information
+        blas = None
+    return {"version": np.__version__, "blas": blas,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 def _write_manifest(out: Path, argv, inputs, seed=None, config=None, outputs=()):
     manifest = {
         "command": ["herdsim"] + list(argv),
         "version": __version__,
+        "numpy": _numpy_build(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "seed": seed,
         "config": config,
@@ -149,7 +162,7 @@ def cmd_simulate(args, argv) -> int:
     for flag in ("ensemble", "jobs"):
         if getattr(args, flag) < 1:
             raise InputError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    config = load_config(args.config)
+    config = ModelConfig.from_dict(read_json(args.config))
     if args.calibration:
         config = ModelConfig.from_fragment(read_json(args.calibration),
                                            base=config)
@@ -194,35 +207,33 @@ _read_returns_column = ingest.load_returns_column
 def cmd_analyze(args, argv) -> int:
     # every estimate runs before the first write, so a failure leaves no file
     out = _out_dir(args, f"analyze-{args.what}")
-    if args.what == "lcurve":
+    if args.what in ("lcurve", "stats"):  # one returns file
         r = stats.normalize(_read_returns_column(args.infile))
-        curve = stats.return_volatility_correlation(r, args.max_lag)
-        results: dict = {"estimator": "L", "max_lag": args.max_lag}
-        try:
-            results["exponential_fit"] = stats.fit_exponential(curve)
-        except NumericError as exc:
-            results["exponential_fit_error"] = str(exc)
-        outputs = [out / "lcurve.csv", out / "lcurve_fit.json"]
+        if args.what == "lcurve":
+            curve = stats.return_volatility_correlation(r, args.max_lag)
+            results: dict = {"estimator": "L", "max_lag": args.max_lag}
+            try:
+                results["exponential_fit"] = stats.fit_exponential(curve)
+            except NumericError as exc:
+                results["exponential_fit_error"] = str(exc)
+            names = "lcurve.csv", "lcurve_fit.json"
+        else:  # stats
+            curve = stats.autocorrelation_abs(r, args.max_lag)
+            pooled = r.values
+            results = {
+                "n_days": len(pooled),
+                "sigma": r.sigma,
+                "mean": r.mean_removed,
+                "hurst": stats.hurst_exponent(np.abs(pooled)),
+                "tail_exponent": stats.tail_exponent(r, args.tail_fraction),
+                "tail_fraction": args.tail_fraction,
+                "kurtosis_excess": float(
+                    np.mean(pooled**4) / np.mean(pooled**2) ** 2 - 3.0
+                ),
+            }
+            names = "acurve.csv", "stats.json"
+        outputs = [out / name for name in names]
         stats.write_curve_csv(curve, outputs[0])
-        stats.write_results_json(outputs[1], results)
-        inputs = [args.infile]
-    elif args.what == "stats":
-        r = stats.normalize(_read_returns_column(args.infile))
-        acurve = stats.autocorrelation_abs(r, args.max_lag)
-        pooled = r.values
-        results = {
-            "n_days": len(pooled),
-            "sigma": r.sigma,
-            "mean": r.mean_removed,
-            "hurst": stats.hurst_exponent(np.abs(pooled)),
-            "tail_exponent": stats.tail_exponent(r, args.tail_fraction),
-            "tail_fraction": args.tail_fraction,
-            "kurtosis_excess": float(
-                np.mean(pooled**4) / np.mean(pooled**2) ** 2 - 3.0
-            ),
-        }
-        outputs = [out / "acurve.csv", out / "stats.json"]
-        stats.write_curve_csv(acurve, outputs[0])
         stats.write_results_json(outputs[1], results)
         inputs = [args.infile]
     else:  # spectrum

@@ -509,7 +509,7 @@ def write_csv_table(path, header, labels, columns) -> None:
 
 def save_index_series(series: IndexSeries, path) -> None:
     write_csv_table(path, ["date", "close", "volume"],
-                    (day.isoformat() for day in series.dates),
+                    map(str, series.dates),
                     np.asarray([series.close, series.volume], dtype=float))
 
 
@@ -517,7 +517,7 @@ def save_returns_panel(panel: ReturnsPanel, path, sectors_path) -> None:
     write_csv_table(
         path,
         ["date"] + list(panel.tickers),
-        (d.isoformat() if isinstance(d, date) else str(d) for d in panel.dates),
+        map(str, panel.dates),  # str() of a date is its ISO form
         np.asarray(panel.matrix, dtype=float).T,
     )
     with open(sectors_path, "w", newline="") as fh:

@@ -1,6 +1,6 @@
 """Agent-based simulation engine: shared machinery and the model drivers."""
 
-from .config import DEFAULT_TRADE_PROB, HORIZON_DECAY, ModelConfig, load_config
+from .config import DEFAULT_TRADE_PROB, HORIZON_DECAY, ModelConfig
 from .machinery import (
     SimOutput,
     horizon_weights,
@@ -10,7 +10,7 @@ from .machinery import (
     sample_aggregate_return,
     weighted_returns,
 )
-from .multi_stock import mgroup_slots, run_model_c
+from .multi_stock import group_count, run_model_c
 from .single_stock import run_model_a, run_model_b, run_model_d
 
 RUNNERS = {
@@ -36,7 +36,6 @@ __all__ = [
     "DEFAULT_TRADE_PROB",
     "HORIZON_DECAY",
     "ModelConfig",
-    "load_config",
     "SimOutput",
     "horizon_weights",
     "independent_day_return",
@@ -44,7 +43,7 @@ __all__ = [
     "rprime_weights",
     "sample_aggregate_return",
     "weighted_returns",
-    "mgroup_slots",
+    "group_count",
     "run_model",
     "run_model_a",
     "run_model_b",

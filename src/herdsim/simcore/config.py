@@ -203,8 +203,7 @@ class ModelConfig:
     def from_dict(cls, data: dict) -> "ModelConfig":
         """Build a config from a dict with exactly the field names above."""
         _require_object(data)
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = sorted(set(data) - known)
+        extra = sorted(data.keys() - _FIELDS)
         if extra:
             raise ConfigError(f"unknown config fields: {', '.join(extra)}")
         return cls(**_coerce(data))
@@ -217,10 +216,12 @@ class ModelConfig:
         are ignored, so a calibration report is directly loadable.
         """
         _require_object(data)
-        known = {f.name for f in dataclasses.fields(cls)}
-        updates = {k: v for k, v in data.items() if k in known and v is not None}
+        updates = {k: v for k, v in data.items() if k in _FIELDS and v is not None}
         return dataclasses.replace(base, **_coerce(updates))
 
+
+#: The field names of ModelConfig, the keys a config may hold.
+_FIELDS = frozenset(f.name for f in dataclasses.fields(ModelConfig))
 
 #: Fields annotated int (annotations are strings under postponed evaluation).
 _INTEGER_FIELDS = frozenset(
@@ -279,7 +280,3 @@ def read_json(path):
             return json.load(fh)
         except ValueError as exc:  # invalid JSON, or bytes that are not text
             raise InputError(f"{path}: invalid JSON: {exc}") from None
-
-
-def load_config(path: str) -> ModelConfig:
-    return ModelConfig.from_dict(read_json(path))

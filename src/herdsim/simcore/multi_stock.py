@@ -21,14 +21,14 @@ from .machinery import (
 )
 
 
-def mgroup_slots(sgroup_count, n_stocks: int, h_m: float):
-    """Market-level slots of one sector: max(1, round(N_S / (n * H_M))).
+def group_count(members, size):
+    """Groups formed by `members` of the level below in groups of mean
+    size `size`: max(1, round(members / size)), ties upward.
 
-    Weakly decreasing in h_m for a frozen sector-level state, so a higher
-    market co-movement degree never increases the M-group count.  Takes a
-    count or an array of counts.
+    Weakly decreasing in size, so a larger group never makes more of them.
+    Takes counts and sizes as scalars or arrays.
     """
-    return np.maximum(1, round_count(sgroup_count / (n_stocks * h_m)))
+    return np.maximum(1, round_count(members / size))
 
 
 def _draw_spread(buy, sell, pool, draws, rng: np.random.Generator):
@@ -109,7 +109,7 @@ def sample_day_returns(
 def run_model_c(config: ModelConfig) -> SimOutput:
     """Simulate per-stock returns under three-level herding.
 
-    Group counts per day and stock/sector:
+    Group counts per day and stock/sector, each through group_count:
       I-groups of stock k:  max(1, round(N_k / clamp(|R'_k|, 1, N_k)))
       S-groups of sector j: max(1, round(N_j_I / (n * (H_j - H_M))))
       M-group slots of j:   max(1, round(N_j_S / (n * H_M)))
@@ -157,10 +157,10 @@ def run_model_c(config: ModelConfig) -> SimOutput:
     for t in range(warmup, t_max):
         rprime = k * (w @ history[t - m : t, :])
         avg_i = np.minimum(np.maximum(np.abs(rprime), 1.0), holders)
-        igroups = np.maximum(1, round_count(agents_per_stock / avg_i))
+        igroups = group_count(agents_per_stock, avg_i)
         sector_igroups = igroups.reshape(n_sectors, per_sector).sum(axis=1)
-        sgroups = np.maximum(1, round_count(sector_igroups / sgroup_scale))
-        slots = mgroup_slots(sgroups, n_stocks, h_m)
+        sgroups = group_count(sector_igroups, sgroup_scale)
+        slots = group_count(sgroups, n_stocks * h_m)  # n H_M S-groups a slot
         history[t] = sample_day_returns(
             agents_per_stock, igroups, sgroups, slots, p_group, rng
         )

@@ -1,11 +1,14 @@
 import re
+from datetime import timedelta
 
 import numpy as np
 import pytest
 
 from conftest import business_dates, weekly_dates
-from herdsim import stats
+from herdsim import calibrate, stats
 from herdsim.calibrate import (
+    _DEVIATION_FACTOR,
+    _PERSISTENCE,
     REFERENCE_SHIFT_PAIRS,
     CorrelatingTime,
     InfoForceSeries,
@@ -168,10 +171,13 @@ class TestHerdingShift:
 
 
 class TestShiftRelation:
-    def test_frozen_line_matches_polyfit_oracle(self):
+    def test_frozen_line_matches_normal_equations_oracle(self):
         x = np.array([p[0] for p in REFERENCE_SHIFT_PAIRS])
         y = np.array([p[1] for p in REFERENCE_SHIFT_PAIRS])
-        slope_o, intercept_o = np.polyfit(x, y, 1)
+        # the least-squares line from its normal equations
+        x_mean, y_mean = x.mean(), y.mean()
+        slope_o = ((x - x_mean) * (y - y_mean)).sum() / ((x - x_mean) ** 2).sum()
+        intercept_o = y_mean - slope_o * x_mean
         slope, intercept = shift_relation()
         assert slope == pytest.approx(slope_o, abs=1e-10)
         assert intercept == pytest.approx(intercept_o, abs=1e-10)
@@ -471,13 +477,29 @@ class TestInfoForceReport:
         with pytest.raises(InputError, match="share only 0 weeks"):
             infoforce_report(searches, numbered, index, tau=8)
         numbered = IndexSeries(tuple(range(100)), index.close, index.volume)
-        with pytest.raises(InsufficientDataError, match="no bull or no bear"):
+        with pytest.raises(InsufficientDataError, match="the index has no return "
+                           "on any week the search and volume files share"):
             infoforce_report(searches, volumes, numbered, tau=8)
 
     def test_short_overlap_rejected(self):
         searches, volumes, index = self.inputs(volume_weeks=slice(40, 100))
         with pytest.raises(InputError, match="share only 40 weeks"):
             infoforce_report(searches, volumes, index, tau=8)
+
+    def test_index_off_the_clock_rejected_before_tau_is_estimated(
+            self, monkeypatch):
+        # index dates two days after the week starts: no week has a return
+        searches, volumes, index = self.inputs(200, slice(0, 200), n=200)
+        shifted = IndexSeries(tuple(d + timedelta(days=2) for d in index.dates),
+                              index.close, index.volume)
+
+        def never(curve):
+            raise AssertionError("tau estimated before the clock was checked")
+
+        monkeypatch.setattr(calibrate, "correlating_time", never)
+        with pytest.raises(InsufficientDataError, match="the index has no return "
+                           "on any week the search and volume files share"):
+            infoforce_report(searches, volumes, shifted)
 
 
 class TestCorrelatingTime:
@@ -512,6 +534,40 @@ class TestCorrelatingTime:
     def test_short_curve_rejected(self):
         with pytest.raises(InsufficientDataError):
             correlating_time(self.curve(np.ones(10)))
+
+    @staticmethod
+    def run_counter_oracle(curve):
+        """tau by counting runs of deviating lags, one lag at a time."""
+        head = curve.lags <= 10
+        fit = stats.fit_power_law(curve.lags[head], curve.values[head])
+        predicted = fit.params["amplitude"] * curve.lags.astype(float) ** (
+            fit.params["exponent"])
+        run = 0
+        for i in range(len(curve.lags)):
+            deviates = abs(curve.values[i] - predicted[i]) / abs(predicted[i])
+            run = run + 1 if deviates > _DEVIATION_FACTOR else 0
+            if run >= _PERSISTENCE:
+                return CorrelatingTime(int(curve.lags[i - _PERSISTENCE + 1]), True)
+        return CorrelatingTime(DEFAULT_TAU_WEEKS, False)
+
+    @pytest.mark.parametrize("pushed, tau", [
+        pytest.param([], None, id="no-run"),
+        pytest.param([20, 21, 22], 20, id="run-of-persistence"),
+        pytest.param([38, 39, 40], 38, id="run-at-the-last-lag"),
+        pytest.param([14, 15, 17, 18, 20, 21, 23, 24], None, id="short-runs-broken"),
+        pytest.param([14, 15, 17, 18, 31, 32, 33, 34], 31, id="short-then-full-run"),
+    ])
+    def test_matches_run_counter_oracle(self, pushed, tau):
+        # an exact power law on lags 1-10; each pushed lag deviates from it
+        # by twice the threshold
+        lags = np.arange(1, 41)
+        values = 0.8 * lags**-0.4
+        values[np.array(pushed, dtype=int) - 1] *= 1.0 + 2.0 * _DEVIATION_FACTOR
+        curve = self.curve(values)
+        assert correlating_time(curve) == self.run_counter_oracle(curve)
+        expected = (CorrelatingTime(tau, True) if tau
+                    else CorrelatingTime(DEFAULT_TAU_WEEKS, False))
+        assert correlating_time(curve) == expected
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shlex
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,43 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+@pytest.fixture
+def info_files(tmp_path):
+    rng = np.random.default_rng(20)
+    n = 200
+    weeks = weekly_dates(n)
+    t = np.arange(n)
+    attention = []
+    trading = []
+    for phase, ticker in ((0.0, "AAA"), (1.3, "BBB")):
+        # slowly varying attention so its autocorrelation decays smoothly
+        g = 5 + 2 * np.sin(2 * np.pi * t / 80 + phase) + rng.normal(0, 0.3, n)
+        g = np.maximum(g, 0.0)
+        v = rng.uniform(50, 150, n) + 40 * (g > g.mean())
+        attention += [
+            (w.isoformat(), ticker, repr(float(x))) for w, x in zip(weeks, g)
+        ]
+        trading += [
+            (w.isoformat(), ticker, repr(float(x))) for w, x in zip(weeks, v)
+        ]
+    search = write_csv(
+        tmp_path / "search.csv", ["week_start", "ticker", "volume"], attention
+    )
+    volumes = write_csv(
+        tmp_path / "volumes.csv", ["week_start", "ticker", "volume"], trading
+    )
+    closes = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
+    index = write_csv(
+        tmp_path / "index.csv",
+        ["date", "close", "volume"],
+        [
+            (w.isoformat(), repr(float(c)), "1")
+            for w, c in zip(weeks, closes)
+        ],
+    )
+    return search, volumes, index
 
 
 class TestSimulate:
@@ -461,42 +499,6 @@ class TestCalibrateCommands:
                        "for ticker 'CCC'\n")
         assert not out.exists()
 
-    @pytest.fixture
-    def info_files(self, tmp_path):
-        rng = np.random.default_rng(20)
-        n = 200
-        weeks = weekly_dates(n)
-        t = np.arange(n)
-        attention = []
-        trading = []
-        for phase, ticker in ((0.0, "AAA"), (1.3, "BBB")):
-            # slowly varying attention so its autocorrelation decays smoothly
-            g = 5 + 2 * np.sin(2 * np.pi * t / 80 + phase) + rng.normal(0, 0.3, n)
-            g = np.maximum(g, 0.0)
-            v = rng.uniform(50, 150, n) + 40 * (g > g.mean())
-            attention += [
-                (w.isoformat(), ticker, repr(float(x))) for w, x in zip(weeks, g)
-            ]
-            trading += [
-                (w.isoformat(), ticker, repr(float(x))) for w, x in zip(weeks, v)
-            ]
-        search = write_csv(
-            tmp_path / "search.csv", ["week_start", "ticker", "volume"], attention
-        )
-        volumes = write_csv(
-            tmp_path / "volumes.csv", ["week_start", "ticker", "volume"], trading
-        )
-        closes = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
-        index = write_csv(
-            tmp_path / "index.csv",
-            ["date", "close", "volume"],
-            [
-                (w.isoformat(), repr(float(c)), "1")
-                for w, c in zip(weeks, closes)
-            ],
-        )
-        return search, volumes, index
-
     @pytest.mark.parametrize("what", ["asymmetry", "comovement", "infoforce"])
     def test_manifest_lists_every_output(self, tmp_path, request, what):
         if what == "asymmetry":
@@ -626,6 +628,71 @@ class TestCalibrateCommands:
                     "--tau", 12, "--out", out]) == 0
         report = json.loads((out / "report.json").read_text())
         assert np.isfinite(report["delta_F"])
+
+    @pytest.mark.parametrize("tau", [[], ["--tau", 12]])
+    def test_infoforce_index_off_the_attention_clock_exits_2(
+            self, tmp_path, capsys, info_files, tau):
+        search, volumes, index = info_files
+        # index dates two days after the week starts match no week of the
+        # search and volume files
+        lines = index.read_text().splitlines()
+        late = tmp_path / "index_late.csv"
+        late.write_text("\n".join([lines[0]] + [
+            (date.fromisoformat(r[:10]) + timedelta(days=2)).isoformat() + r[10:]
+            for r in lines[1:]]) + "\n")
+        out = tmp_path / "cal"
+        assert run(["calibrate", "infoforce", "--search", search,
+                    "--volumes", volumes, "--index", late, *tau,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: the index has no return on any week the search and volume "
+            "files share\n")
+        assert not out.exists()
+
+
+class TestManifestNumpyBuild:
+    """Every command's manifest records the numpy build of its run."""
+
+    def test_every_command_records_it(self, tmp_path, monkeypatch, info_files,
+                                      panel_files):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        search, volumes, weekly = info_files
+        panel, sectors, *_ = panel_files
+        returns = np.random.default_rng(3).normal(0, 50, 4000).round()
+        returns_csv = write_csv(tmp_path / "returns.csv", ["day", "R"],
+                                enumerate(returns.astype(int).tolist(), start=1))
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        for i, argv in enumerate([
+            ["simulate", "a", "--config", small_config(tmp_path)],
+            ["analyze", "lcurve", "--in", returns_csv],
+            ["analyze", "stats", "--in", returns_csv],
+            ["analyze", "spectrum", "--panel", panel, "--sectors", sectors],
+            ["calibrate", "asymmetry", "--index", weekly, "--horizon", 60],
+            ["calibrate", "comovement", "--panel", panel, "--sectors", sectors],
+            ["calibrate", "infoforce", "--search", search, "--volumes", volumes,
+             "--index", weekly, "--tau", 12],
+        ]):
+            out = tmp_path / f"out{i}"
+            assert run([*argv, "--out", out]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["numpy"] == {
+                "version": np.__version__,
+                "blas": f"{blas['name']} {blas['version']}",
+                "OPENBLAS_NUM_THREADS": "1",
+            }
+
+    def test_missing_entries_are_null(self, tmp_path, monkeypatch):
+        def no_build_information(mode):
+            raise KeyError("Build Dependencies")
+
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setattr(np, "show_config", no_build_information)
+        out = tmp_path / "r"
+        assert run(["simulate", "a", "--config", small_config(tmp_path),
+                    "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["numpy"] == {"version": np.__version__, "blas": None,
+                                     "OPENBLAS_NUM_THREADS": None}
 
 
 class TestPipeline:

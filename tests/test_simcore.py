@@ -8,9 +8,9 @@ import pytest
 from herdsim.errors import ConfigError
 from herdsim.simcore import (
     ModelConfig,
+    group_count,
     horizon_weights,
     independent_day_return,
-    mgroup_slots,
     round_count,
     rprime_weights,
     run_model,
@@ -441,7 +441,7 @@ class TestPerceivedVolatility:
 class TestMgroupSlots:
     def test_weakly_decreasing_in_h_m(self):
         for sgroups in (1, 7, 40, 163):
-            slots = [mgroup_slots(sgroups, 50, h) for h in np.linspace(0.05, 0.9, 60)]
+            slots = [group_count(sgroups, 50 * h) for h in np.linspace(0.05, 0.9, 60)]
             assert all(a >= b for a, b in zip(slots, slots[1:]))
             assert min(slots) >= 1
 
