@@ -24,9 +24,13 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .ingest import DEFAULT_TAU_WEEKS, ReturnsPanel, log_returns
+from .ingest import ReturnsPanel, log_returns
 from .stats import CorrelationCurve, fit_power_law, normalize, normalize_columns
 from .simcore import weighted_returns
+
+#: Default correlating time of weekly attention data: infoforce_report's
+#: window length when the attention curve gives no estimate.
+DEFAULT_TAU_WEEKS = 26
 
 #: Published (delta_r, delta_R) anchors for six major index families, used
 #: to freeze the linear relation between the two shift scales.
@@ -295,16 +299,15 @@ def comovement(panel: ReturnsPanel) -> ComovementEstimate:
     v_d - v_n the amplitude gap between the dominating and the other trend.
     Columns are normalized by `normalize_columns` before grouping.
     """
-    sectors = panel.sectors
-    sector_ids = sorted(set(sectors))
+    # object dtype: a fixed-width string array would drop trailing NULs
+    sector_ids, codes, sizes = np.unique(np.array(panel.sectors, dtype=object),
+                                         return_inverse=True, return_counts=True)
     # stocks grouped by sector, in ticker order within each sector
-    order = sorted(range(len(sectors)), key=sectors.__getitem__)
-    normalized = normalize_columns(panel)[order]
-    sizes = [sectors.count(sid) for sid in sector_ids]
+    normalized = normalize_columns(panel)[np.argsort(codes, kind="stable")]
     for sid, size in zip(sector_ids, sizes):
         if size < 2:
             raise ValidationError(f"sector {sid!r} has fewer than 2 stocks")
-    h = _trend_degrees(normalized, np.array(sizes))
+    h = _trend_degrees(normalized, sizes)
     return ComovementEstimate(
         H_M=float(h[0]),
         H_j={sid: float(x) for sid, x in zip(sector_ids, h[1:])},
@@ -416,15 +419,19 @@ def correlating_time(curve: CorrelationCurve) -> CorrelatingTime:
 
     A power law is fitted on lags 1..10; tau is the first lag opening a
     run of _PERSISTENCE consecutive lags whose relative deviation from the
-    fit exceeds _DEVIATION_FACTOR.  Without such a run DEFAULT_TAU_WEEKS
-    is returned with the flag unset.
+    fit exceeds _DEVIATION_FACTOR.  Without such a run, or when the curve
+    is not positive on lags 1..10 (no power law to deviate from),
+    DEFAULT_TAU_WEEKS is returned with the flag unset.
     """
     if len(curve.lags) < _TAU_LAGS:
         raise InsufficientDataError(
             f"curve has {len(curve.lags)} lags; need at least {_TAU_LAGS}"
         )
     head = curve.lags <= 10
-    fit = fit_power_law(curve.lags[head], curve.values[head])
+    try:
+        fit = fit_power_law(curve.lags[head], curve.values[head])
+    except FitDomainError:
+        return CorrelatingTime(tau=DEFAULT_TAU_WEEKS, deviation_found=False)
     predicted = fit.params["amplitude"] * np.asarray(curve.lags, float) ** (
         fit.params["exponent"]
     )
@@ -438,8 +445,9 @@ def correlating_time(curve: CorrelationCurve) -> CorrelatingTime:
 
 def _common_weeks(a, b):
     """The labels the strictly increasing `a` and `b` share, with their
-    positions in each; dates and day numbers share none."""
-    if isinstance(a[0], date) != isinstance(b[0], date):
+    positions in each; dates and day numbers share none, nor does an
+    empty sequence."""
+    if not (len(a) and len(b)) or isinstance(a[0], date) != isinstance(b[0], date):
         a = b = ()
     return np.intersect1d(a, b, assume_unique=True, return_indices=True)
 
@@ -451,9 +459,8 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
     weekly trading-volume file, index the weekly IndexSeries that labels
     windows bull or bear.  All three are put on one weekly clock: the
     search weeks that also carry volumes.  With tau = 0 the window length
-    is the correlating time of the mean attention autocorrelation, or
-    DEFAULT_TAU_WEEKS (deviation not found) when that curve is not
-    positive on the lags the power law is fitted to.  The clock needs
+    is the correlating time of the mean attention autocorrelation (see
+    correlating_time for its DEFAULT_TAU_WEEKS fallback).  The clock needs
     2 * DEFAULT_TAU_WEEKS weeks with tau given, 4 * (_TAU_LAGS + 1)
     without.
     """
@@ -492,12 +499,8 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
             lags=np.arange(1, max_lag + 1),
             values=np.mean(curves, axis=0),
         )
-        try:
-            found = correlating_time(mean_curve)
-            tau, deviation_found = found.tau, found.deviation_found
-        except FitDomainError:
-            # the early lags dip to zero: no power law to deviate from
-            tau, deviation_found = DEFAULT_TAU_WEEKS, False
+        found = correlating_time(mean_curve)
+        tau, deviation_found = found.tau, found.deviation_found
     forces = [info_driving_force(info_states(search), volume, tau, ticker=ticker)
               for ticker, search, volume in zip(searches.tickers, attention, trading)]
     delta_f = info_force_asymmetry(forces, market_vec)

@@ -31,10 +31,6 @@ import numpy as np
 
 from .errors import InputError, ParseError, ValidationError
 
-#: Default correlating time of weekly attention data; search series must be
-#: at least twice this long so that moving windows are computable.
-DEFAULT_TAU_WEEKS = 26
-
 
 def _shown(text: str, limit: int = 80) -> str:
     """File text for a one-line error message: line breaks and other
@@ -136,11 +132,6 @@ class SearchPanel:
                 f"{len(self.weeks)} weeks x {len(self.tickers)} tickers"
             )
         _check_increasing(self.weeks, "search weeks")
-        if len(self.weeks) < 2 * DEFAULT_TAU_WEEKS:
-            raise ValidationError(
-                f"search panel has {len(self.weeks)} weeks; need at least "
-                f"{2 * DEFAULT_TAU_WEEKS} for moving windows"
-            )
         if np.any(self.volume < 0.0):
             raise ValidationError("search panel has negative volume")
 

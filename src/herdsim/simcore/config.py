@@ -44,7 +44,8 @@ class ModelConfig:
     M        maximum investment horizon in days
     p        per-agent one-sided daily trading probability
     k        proportionality coefficient of the weighted return; None picks
-             the per-model default from DEFAULT_K
+             the per-model default from DEFAULT_K.  Model D reads only the
+             sign of R', so k does not change its run
     alpha    trading asymmetry in bull markets (beta = 2 - alpha implied)
     delta_R  integer herding shift between bull and bear markets
     c        volatility-preference degree (model B); 0 disables it
@@ -115,30 +116,10 @@ class ModelConfig:
                 )
         if self.H_j is not None:
             _sector_degrees(self.H_j)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
-        if not 50 <= self.M <= 500:
-            raise ConfigError(f"M must lie in [50, 500], got {self.M}")
-        if not 0.0 < self.p < 0.5:
-            raise ConfigError(f"p must lie in (0, 0.5), got {self.p}")
-        if self.k is not None and self.k <= 0.0:
-            raise ConfigError(f"k must be positive, got {self.k}")
-        if not 0.0 < self.alpha < 2.0:
-            raise ConfigError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if not 0.0 <= self.c <= 1.0:
-            raise ConfigError(f"c must lie in [0, 1], got {self.c}")
-        if self.tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
-        if not 0.0 <= self.a < 1.0:
-            raise ConfigError(f"a must lie in [0, 1), got {self.a}")
-        if not 0.5 < self.f <= 1.0:
-            raise ConfigError(f"f must lie in (0.5, 1], got {self.f}")
-        if self.b1 <= 0.0:
-            raise ConfigError(f"b1 must be positive, got {self.b1}")
-        if self.t_max < 1:
-            raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
+        for name, rule, holds in _RANGES:
+            value = getattr(self, name)
+            if value is not None and not holds(value):
+                raise ConfigError(f"{name} must {rule}, got {value}")
         if self.warmup is not None and self.warmup < self.M:
             raise ConfigError(
                 f"warmup must be at least M={self.M}, got {self.warmup}"
@@ -222,6 +203,24 @@ class ModelConfig:
 
 #: The field names of ModelConfig, the keys a config may hold.
 _FIELDS = frozenset(f.name for f in dataclasses.fields(ModelConfig))
+
+#: The range of each numeric field validate() checks, in the order checked:
+#: (name, rule as the error message states it, test of a value).  A None
+#: value (only k's) passes.
+_RANGES = (
+    ("seed", "be >= 0", lambda v: v >= 0),
+    ("N", "be >= 1", lambda v: v >= 1),
+    ("M", "lie in [50, 500]", lambda v: 50 <= v <= 500),
+    ("p", "lie in (0, 0.5)", lambda v: 0.0 < v < 0.5),
+    ("k", "be positive", lambda v: v > 0.0),
+    ("alpha", "lie in (0, 2)", lambda v: 0.0 < v < 2.0),
+    ("c", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("tau", "be >= 1", lambda v: v >= 1),
+    ("a", "lie in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    ("f", "lie in (0.5, 1]", lambda v: 0.5 < v <= 1.0),
+    ("b1", "be positive", lambda v: v > 0.0),
+    ("t_max", "be >= 1", lambda v: v >= 1),
+)
 
 #: Fields annotated int (annotations are strings under postponed evaluation).
 _INTEGER_FIELDS = frozenset(

@@ -183,7 +183,6 @@ def run_model_d(config: ModelConfig) -> SimOutput:
     rng = np.random.default_rng(config.seed)
     n_agents = config.N
     m = config.M
-    k = config.k_for("d")
     warmup = config.warmup_days
     t_max = config.t_max
     tau = config.tau
@@ -220,7 +219,8 @@ def run_model_d(config: ModelConfig) -> SimOutput:
         history[warmup:], force_trace, size_trace))
     days = zip(windows, memoryview(y_draws), memoryview(n_clustered))
     for i, (window, y, n_pos) in enumerate(days):
-        rprime = k * float(rprime_dot(window))
+        # R' = k * dot with k > 0: only the dot's sign is read
+        rprime = float(rprime_dot(window))
         if rprime > 0.0:
             force = y * bull
         elif rprime < 0.0:

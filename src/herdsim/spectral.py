@@ -101,17 +101,16 @@ def mode_report(system: EigenSystem) -> ModeReport:
     n = system.eigenvectors.shape[0]
     u2 = system.eigenvectors**2
     pr = 1.0 / (n * (u2**2).sum(axis=0))
-    sector_ids = tuple(sorted(set(system.sectors)))
-    masses = np.zeros((system.eigenvectors.shape[1], len(sector_ids)))
-    labels = np.asarray(system.sectors)
-    for j, sid in enumerate(sector_ids):
-        masses[:, j] = u2[labels == sid, :].sum(axis=0)
-    dominant = tuple(sector_ids[j] for j in masses.argmax(axis=1))
+    # object dtype: a fixed-width string array would drop trailing NULs
+    sector_ids, codes = np.unique(np.array(system.sectors, dtype=object),
+                                  return_inverse=True)
+    masses = np.column_stack([u2[codes == j].sum(axis=0)
+                              for j in range(len(sector_ids))])
     return ModeReport(
         participation_ratio=pr,
-        sector_ids=sector_ids,
+        sector_ids=tuple(sector_ids),
         sector_mass=masses,
-        dominant_sector=dominant,
+        dominant_sector=tuple(sector_ids[masses.argmax(axis=1)]),
     )
 
 
@@ -145,10 +144,8 @@ _CSV_MODES = 3
 def write_eigenvector_csv(path, system: EigenSystem) -> None:
     """Leading eigenvector components per ticker, sector-blocked rows."""
     n_modes = min(_CSV_MODES, system.eigenvectors.shape[1])
-    rows = sorted(
-        range(len(system.tickers)),
-        key=lambda i: (system.sectors[i], system.tickers[i]),
-    )
+    rows = np.lexsort([np.array(labels, dtype=object)
+                       for labels in (system.tickers, system.sectors)])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

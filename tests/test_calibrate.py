@@ -9,6 +9,7 @@ from herdsim import calibrate, stats
 from herdsim.calibrate import (
     _DEVIATION_FACTOR,
     _PERSISTENCE,
+    DEFAULT_TAU_WEEKS,
     REFERENCE_SHIFT_PAIRS,
     CorrelatingTime,
     InfoForceSeries,
@@ -33,7 +34,6 @@ from herdsim.errors import (
     ValidationError,
 )
 from herdsim.ingest import (
-    DEFAULT_TAU_WEEKS,
     IndexSeries,
     ReturnSeries,
     ReturnsPanel,
@@ -219,6 +219,16 @@ class TestComovement:
         expected = np.mean(r**2)  # zeta = 1, v_n = 0 every day
         assert est.H_M == pytest.approx(expected, rel=1e-12)
         assert est.H_j["1"] == pytest.approx(expected, rel=1e-12)
+
+    def test_ids_differing_by_a_trailing_nul_are_two_sectors(self):
+        rng = np.random.default_rng(9)
+        matrix = rng.normal(size=(300, 5))
+        est = comovement(self.panel_from(matrix, ["s\x00", "s", "s\x00", "s", "s"]))
+        assert list(est.H_j) == ["s", "s\x00"]
+        alone = comovement(self.panel_from(matrix[:, [1, 3, 4, 0, 2]],
+                                           ["s", "s", "s", "t", "t"]))
+        assert est.H_j["s"] == alone.H_j["s"]
+        assert est.H_j["s\x00"] == alone.H_j["t"]
 
     def test_independent_noise_matches_monte_carlo_baseline(self):
         n, t = 20, 400
@@ -481,6 +491,13 @@ class TestInfoForceReport:
                            "on any week the search and volume files share"):
             infoforce_report(searches, volumes, numbered, tau=8)
 
+    def test_empty_panel_shares_no_week(self):
+        searches, volumes, index = self.inputs()
+        empty = SearchPanel((), searches.tickers, np.empty((0, 2)))
+        for pair in ((empty, volumes), (searches, empty)):
+            with pytest.raises(InputError, match="share only 0 weeks"):
+                infoforce_report(*pair, index, tau=8)
+
     def test_short_overlap_rejected(self):
         searches, volumes, index = self.inputs(volume_weeks=slice(40, 100))
         with pytest.raises(InputError, match="share only 40 weeks"):
@@ -525,11 +542,11 @@ class TestCorrelatingTime:
         assert out.deviation_found
         assert abs(out.tau - 26) <= 3
 
-    def test_nonpositive_head_rejected(self):
+    def test_nonpositive_head_falls_back(self):
         values = np.ones(40)
         values[4] = -0.1
-        with pytest.raises(FitDomainError):
-            correlating_time(self.curve(values))
+        out = correlating_time(self.curve(values))
+        assert out == CorrelatingTime(DEFAULT_TAU_WEEKS, False)
 
     def test_short_curve_rejected(self):
         with pytest.raises(InsufficientDataError):

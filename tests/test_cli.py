@@ -575,7 +575,7 @@ class TestCalibrateCommands:
         assert run(["calibrate", "infoforce", "--search", fast,
                     "--volumes", volumes, "--index", index, "--out", out]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["tau"] == ingest.DEFAULT_TAU_WEEKS
+        assert report["tau"] == calibrate.DEFAULT_TAU_WEEKS
         assert report["tau_deviation_found"] is False
 
     def test_infoforce_names_a_constant_attention_series(self, tmp_path, capsys,
@@ -613,6 +613,36 @@ class TestCalibrateCommands:
         assert "share only 100 weeks; need 124 to estimate tau" in err
         assert "--tau" in err
         assert run(argv + ["--tau", 12]) == 0
+
+    def test_infoforce_short_volumes_file_names_the_shared_weeks(
+            self, tmp_path, capsys, info_files):
+        search, volumes, index = info_files
+        # keep the first 30 of the 200 volume weeks
+        lines = volumes.read_text().splitlines()
+        last = weekly_dates(200)[29].isoformat()
+        short = tmp_path / "volumes_30.csv"
+        short.write_text("\n".join(
+            [lines[0]] + [r for r in lines[1:] if r.split(",")[0] <= last]) + "\n")
+        out = tmp_path / "cal"
+        assert run(["calibrate", "infoforce", "--search", search, "--volumes",
+                    short, "--index", index, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: search and volume files share only 30 weeks; need 124 to "
+            "estimate tau; --tau sets it and needs fewer\n")
+        assert not out.exists()
+
+    def test_infoforce_search_tickers_without_a_common_week_exit_2(
+            self, tmp_path, capsys, info_files):
+        _, volumes, index = info_files
+        weeks = weekly_dates(120)
+        search = write_csv(
+            tmp_path / "disjoint.csv", ["week_start", "ticker", "volume"],
+            [(w.isoformat(), "AAA", "1.0") for w in weeks[:60]]
+            + [(w.isoformat(), "BBB", "1.0") for w in weeks[60:]])
+        assert run(["calibrate", "infoforce", "--search", search, "--volumes",
+                    volumes, "--index", index, "--out", tmp_path / "cal"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {search}: tickers share no common weeks\n")
 
     def test_infoforce_aligns_offset_week_grids(self, tmp_path, info_files):
         search, volumes, index = info_files

@@ -8,6 +8,7 @@ from conftest import business_dates, weekly_dates, write_csv
 from herdsim.errors import InputError, ParseError, ValidationError
 from herdsim.ingest import (
     IndexSeries,
+    ReturnSeries,
     ReturnsPanel,
     SearchPanel,
     _scan_numeric_csv,
@@ -34,6 +35,44 @@ def save_search_panel(panel: SearchPanel, path) -> None:
 
 def column(panel: ReturnsPanel, ticker: str) -> np.ndarray:
     return panel.matrix[:, panel.tickers.index(ticker)]
+
+
+class TestRecordChecks:
+    """The records check their fields when built directly, not only when a
+    loader builds them."""
+
+    DATES = tuple(range(3))
+
+    @pytest.mark.parametrize("close, volume, message", [
+        ([1.0, 2.0], [1.0, 1.0, 1.0], "index series columns have unequal lengths"),
+        ([1.0, 2.0, 3.0], [1.0, 1.0], "index series columns have unequal lengths"),
+        ([1.0, 0.0, 3.0], [1.0, 1.0, 1.0], "close prices must be positive"),
+        ([1.0, 2.0, 3.0], [1.0, -1.0, 1.0], "volumes must be non-negative"),
+    ], ids=["close-length", "volume-length", "close", "volume"])
+    def test_index_series(self, close, volume, message):
+        with pytest.raises(ValidationError, match=message):
+            IndexSeries(self.DATES, np.array(close), np.array(volume))
+
+    @pytest.mark.parametrize("returns, volume, message", [
+        ([0.1, 0.2], [1.0, 1.0, 1.0], "return series columns have unequal lengths"),
+        ([0.1, np.inf, 0.2], [1.0, 1.0, 1.0], "returns must be finite"),
+        ([0.1, 0.2, 0.3], [1.0, 1.0], "volume column has wrong length"),
+        ([0.1, 0.2, 0.3], [1.0, 1.0, -1.0], "volumes must be non-negative"),
+    ], ids=["returns-length", "finite", "volume-length", "volume"])
+    def test_return_series(self, returns, volume, message):
+        with pytest.raises(ValidationError, match=message):
+            ReturnSeries(self.DATES, np.array(returns), np.array(volume))
+
+    @pytest.mark.parametrize("matrix, sector_of, message", [
+        (np.zeros((3, 1)), {"AAA": "1", "BBB": "1"},
+         r"panel matrix shape \(3, 1\) does not match 3 dates x 2 tickers"),
+        (np.array([[0.0, 0.1], [np.nan, 0.2], [0.3, 0.4]]),
+         {"AAA": "1", "BBB": "1"}, "panel contains missing or non-finite cells"),
+        (np.zeros((3, 2)), {"AAA": "1"}, "ticker 'BBB' has no sector"),
+    ], ids=["shape", "finite", "sector"])
+    def test_returns_panel(self, matrix, sector_of, message):
+        with pytest.raises(ValidationError, match=message):
+            ReturnsPanel(self.DATES, ("AAA", "BBB"), sector_of, matrix)
 
 
 class TestLoadIndexSeries:
@@ -326,6 +365,14 @@ class TestSearchSeries:
         assert panel.volume.shape == (100, 2)
         assert panel.weeks == tuple(weeks[10:110])
 
+    def test_tickers_without_a_common_week_rejected(self, tmp_path):
+        weeks = weekly_dates(120)
+        path = self.make_file(tmp_path, [("AAA", weeks[:60], np.ones(60)),
+                                         ("BBB", weeks[60:], np.ones(60))])
+        with pytest.raises(ValidationError,
+                           match="search.csv: tickers share no common weeks"):
+            load_search_series(path)
+
     def test_duplicate_week_names_row(self, tmp_path):
         weeks = weekly_dates(60)
         path = self.make_file(tmp_path, [("AAA", weeks, np.ones(60)),
@@ -334,21 +381,13 @@ class TestSearchSeries:
                            match=f"row 62: duplicate week {weeks[3]} for 'AAA'"):
             load_search_series(path)
 
-    def test_too_short_series_rejected(self, tmp_path):
-        weeks = weekly_dates(30)
-        path = self.make_file(tmp_path, [("AAA", weeks, np.ones(30))])
-        with pytest.raises(ValidationError, match="at least 52"):
-            load_search_series(path)
-
     @pytest.mark.parametrize("weeks, volume, message", [
         (weekly_dates(60), np.ones((60, 1)),
          r"search volume shape \(60, 1\) does not match 60 weeks x 2 tickers"),
         (weekly_dates(60)[::-1], np.ones((60, 2)),
          "search weeks must be strictly increasing"),
-        (weekly_dates(51), np.ones((51, 2)),
-         "search panel has 51 weeks; need at least 52 for moving windows"),
         (weekly_dates(60), -np.ones((60, 2)), "search panel has negative volume"),
-    ], ids=["shape", "decreasing", "short", "negative"])
+    ], ids=["shape", "decreasing", "negative"])
     def test_panel_checks(self, weeks, volume, message):
         with pytest.raises(ValidationError, match=message):
             SearchPanel(tuple(weeks), ("AAA", "BBB"), volume)

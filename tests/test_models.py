@@ -197,6 +197,16 @@ class TestModelD:
         mean_p = p0 * np.mean(1 + frac_pos * out.diagnostics["F"])
         assert mean_p == pytest.approx(2 * cfg.p, rel=0.03)
 
+    def test_k_does_not_change_a_run(self):
+        # model D reads only the sign of R', and k > 0 keeps it
+        cfg = ModelConfig(N=2000, M=50, t_max=1050, warmup=50, seed=9,
+                          a=0.3, f=0.8)
+        runs = [run_model_d(replace(cfg, k=k)) for k in (0.05, None, 5.0)]
+        for out in runs[1:]:
+            assert np.array_equal(out.returns, runs[0].returns)
+            for key, trace in runs[0].diagnostics.items():
+                assert np.array_equal(out.diagnostics[key], trace)
+
     def test_cluster_size_bounded_by_positive_agents(self):
         cfg = ModelConfig(N=2000, M=50, t_max=1050, warmup=50, seed=5,
                           a=0.2, f=0.8)

@@ -473,6 +473,30 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("N", 0, "N must be >= 1, got 0"),
+        ("M", 49, "M must lie in [50, 500], got 49"),
+        ("p", 0.5, "p must lie in (0, 0.5), got 0.5"),
+        ("k", 0, "k must be positive, got 0"),
+        ("alpha", 2, "alpha must lie in (0, 2), got 2"),
+        ("c", 1.5, "c must lie in [0, 1], got 1.5"),
+        ("tau", 0, "tau must be >= 1, got 0"),
+        ("a", 1, "a must lie in [0, 1), got 1"),
+        ("f", 0.5, "f must lie in (0.5, 1], got 0.5"),
+        ("b1", 0, "b1 must be positive, got 0"),
+        ("t_max", 0, "t_max must be >= 1, got 0"),
+    ])
+    def test_range_message(self, field, value, message):
+        with pytest.raises(ConfigError) as exc:
+            ModelConfig(**{field: value}).validate()
+        assert str(exc.value) == message
+
+    def test_first_range_in_field_order_is_reported(self):
+        with pytest.raises(ConfigError) as exc:
+            ModelConfig(b1=0.0, N=0).validate()
+        assert str(exc.value) == "N must be >= 1, got 0"
+
     def test_warmup_must_cover_horizon(self):
         with pytest.raises(ConfigError):
             ModelConfig(M=100, warmup=50).validate()

@@ -177,6 +177,17 @@ class TestModeReport:
         report = mode_report(system)
         assert report.sector_ids == ("x", "y")
 
+    def test_ids_differing_by_a_trailing_nul_are_two_sectors(self):
+        # a fixed-width string array would drop the NUL and merge them
+        rng = np.random.default_rng(11)
+        vectors = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        report = mode_report(hand_system(vectors, ["s", "s\x00", "s", "s\x00"]))
+        assert report.sector_ids == ("s", "s\x00")
+        assert report.sector_mass.sum(axis=1) == pytest.approx(
+            np.ones(4), abs=1e-12)
+        assert report.sector_mass[:, 1] == pytest.approx(
+            (vectors[[1, 3]] ** 2).sum(axis=0), abs=1e-12)
+
 
 class TestMarchenkoPastur:
     def test_quarter_ratio_closed_form(self):
@@ -223,3 +234,16 @@ def test_correlation_matrix_validation():
     bad = np.array([[1.0, 0.2], [0.3, 1.0]])
     with pytest.raises(ValidationError):
         CorrelationMatrix(values=bad, tickers=("a", "b"), sectors=("1", "1"))
+
+
+@pytest.mark.parametrize("values, tickers, message", [
+    (np.ones((2, 3)), ("a", "b"), "correlation matrix must be square"),
+    (np.eye(2), ("a",), "labels do not match matrix order"),
+    (np.array([[1.0, 0.2], [0.3, 1.0]]), ("a", "b"),
+     "correlation matrix is not symmetric"),
+    (np.array([[1.0, 0.2], [0.2, 0.9]]), ("a", "b"),
+     "correlation matrix diagonal is not 1"),
+], ids=["square", "labels", "symmetric", "diagonal"])
+def test_correlation_matrix_checks(values, tickers, message):
+    with pytest.raises(ValidationError, match=message):
+        CorrelationMatrix(values=values, tickers=tickers, sectors=("1",) * len(tickers))

@@ -220,6 +220,15 @@ class TestHurstExponent:
         with pytest.raises(InsufficientDataError):
             hurst_exponent(np.random.default_rng(0).normal(size=100))
 
+    def test_profile_linear_in_every_window_degenerate(self):
+        # one jump on the first day: the profile falls by exactly 1 a day
+        # after it, so every window detrends to exactly 0
+        x = np.zeros(512)
+        x[0] = 512.0
+        with pytest.raises(DegenerateSeriesError,
+                           match="not enough usable window sizes"):
+            hurst_exponent(x)
+
 
 class TestTailExponent:
     def test_pareto_recovery(self):
