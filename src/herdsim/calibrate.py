@@ -22,6 +22,7 @@ from .errors import (
     FitDomainError,
     InputError,
     InsufficientDataError,
+    NumericError,
     ValidationError,
 )
 from .ingest import ReturnsPanel, log_returns
@@ -166,16 +167,31 @@ class InfoForceReport:
         return values, lines
 
 
-def trading_asymmetry(returns, m: int = 150, k: float = 1.0) -> AsymmetryEstimate:
+def _returns_and_volumes(returns, volumes) -> tuple[np.ndarray, np.ndarray]:
+    """The input check of the asymmetry estimators: returns and volumes as
+    float arrays of equal length, the returns finite, the volumes finite
+    and non-negative."""
+    r = np.asarray(returns, dtype=float)
+    v = np.asarray(volumes, dtype=float)
+    if len(r) != len(v):
+        raise ValidationError("returns and volumes have different lengths")
+    if not np.isfinite(r).all():
+        raise ValidationError("returns must be finite")
+    if not (np.isfinite(v).all() and (v >= 0.0).all()):
+        raise ValidationError("volumes must be finite and non-negative")
+    return r, v
+
+
+def trading_asymmetry(returns, volume, m: int = 150, k: float = 1.0) -> AsymmetryEstimate:
     """Estimate alpha from volumes following bull and bear weighted returns.
 
-    With the trading probability proportional to volume, the bull/bear
-    volume ratio rho = V+/V- equals alpha/beta, and alpha + beta = 2 gives
+    volume[t] is the volume of the day returns[t] ends on.  With the
+    trading probability proportional to volume, the bull/bear volume ratio
+    rho = V+/V- equals alpha/beta, and alpha + beta = 2 gives
     alpha = 2 rho / (1 + rho).  A day is bull or bear by the sign of R'
     alone, so a gain k > 0 only scales R' and leaves the labels unchanged.
     """
-    r = np.asarray(returns.returns, dtype=float)
-    volume = np.asarray(returns.volume, dtype=float)
+    r, volume = _returns_and_volumes(returns, volume)
     if len(r) < m + 1:
         raise InsufficientDataError(
             f"need more than {m} days of returns, got {len(r)}"
@@ -188,11 +204,15 @@ def trading_asymmetry(returns, m: int = 150, k: float = 1.0) -> AsymmetryEstimat
     bear = next_vol[signs < 0]
     if len(bull) == 0 or len(bear) == 0:
         raise InsufficientDataError("no bull or no bear days in the sample")
-    v_bull, v_bear = bull.mean(), bear.mean()
-    if v_bull == 0.0 or v_bear == 0.0:
-        raise InsufficientDataError("zero mean volume after bull or bear days")
-    ratio = float(v_bull / v_bear)
+    # volumes near the float64 limit overflow here; alpha then is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_bull, v_bear = bull.mean(), bear.mean()
+        if v_bull == 0.0 or v_bear == 0.0:
+            raise InsufficientDataError("zero mean volume after bull or bear days")
+        ratio = float(v_bull / v_bear)
     alpha = 2.0 * ratio / (1.0 + ratio)
+    if not math.isfinite(alpha):
+        raise NumericError("volume ratio V+/V- overflows float64")
     return AsymmetryEstimate(alpha=alpha, beta=2.0 - alpha, volume_ratio=ratio)
 
 
@@ -203,20 +223,23 @@ def herding_shift(r: np.ndarray, volumes) -> float:
     r over positive days, d_bear the same over |r| on negative days; the
     shift is (d_bear - d_bull) / 2.
     """
-    v = np.asarray(volumes, dtype=float)
-    if len(v) != len(r):
-        raise ValidationError("returns and volumes have different lengths")
+    r, v = _returns_and_volumes(r, volumes)
     bull = r > 0.0
     bear = r < 0.0
     if not bull.any() or not bear.any():
         raise InsufficientDataError("series is one-sided")
-    w_bull = v[bull].sum()
-    w_bear = v[bear].sum()
-    if w_bull == 0.0 or w_bear == 0.0:
-        raise InsufficientDataError("zero total volume on one side")
-    d_bull = float((v[bull] * r[bull]).sum() / w_bull)
-    d_bear = float((v[bear] * np.abs(r[bear])).sum() / w_bear)
-    return (d_bear - d_bull) / 2.0
+    # volumes near the float64 limit overflow here; the shift then is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_bull = v[bull].sum()
+        w_bear = v[bear].sum()
+        if w_bull == 0.0 or w_bear == 0.0:
+            raise InsufficientDataError("zero total volume on one side")
+        d_bull = float((v[bull] * r[bull]).sum() / w_bull)
+        d_bear = float((v[bear] * np.abs(r[bear])).sum() / w_bear)
+    shift = (d_bear - d_bull) / 2.0
+    if not math.isfinite(shift):
+        raise NumericError("volume-weighted herding shift overflows float64")
+    return shift
 
 
 def shift_relation() -> tuple[float, float]:
@@ -244,9 +267,9 @@ def asymmetry_report(index_series, m: int = 150, k: float = 1.0) -> AsymmetryEst
     Any gain k > 0 gives the same estimate: it only scales R', whose sign
     labels the days.
     """
-    returns = log_returns(index_series)
-    est = trading_asymmetry(returns, m=m, k=k)
-    shift = herding_shift(normalize(returns.returns).values, returns.volume)
+    returns, volume = log_returns(index_series), index_series.volume[1:]
+    est = trading_asymmetry(returns, volume, m=m, k=k)
+    shift = herding_shift(normalize(returns).values, volume)
     return dataclasses.replace(est, delta_r=shift,
                                delta_R=herding_offset_from_shift(shift))
 
@@ -477,13 +500,13 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
     attention = searches.volume[search_rows].T
     columns = [volumes.tickers.index(ticker) for ticker in searches.tickers]
     trading = volumes.volume[np.ix_(volume_rows, columns)].T
-    market = log_returns(index)
-    _, on_clock, days = _common_weeks(weeks, market.dates)
+    # return t - 1 of the index ends on its week t
+    _, on_clock, days = _common_weeks(weeks, index.dates[1:])
     if not len(on_clock):
         raise InsufficientDataError("the index has no return on any week the "
                                     "search and volume files share")
     market_vec = np.full(len(weeks), np.nan)
-    market_vec[on_clock] = market.returns[days]
+    market_vec[on_clock] = log_returns(index)[days]
 
     deviation_found = None
     if not tau:

@@ -61,28 +61,10 @@ class IndexSeries:
         if len(self.close) != len(self.dates) or len(self.volume) != len(self.dates):
             raise ValidationError("index series columns have unequal lengths")
         _check_increasing(self.dates, "index dates")
+        if not (np.isfinite(self.close).all() and np.isfinite(self.volume).all()):
+            raise ValidationError("index series has non-finite numbers")
         if np.any(self.close <= 0.0):
             raise ValidationError("close prices must be positive")
-        if np.any(self.volume < 0.0):
-            raise ValidationError("volumes must be non-negative")
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Daily log returns, with the volume of the day each return ends on."""
-
-    dates: tuple
-    returns: np.ndarray
-    volume: np.ndarray
-
-    def __post_init__(self):
-        if len(self.returns) != len(self.dates):
-            raise ValidationError("return series columns have unequal lengths")
-        _check_increasing(self.dates, "return dates")
-        if not np.all(np.isfinite(self.returns)):
-            raise ValidationError("returns must be finite")
-        if len(self.volume) != len(self.dates):
-            raise ValidationError("volume column has wrong length")
         if np.any(self.volume < 0.0):
             raise ValidationError("volumes must be non-negative")
 
@@ -132,6 +114,8 @@ class SearchPanel:
                 f"{len(self.weeks)} weeks x {len(self.tickers)} tickers"
             )
         _check_increasing(self.weeks, "search weeks")
+        if not np.isfinite(self.volume).all():
+            raise ValidationError("search panel has non-finite volume")
         if np.any(self.volume < 0.0):
             raise ValidationError("search panel has negative volume")
 
@@ -353,13 +337,10 @@ def load_index_series(path) -> IndexSeries:
                        volume=volume[order])
 
 
-def log_returns(series: IndexSeries) -> ReturnSeries:
-    """Daily log returns ln(close[t] / close[t-1]), volumes from day t."""
-    return ReturnSeries(
-        dates=series.dates[1:],
-        returns=np.diff(np.log(series.close)),
-        volume=series.volume[1:].copy(),
-    )
+def log_returns(series: IndexSeries) -> np.ndarray:
+    """Daily log returns ln(close[t] / close[t-1]); entry t - 1 ends on
+    `series.dates[t]`."""
+    return np.diff(np.log(series.close))
 
 
 def load_sector_map(path) -> dict[str, str]:

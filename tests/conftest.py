@@ -62,6 +62,45 @@ def panel_files(tmp_path):
     return panel, sectors_path, matrix, tickers, sectors
 
 
+@pytest.fixture
+def info_files(tmp_path):
+    """200 weeks of attention and trading volumes for two tickers, and a
+    weekly index on the same weeks."""
+    rng = np.random.default_rng(20)
+    n = 200
+    weeks = weekly_dates(n)
+    t = np.arange(n)
+    attention = []
+    trading = []
+    for phase, ticker in ((0.0, "AAA"), (1.3, "BBB")):
+        # slowly varying attention so its autocorrelation decays smoothly
+        g = 5 + 2 * np.sin(2 * np.pi * t / 80 + phase) + rng.normal(0, 0.3, n)
+        g = np.maximum(g, 0.0)
+        v = rng.uniform(50, 150, n) + 40 * (g > g.mean())
+        attention += [
+            (w.isoformat(), ticker, repr(float(x))) for w, x in zip(weeks, g)
+        ]
+        trading += [
+            (w.isoformat(), ticker, repr(float(x))) for w, x in zip(weeks, v)
+        ]
+    search = write_csv(
+        tmp_path / "search.csv", ["week_start", "ticker", "volume"], attention
+    )
+    volumes = write_csv(
+        tmp_path / "volumes.csv", ["week_start", "ticker", "volume"], trading
+    )
+    closes = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
+    index = write_csv(
+        tmp_path / "index.csv",
+        ["date", "close", "volume"],
+        [
+            (w.isoformat(), repr(float(c)), "1")
+            for w, c in zip(weeks, closes)
+        ],
+    )
+    return search, volumes, index
+
+
 # `--hypothesis-profile deep` raises the loader equivalence tests in
 # tests/test_properties.py from 300 to 2,000 examples each.
 settings.register_profile("deep", max_examples=2000)

@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from conftest import business_dates
 from herdsim.calibrate import (
     REFERENCE_SHIFT_PAIRS,
     herding_offset_from_shift,
@@ -21,7 +20,7 @@ from herdsim.calibrate import (
     trading_asymmetry,
 )
 from herdsim.cli import main as cli_main
-from herdsim.ingest import ReturnSeries, ReturnsPanel
+from herdsim.ingest import ReturnsPanel
 from herdsim.simcore import (
     ModelConfig,
     rprime_weights,
@@ -257,10 +256,7 @@ def test_criterion_8_calibration_oracles():
     volume = np.ones(n)
     for i, s in enumerate(signs[:-1]):
         volume[m + i] = rho if s > 0 else 1.0
-    series = ReturnSeries(
-        dates=tuple(business_dates(n)), returns=returns, volume=volume
-    )
-    est = trading_asymmetry(series, m=m)
+    est = trading_asymmetry(returns, volume, m=m)
     checks.append(abs(est.alpha - 2 * rho / (1 + rho)) < 1e-12)
 
     # delta_r = 0 on a sign-symmetric fixture

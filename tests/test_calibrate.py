@@ -4,7 +4,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from conftest import business_dates, weekly_dates
+from conftest import weekly_dates
 from herdsim import calibrate, stats
 from herdsim.calibrate import (
     _DEVIATION_FACTOR,
@@ -31,11 +31,11 @@ from herdsim.errors import (
     FitDomainError,
     InputError,
     InsufficientDataError,
+    NumericError,
     ValidationError,
 )
 from herdsim.ingest import (
     IndexSeries,
-    ReturnSeries,
     ReturnsPanel,
     SearchPanel,
 )
@@ -54,7 +54,7 @@ def weighted_signs_oracle(returns, m, k=1.0):
 
 
 def series_with_controlled_volumes(ratio, m=60, n=400, seed=0):
-    """Returns series whose post-bull volumes are exactly `ratio` times
+    """Returns and volumes whose post-bull volumes are exactly `ratio` times
     the post-bear ones, built by assigning volumes after the fact."""
     rng = np.random.default_rng(seed)
     returns = rng.normal(0, 1.0, n)
@@ -66,63 +66,53 @@ def series_with_controlled_volumes(ratio, m=60, n=400, seed=0):
             volume[day] = ratio
         elif s < 0:
             volume[day] = 1.0
-    return ReturnSeries(
-        dates=tuple(business_dates(n)), returns=returns, volume=volume
-    ), signs
+    return (returns, volume), signs
 
 
 class TestTradingAsymmetry:
     def test_symmetric_volumes_give_unit_alpha(self):
         series, _ = series_with_controlled_volumes(1.0)
-        est = trading_asymmetry(series, m=60)
+        est = trading_asymmetry(*series, m=60)
         assert est.alpha == pytest.approx(1.0, abs=1e-12)
         assert est.beta == pytest.approx(1.0, abs=1e-12)
 
     def test_ratio_three_halves(self):
         series, _ = series_with_controlled_volumes(1.5)
-        est = trading_asymmetry(series, m=60)
+        est = trading_asymmetry(*series, m=60)
         assert est.volume_ratio == pytest.approx(1.5, abs=1e-12)
         assert est.alpha == pytest.approx(1.2, abs=1e-12)
         assert est.beta == pytest.approx(0.8, abs=1e-12)
 
     def test_alpha_beta_sum_exactly_two(self):
         series, _ = series_with_controlled_volumes(1.37, seed=3)
-        est = trading_asymmetry(series, m=60)
+        est = trading_asymmetry(*series, m=60)
         assert est.alpha + est.beta == 2.0
 
     def test_volume_scale_invariance(self):
         series, _ = series_with_controlled_volumes(1.5, seed=1)
-        scaled = ReturnSeries(
-            dates=series.dates, returns=series.returns, volume=series.volume * 1e6
-        )
-        a = trading_asymmetry(series, m=60).alpha
-        b = trading_asymmetry(scaled, m=60).alpha
+        returns, volume = series
+        a = trading_asymmetry(returns, volume, m=60).alpha
+        b = trading_asymmetry(returns, volume * 1e6, m=60).alpha
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_one_sided_sample_rejected(self):
         n = 200
         returns = np.full(n, 0.01)  # R' always positive
-        series = ReturnSeries(
-            dates=tuple(business_dates(n)), returns=returns, volume=np.ones(n)
-        )
         with pytest.raises(InsufficientDataError):
-            trading_asymmetry(series, m=60)
+            trading_asymmetry(returns, np.ones(n), m=60)
 
     @pytest.mark.parametrize("side", [1, -1], ids=["bull", "bear"])
     def test_zero_volume_after_one_side_rejected(self, side):
         # alpha would be 0 (bull) or NaN (bear), with a volume ratio of 0 or inf
-        series, signs = series_with_controlled_volumes(1.5)
-        volume = series.volume.copy()
+        (returns, volume), signs = series_with_controlled_volumes(1.5)
         volume[60 + np.flatnonzero(signs[:-1] == side)] = 0.0
-        zeroed = ReturnSeries(dates=series.dates, returns=series.returns,
-                              volume=volume)
         with pytest.raises(InsufficientDataError,
                            match="zero mean volume after bull or bear days"):
-            trading_asymmetry(zeroed, m=60)
+            trading_asymmetry(returns, volume, m=60)
 
     def test_report_of_the_volume_side_alone(self):
         series, _ = series_with_controlled_volumes(1.5)
-        values, lines = trading_asymmetry(series, m=60).report()
+        values, lines = trading_asymmetry(*series, m=60).report()
         assert values["delta_r"] is None and values["delta_R"] is None
         assert lines[-1].startswith("  beta ")
         assert not any("delta" in line for line in lines)
@@ -131,8 +121,40 @@ class TestTradingAsymmetry:
         # volume ratio tuned to the published large-cap value alpha = 1.01
         ratio = 1.01 / 0.99
         series, _ = series_with_controlled_volumes(ratio, seed=2)
-        est = trading_asymmetry(series, m=60)
+        est = trading_asymmetry(*series, m=60)
         assert est.alpha == pytest.approx(1.01, abs=0.01)
+
+
+class TestAsymmetryInputs:
+    """trading_asymmetry and herding_shift read their inputs through one
+    check, which runs before any estimate."""
+
+    ESTIMATORS = {"trading_asymmetry": trading_asymmetry,
+                  "herding_shift": herding_shift}
+
+    @pytest.mark.parametrize("returns, volumes, message", [
+        ([0.1, -0.2], [1.0, 1.0, 1.0], "returns and volumes have different lengths"),
+        ([0.1, -0.2, 0.3], [1.0, 1.0], "returns and volumes have different lengths"),
+        ([0.1, np.nan, -0.2], [1.0, 1.0, 1.0], "returns must be finite"),
+        ([0.1, np.inf, -0.2], [1.0, 1.0, 1.0], "returns must be finite"),
+        ([0.1, -0.2, 0.3], [1.0, np.nan, 1.0], "volumes must be finite and non-negative"),
+        ([0.1, -0.2, 0.3], [1.0, np.inf, 1.0], "volumes must be finite and non-negative"),
+        ([0.1, -0.2, 0.3], [1.0, -5.0, 1.0], "volumes must be finite and non-negative"),
+    ], ids=["short-returns", "short-volumes", "nan-return", "inf-return",
+            "nan-volume", "inf-volume", "negative-volume"])
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_rejected(self, estimator, returns, volumes, message):
+        with pytest.raises(ValidationError, match=message):
+            self.ESTIMATORS[estimator](np.array(returns), np.array(volumes))
+
+    def test_overflowing_volumes_raise(self):
+        # every third volume at 1e308: the bull and bear volume sums overflow
+        (returns, volume), _ = series_with_controlled_volumes(1.5)
+        volume[::3] = 1e308
+        with pytest.raises(NumericError, match=r"volume ratio V\+/V- overflows"):
+            trading_asymmetry(returns, volume, m=60)
+        with pytest.raises(NumericError, match="herding shift overflows"):
+            herding_shift(returns, volume)
 
 
 class TestHerdingShift:

@@ -43,43 +43,6 @@ def small_config(tmp_path, **overrides):
     return path
 
 
-@pytest.fixture
-def info_files(tmp_path):
-    rng = np.random.default_rng(20)
-    n = 200
-    weeks = weekly_dates(n)
-    t = np.arange(n)
-    attention = []
-    trading = []
-    for phase, ticker in ((0.0, "AAA"), (1.3, "BBB")):
-        # slowly varying attention so its autocorrelation decays smoothly
-        g = 5 + 2 * np.sin(2 * np.pi * t / 80 + phase) + rng.normal(0, 0.3, n)
-        g = np.maximum(g, 0.0)
-        v = rng.uniform(50, 150, n) + 40 * (g > g.mean())
-        attention += [
-            (w.isoformat(), ticker, repr(float(x))) for w, x in zip(weeks, g)
-        ]
-        trading += [
-            (w.isoformat(), ticker, repr(float(x))) for w, x in zip(weeks, v)
-        ]
-    search = write_csv(
-        tmp_path / "search.csv", ["week_start", "ticker", "volume"], attention
-    )
-    volumes = write_csv(
-        tmp_path / "volumes.csv", ["week_start", "ticker", "volume"], trading
-    )
-    closes = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
-    index = write_csv(
-        tmp_path / "index.csv",
-        ["date", "close", "volume"],
-        [
-            (w.isoformat(), repr(float(c)), "1")
-            for w, c in zip(weeks, closes)
-        ],
-    )
-    return search, volumes, index
-
-
 class TestSimulate:
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -466,6 +429,22 @@ class TestCalibrateCommands:
         assert report["M"] == 60
         assert "k" not in report
         assert (out / "report.txt").exists()
+
+    def test_asymmetry_overflowing_volumes_exit_1(self, tmp_path, capsys,
+                                                  index_csv):
+        # finite volumes whose bull and bear means overflow float64, which
+        # would make the volume ratio NaN
+        rows = index_csv.read_text().splitlines()
+        for i in range(100, len(rows), 3):
+            day, close, _ = rows[i].split(",")
+            rows[i] = f"{day},{close},1e308"
+        index_csv.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "cal"
+        assert run(["calibrate", "asymmetry", "--index", index_csv,
+                    "--horizon", 60, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: NumericError: volume ratio V+/V- overflows float64\n")
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "cal"
@@ -861,8 +840,8 @@ class TestBadInputsExit2:
         # index row t + 1 holds the volume that follows the R' of return t
         series = ingest.load_index_series(index_csv)
         returns = ingest.log_returns(series)
-        signs = np.sign(weighted_returns(returns.returns, 60, 1.0))
-        bear_rows = 60 + 1 + np.flatnonzero(signs[: len(returns.returns) - 60] < 0)
+        signs = np.sign(weighted_returns(returns, 60, 1.0))
+        bear_rows = 60 + 1 + np.flatnonzero(signs[: len(returns) - 60] < 0)
         rows = index_csv.read_text().splitlines()
         for i in bear_rows:
             day, close, _ = rows[1 + i].split(",")

@@ -1,12 +1,15 @@
 """Golden sha256 digests of returns.csv and diagnostics.csv for one small
-config per model.
+config per model, and of report.json and report.txt for each calibration.
 
 Each returns digest pins the model's random stream end to end through
 `cli.main`: a refactor that keeps the stream keeps the digest.  Each
 diagnostics digest pins the per-day traces the same way, so a rewrite of a
 day loop that keeps the stream must also keep every trace value.  A change
 that alters the stream on purpose (a new sampler with the same law) updates
-the digests here and says so in CHANGES.md.  The digests hold for the numpy
+the digests here and says so in CHANGES.md.  The report digests pin each
+calibration's numbers and formatting on the seeded input files of
+conftest.py, so a refactor of an estimator or a loader shows whether it
+kept every byte.  The digests hold for the numpy
 release line the suite runs on (2.x), whose Generator streams they encode.
 """
 
@@ -69,3 +72,47 @@ def test_returns_digest(tmp_path, model):
 def test_diagnostics_digest(tmp_path, model):
     out = _simulate(tmp_path, model)
     assert _sha256(out / "diagnostics.csv") == DIAGNOSTICS_DIGESTS[model]
+
+
+# (report.json, report.txt) of each calibration on the conftest inputs
+REPORT_DIGESTS = {
+    "asymmetry": (
+        "12cae380560828d81c4a380a1a5230d197250627e108f5c345ec44f94f347bdd",
+        "7a599c314817de8e3023223869ec89ae3ff92d95293f172a6122206dfd46ef3e",
+    ),
+    "comovement": (
+        "d5c156f8318f56412097c6a09e836003f1ee4edbf87ddfc4bea7c0885db7c0be",
+        "b6e86092aed90d29648a85c5b7510469da1a9a8ac081a4487cd64ea1f60b472d",
+    ),
+    "infoforce": (
+        "bdec3f5bf593b08674b45b2ab74d2c72eb0e0328fe94de9772083ec21a275eac",
+        "795e789f98999d7937c407006d0f05aa2fa328022475c3d87d461f2579c3b026",
+    ),
+    "infoforce-tau": (
+        "edea58ec63406ff7f60f184204b2407262894feeb956f8bbb91c10d1431597e0",
+        "025fdc24d50a35f86f27ae5e3ce7d5e89351e5e76d63e05f4ae04691c09a5f3b",
+    ),
+}
+
+
+def _calibrate_argv(request, name):
+    if name == "asymmetry":
+        return ["asymmetry", "--index", request.getfixturevalue("index_csv"),
+                "--horizon", 60]
+    if name == "comovement":
+        panel, sectors, *_ = request.getfixturevalue("panel_files")
+        return ["comovement", "--panel", panel, "--sectors", sectors]
+    search, volumes, index = request.getfixturevalue("info_files")
+    # "infoforce" estimates tau from the attention curve
+    tau = ["--tau", 12] if name == "infoforce-tau" else []
+    return ["infoforce", "--search", search, "--volumes", volumes,
+            "--index", index, *tau]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_digests(tmp_path, request, name):
+    out = tmp_path / "cal"
+    argv = ["calibrate", *_calibrate_argv(request, name), "--out", out]
+    assert main([str(a) for a in argv]) == 0
+    assert (_sha256(out / "report.json"), _sha256(out / "report.txt")) == (
+        REPORT_DIGESTS[name])

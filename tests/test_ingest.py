@@ -8,7 +8,6 @@ from conftest import business_dates, weekly_dates, write_csv
 from herdsim.errors import InputError, ParseError, ValidationError
 from herdsim.ingest import (
     IndexSeries,
-    ReturnSeries,
     ReturnsPanel,
     SearchPanel,
     _scan_numeric_csv,
@@ -46,22 +45,15 @@ class TestRecordChecks:
     @pytest.mark.parametrize("close, volume, message", [
         ([1.0, 2.0], [1.0, 1.0, 1.0], "index series columns have unequal lengths"),
         ([1.0, 2.0, 3.0], [1.0, 1.0], "index series columns have unequal lengths"),
+        ([1.0, np.inf, 3.0], [1.0, 1.0, 1.0], "index series has non-finite numbers"),
+        ([1.0, 2.0, 3.0], [1.0, np.nan, 1.0], "index series has non-finite numbers"),
         ([1.0, 0.0, 3.0], [1.0, 1.0, 1.0], "close prices must be positive"),
         ([1.0, 2.0, 3.0], [1.0, -1.0, 1.0], "volumes must be non-negative"),
-    ], ids=["close-length", "volume-length", "close", "volume"])
+    ], ids=["close-length", "volume-length", "close-finite", "volume-finite",
+            "close", "volume"])
     def test_index_series(self, close, volume, message):
         with pytest.raises(ValidationError, match=message):
             IndexSeries(self.DATES, np.array(close), np.array(volume))
-
-    @pytest.mark.parametrize("returns, volume, message", [
-        ([0.1, 0.2], [1.0, 1.0, 1.0], "return series columns have unequal lengths"),
-        ([0.1, np.inf, 0.2], [1.0, 1.0, 1.0], "returns must be finite"),
-        ([0.1, 0.2, 0.3], [1.0, 1.0], "volume column has wrong length"),
-        ([0.1, 0.2, 0.3], [1.0, 1.0, -1.0], "volumes must be non-negative"),
-    ], ids=["returns-length", "finite", "volume-length", "volume"])
-    def test_return_series(self, returns, volume, message):
-        with pytest.raises(ValidationError, match=message):
-            ReturnSeries(self.DATES, np.array(returns), np.array(volume))
 
     @pytest.mark.parametrize("matrix, sector_of, message", [
         (np.zeros((3, 1)), {"AAA": "1", "BBB": "1"},
@@ -166,8 +158,7 @@ class TestLogReturns:
             close=np.array([1.0, np.e, np.e]),
             volume=np.zeros(3),
         )
-        out = log_returns(series)
-        assert out.returns == pytest.approx([1.0, 0.0], abs=1e-15)
+        assert log_returns(series) == pytest.approx([1.0, 0.0], abs=1e-15)
 
     def test_hand_arithmetic(self):
         series = IndexSeries(
@@ -176,8 +167,8 @@ class TestLogReturns:
             volume=np.array([1.0, 2.0, 3.0]),
         )
         out = log_returns(series)
-        assert out.returns == pytest.approx([np.log(1.1), np.log(0.9)], abs=1e-15)
-        assert out.volume.tolist() == [2.0, 3.0]  # volumes carried from day t
+        assert isinstance(out, np.ndarray)
+        assert out == pytest.approx([np.log(1.1), np.log(0.9)], abs=1e-15)
 
     def test_constant_closes(self):
         series = IndexSeries(
@@ -185,7 +176,7 @@ class TestLogReturns:
             close=np.full(4, 5.0),
             volume=np.zeros(4),
         )
-        assert log_returns(series).returns.tolist() == [0.0, 0.0, 0.0]
+        assert log_returns(series).tolist() == [0.0, 0.0, 0.0]
 
     def test_cumulative_sum_recovers_prices(self):
         rng = np.random.default_rng(1)
@@ -193,7 +184,7 @@ class TestLogReturns:
         series = IndexSeries(
             dates=tuple(business_dates(300)), close=closes, volume=np.zeros(300)
         )
-        rebuilt = closes[0] * np.exp(np.cumsum(log_returns(series).returns))
+        rebuilt = closes[0] * np.exp(np.cumsum(log_returns(series)))
         assert np.max(np.abs(rebuilt / closes[1:] - 1.0)) < 1e-12
 
 
@@ -387,7 +378,11 @@ class TestSearchSeries:
         (weekly_dates(60)[::-1], np.ones((60, 2)),
          "search weeks must be strictly increasing"),
         (weekly_dates(60), -np.ones((60, 2)), "search panel has negative volume"),
-    ], ids=["shape", "decreasing", "negative"])
+        (weekly_dates(2), np.array([[1.0, 1.0], [np.nan, 1.0]]),
+         "search panel has non-finite volume"),
+        (weekly_dates(2), np.array([[1.0, np.inf], [1.0, 1.0]]),
+         "search panel has non-finite volume"),
+    ], ids=["shape", "decreasing", "negative", "nan", "inf"])
     def test_panel_checks(self, weeks, volume, message):
         with pytest.raises(ValidationError, match=message):
             SearchPanel(tuple(weeks), ("AAA", "BBB"), volume)

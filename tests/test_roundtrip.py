@@ -4,7 +4,6 @@ was run with."""
 import pytest
 
 from herdsim.calibrate import trading_asymmetry
-from herdsim.ingest import ReturnSeries
 from herdsim.simcore import ModelConfig, run_model_a
 
 
@@ -16,8 +15,5 @@ def test_model_a_alpha_round_trip(alpha):
     # day by the same R' window the model used.
     out = run_model_a(ModelConfig(N=10_000, M=150, t_max=20_150, warmup=150,
                                   seed=3, alpha=alpha))
-    series = ReturnSeries(dates=tuple(range(len(out.returns))),
-                          returns=out.returns,
-                          volume=out.diagnostics["P_trade"])
-    est = trading_asymmetry(series, m=150, k=0.1)
+    est = trading_asymmetry(out.returns, out.diagnostics["P_trade"], m=150, k=0.1)
     assert est.alpha == pytest.approx(alpha, abs=1e-12)
