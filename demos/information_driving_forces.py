@@ -64,11 +64,11 @@ cfg = ModelConfig(
 print("\nsimulating the information-driven market "
       f"(N = {cfg.N}, {cfg.t_max - cfg.warmup_days} days) ...")
 out = run_model_d(cfg)
-r = normalize(out.returns)
+r = normalize(out.returns).values
 
-kurt = np.mean(r.values**4) / np.mean(r.values**2) ** 2 - 3
-acurve = autocorrelation_abs(r, 20).values
-lcurve = return_volatility_correlation(r, 5).values
+kurt = np.mean(r**4) / np.mean(r**2) ** 2 - 3
+acurve = autocorrelation_abs(r, 20)
+lcurve = return_volatility_correlation(r, 5)
 state_flips = np.mean(np.diff(out.diagnostics["S"]) != 0)
 print(f"  state persistence : ~{1 / max(state_flips, 1e-9):.0f} days "
       f"(configured tau = {cfg.tau})")

@@ -22,7 +22,6 @@ import numpy as np
 
 from herdsim.simcore import ModelConfig, run_model_a
 from herdsim.stats import (
-    CorrelationCurve,
     autocorrelation_abs,
     fit_exponential,
     hurst_exponent,
@@ -50,26 +49,20 @@ for label, alpha, delta_r in (
             N=10_000, M=150, p=0.0154, alpha=alpha, delta_R=delta_r,
             t_max=T_DAYS + 150, warmup=150, seed=seed,
         )
-        r = normalize(run_model_a(cfg).returns)
-        curves.append(return_volatility_correlation(r, 15).values)
-        pooled.append(r.values)
+        r = normalize(run_model_a(cfg).returns).values
+        curves.append(return_volatility_correlation(r, 15))
+        pooled.append(r)
 
     mean_l = np.mean(curves, axis=0)
-    curve = CorrelationCurve(np.arange(1, 16), mean_l)
-    write_curve_csv(curve, OUT / f"lcurve_{label}.csv")
-    fit = fit_exponential(CorrelationCurve(np.arange(1, 11), mean_l[:10]))
+    write_curve_csv(mean_l, OUT / f"lcurve_{label}.csv")
+    fit = fit_exponential(mean_l[:10])
     print(f"  L(1..5)      : {np.array2string(mean_l[:5], precision=4)}")
     print(f"  exp fit      : c = {fit.params['c']:+.4f}, "
           f"tau = {fit.params['tau']:.1f} days")
 
     sample = np.concatenate(pooled)
-    acurve = np.mean(
-        [autocorrelation_abs(r, 50).values for r in pooled], axis=0
-    )
-    write_curve_csv(
-        CorrelationCurve(np.arange(1, 51), acurve),
-        OUT / f"acurve_{label}.csv",
-    )
+    acurve = np.mean([autocorrelation_abs(r, 50) for r in pooled], axis=0)
+    write_curve_csv(acurve, OUT / f"acurve_{label}.csv")
     print(f"  tail exponent: {tail_exponent(sample, 0.05):.2f} "
           "(inverse-cubic-law territory)")
     print(f"  A(1), A(10)  : {acurve[0]:.3f}, {acurve[9]:.3f} "

@@ -18,7 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import stats
 from .errors import (
-    DegenerateSeriesError,
     FitDomainError,
     InputError,
     InsufficientDataError,
@@ -26,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import ReturnsPanel, log_returns
-from .stats import CorrelationCurve, fit_power_law, normalize, normalize_columns
+from .stats import fit_power_law, normalize, normalize_columns
 from .simcore import weighted_returns
 
 #: Default correlating time of weekly attention data: infoforce_report's
@@ -111,12 +110,6 @@ class InfoForceSeries:
     forces: np.ndarray
     tau: int
     skipped: int = 0
-
-
-@dataclass(frozen=True)
-class CorrelatingTime:
-    tau: int
-    deviation_found: bool
 
 
 @dataclass(frozen=True)
@@ -342,7 +335,11 @@ def info_states(volume) -> np.ndarray:
     volume = np.asarray(volume, dtype=float)
     if len(volume) < 2:
         raise InsufficientDataError("need at least 2 weeks")
-    return (volume > volume.mean()).astype(np.int8)
+    with np.errstate(over="ignore"):
+        mean = volume.mean()
+    if not np.isfinite(mean):
+        raise NumericError("attention volumes overflow float64: mean is not finite")
+    return (volume > mean).astype(np.int8)
 
 
 def info_driving_force(states, volumes, tau: int, ticker: str = "") -> InfoForceSeries:
@@ -369,15 +366,20 @@ def info_driving_force(states, volumes, tau: int, ticker: str = "") -> InfoForce
     low = window_s == 0
     n_high = high.sum(axis=1)
     n_low = low.sum(axis=1)
-    # a window without high or low weeks divides by zero; it is skipped
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a window without high or low weeks divides by zero; it is skipped.
+    # Volumes near the float64 limit overflow here; a force then is not finite
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v1 = np.where(high, window_v, 0.0).sum(axis=1) / n_high
         v0 = np.where(low, window_v, 0.0).sum(axis=1) / n_low
-    kept = (n_high > 0) & (n_low > 0) & (v0 != 0.0)
+        kept = (n_high > 0) & (n_low > 0) & (v0 != 0.0)
+        forces = v1[kept] / v0[kept] - 1.0
+    if not (np.isfinite(forces).all() and np.isfinite(v0[kept]).all()):
+        raise NumericError(f"trading volumes of {ticker!r} overflow float64 "
+                           "in a window average")
     return InfoForceSeries(
         ticker=ticker,
         window_starts=np.flatnonzero(kept).astype(np.int64),
-        forces=v1[kept] / v0[kept] - 1.0,
+        forces=forces,
         tau=tau,
         skipped=int(len(kept) - kept.sum()),
     )
@@ -437,8 +439,9 @@ _PERSISTENCE = 3
 _TAU_LAGS = 30
 
 
-def correlating_time(curve: CorrelationCurve) -> CorrelatingTime:
-    """Lag where a correlation curve leaves its early power-law decay.
+def correlating_time(curve) -> tuple[int, bool]:
+    """Lag where a correlation curve on lags 1..n leaves its early
+    power-law decay, as (tau, deviation_found).
 
     A power law is fitted on lags 1..10; tau is the first lag opening a
     run of _PERSISTENCE consecutive lags whose relative deviation from the
@@ -446,24 +449,22 @@ def correlating_time(curve: CorrelationCurve) -> CorrelatingTime:
     is not positive on lags 1..10 (no power law to deviate from),
     DEFAULT_TAU_WEEKS is returned with the flag unset.
     """
-    if len(curve.lags) < _TAU_LAGS:
+    if len(curve) < _TAU_LAGS:
         raise InsufficientDataError(
-            f"curve has {len(curve.lags)} lags; need at least {_TAU_LAGS}"
+            f"curve has {len(curve)} lags; need at least {_TAU_LAGS}"
         )
-    head = curve.lags <= 10
     try:
-        fit = fit_power_law(curve.lags[head], curve.values[head])
+        fit = fit_power_law(curve[:10])
     except FitDomainError:
-        return CorrelatingTime(tau=DEFAULT_TAU_WEEKS, deviation_found=False)
-    predicted = fit.params["amplitude"] * np.asarray(curve.lags, float) ** (
-        fit.params["exponent"]
-    )
-    deviates = np.abs(curve.values - predicted) / np.abs(predicted) > _DEVIATION_FACTOR
+        return DEFAULT_TAU_WEEKS, False
+    lags = np.arange(1.0, len(curve) + 1)
+    predicted = fit.params["amplitude"] * lags ** fit.params["exponent"]
+    deviates = np.abs(curve - predicted) / np.abs(predicted) > _DEVIATION_FACTOR
     # runs[i]: every entry of deviates[i : i + _PERSISTENCE] is set
     runs = sliding_window_view(deviates, _PERSISTENCE).all(axis=1)
     if runs.any():
-        return CorrelatingTime(tau=int(curve.lags[runs.argmax()]), deviation_found=True)
-    return CorrelatingTime(tau=DEFAULT_TAU_WEEKS, deviation_found=False)
+        return int(runs.argmax()) + 1, True
+    return DEFAULT_TAU_WEEKS, False
 
 
 def _common_weeks(a, b):
@@ -514,16 +515,10 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
         curves = []
         for ticker, volume in zip(searches.tickers, attention):
             try:
-                curve = stats.autocorrelation_abs(volume, max_lag)
-            except DegenerateSeriesError as exc:
-                raise DegenerateSeriesError(f"attention of {ticker!r}: {exc}")
-            curves.append(curve.values)
-        mean_curve = CorrelationCurve(
-            lags=np.arange(1, max_lag + 1),
-            values=np.mean(curves, axis=0),
-        )
-        found = correlating_time(mean_curve)
-        tau, deviation_found = found.tau, found.deviation_found
+                curves.append(stats.autocorrelation_abs(volume, max_lag))
+            except NumericError as exc:  # name the ticker, keep the type
+                raise type(exc)(f"attention of {ticker!r}: {exc}")
+        tau, deviation_found = correlating_time(np.mean(curves, axis=0))
     forces = [info_driving_force(info_states(search), volume, tau, ticker=ticker)
               for ticker, search, volume in zip(searches.tickers, attention, trading)]
     delta_f = info_force_asymmetry(forces, market_vec)

@@ -205,12 +205,12 @@ _read_returns_column = ingest.load_returns_column
 
 
 def cmd_analyze(args, argv) -> int:
-    # every estimate runs before the first write, so a failure leaves no file
-    out = _out_dir(args, f"analyze-{args.what}")
+    # every estimate runs before the output directory is made, so a failure
+    # leaves no directory and no file
     if args.what in ("lcurve", "stats"):  # one returns file
         r = stats.normalize(_read_returns_column(args.infile))
         if args.what == "lcurve":
-            curve = stats.return_volatility_correlation(r, args.max_lag)
+            curve = stats.return_volatility_correlation(r.values, args.max_lag)
             results: dict = {"estimator": "L", "max_lag": args.max_lag}
             try:
                 results["exponential_fit"] = stats.fit_exponential(curve)
@@ -218,20 +218,21 @@ def cmd_analyze(args, argv) -> int:
                 results["exponential_fit_error"] = str(exc)
             names = "lcurve.csv", "lcurve_fit.json"
         else:  # stats
-            curve = stats.autocorrelation_abs(r, args.max_lag)
+            curve = stats.autocorrelation_abs(r.values, args.max_lag)
             pooled = r.values
             results = {
                 "n_days": len(pooled),
                 "sigma": r.sigma,
                 "mean": r.mean_removed,
                 "hurst": stats.hurst_exponent(np.abs(pooled)),
-                "tail_exponent": stats.tail_exponent(r, args.tail_fraction),
+                "tail_exponent": stats.tail_exponent(pooled, args.tail_fraction),
                 "tail_fraction": args.tail_fraction,
                 "kurtosis_excess": float(
                     np.mean(pooled**4) / np.mean(pooled**2) ** 2 - 3.0
                 ),
             }
             names = "acurve.csv", "stats.json"
+        out = _out_dir(args, f"analyze-{args.what}")
         outputs = [out / name for name in names]
         stats.write_curve_csv(curve, outputs[0])
         stats.write_results_json(outputs[1], results)
@@ -245,6 +246,7 @@ def cmd_analyze(args, argv) -> int:
         lo, hi = spectral.marchenko_pastur_bounds(
             len(panel.tickers), len(panel.dates)
         )
+        out = _out_dir(args, f"analyze-{args.what}")
         outputs = [out / "spectrum.json", out / "eigenvectors.csv",
                    out / "bounds.json"]
         spectral.write_spectrum_json(outputs[0], system, report)

@@ -29,7 +29,7 @@ from itertools import compress, count, islice
 
 import numpy as np
 
-from .errors import InputError, ParseError, ValidationError
+from .errors import InputError, NumericError, ParseError, ValidationError
 
 
 def _shown(text: str, limit: int = 80) -> str:
@@ -450,10 +450,17 @@ def load_search_series(path) -> SearchPanel:
 
 
 def write_json(path, obj) -> None:
-    """Write `obj` as JSON text indented by two spaces, with a final newline."""
+    """Write `obj` as JSON text indented by two spaces, with a final newline.
+
+    A NaN or infinity, which JSON cannot hold, raises NumericError naming
+    the file before the file is opened.
+    """
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 _WRITE_BLOCK_ROWS = 1024

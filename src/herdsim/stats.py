@@ -2,9 +2,9 @@
 
 Normalization, volatility autocorrelation, return-volatility correlation,
 detrended-fluctuation Hurst exponents, Hill tail exponents and simple
-curve fits.  All estimators accept either a plain sequence or the richer
-objects produced elsewhere in the package (anything with a `.values`
-attribute).
+curve fits.  Every estimator takes a plain 1-d sequence of finite numbers.
+A correlation curve is a 1-d float array whose entry t - 1 is the value
+at lag t, for lags 1..n.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from .errors import (
     DegenerateSeriesError,
     FitDomainError,
     InsufficientDataError,
+    NumericError,
     ValidationError,
 )
 from .ingest import ReturnsPanel, write_csv_table, write_json
 
 
 def _as_series(values) -> np.ndarray:
-    if hasattr(values, "values"):
-        values = values.values
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValidationError(f"expected a 1-d series, got shape {x.shape}")
@@ -44,14 +43,6 @@ class NormalizedReturns:
 
 
 @dataclass(frozen=True)
-class CorrelationCurve:
-    """Correlation values per positive integer lag."""
-
-    lags: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class FitResult:
     model_id: str
     params: dict[str, float]
@@ -61,13 +52,17 @@ class FitResult:
 def normalize(returns) -> NormalizedReturns:
     """Center and scale a return series: r = (R - <R>) / sigma.
 
-    sigma is the population standard deviation sqrt(<R^2> - <R>^2).
+    sigma is the population standard deviation sqrt(<R^2> - <R>^2).  Finite
+    returns whose mean or sigma overflows float64 raise NumericError.
     """
     x = _as_series(returns)
     if len(x) < 2:
         raise InsufficientDataError("need at least 2 observations")
-    mean = float(x.mean())
-    sigma = float(x.std())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(x.mean())
+        sigma = float(x.std())
+    if not (np.isfinite(mean) and np.isfinite(sigma)):
+        raise NumericError("returns overflow float64: mean or sigma is not finite")
     if sigma == 0.0:
         raise DegenerateSeriesError("zero variance; cannot normalize")
     return NormalizedReturns(values=(x - mean) / sigma, mean_removed=mean, sigma=sigma)
@@ -79,10 +74,17 @@ def normalize_columns(panel: ReturnsPanel) -> np.ndarray:
 
     Each row is reduced along its contiguous memory, the order in which a
     1-d series is summed, so a row equals normalize(column).values bit for
-    bit.  A constant column is degenerate and reported by ticker.
+    bit.  A constant column is degenerate, and one whose sigma overflows
+    float64 a NumericError; either is reported by ticker.
     """
     x = panel.matrix.T.astype(float, order="C")
-    sigma = x.std(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = x.std(axis=1)
+    # a mean that overflows makes sigma NaN, so this covers the mean too
+    huge = np.flatnonzero(~np.isfinite(sigma))
+    if len(huge):
+        raise NumericError(f"return column for ticker {panel.tickers[huge[0]]!r} "
+                           "overflows float64: sigma is not finite")
     dead = np.flatnonzero(sigma == 0.0)
     if len(dead):
         raise DegenerateSeriesError(f"constant return column for ticker "
@@ -101,7 +103,7 @@ def _check_max_lag(length: int, max_lag: int) -> None:
         )
 
 
-def autocorrelation_abs(series, max_lag: int) -> CorrelationCurve:
+def autocorrelation_abs(series, max_lag: int) -> np.ndarray:
     """Autocorrelation of magnitudes:
 
         A(t) = [<|r(t')||r(t'+t)|> - <|r|>^2] / A0,  A0 = <|r|^2> - <|r|>^2.
@@ -113,18 +115,21 @@ def autocorrelation_abs(series, max_lag: int) -> CorrelationCurve:
     """
     x = np.abs(_as_series(series))
     _check_max_lag(len(x), max_lag)
-    mu = x.mean()
-    a0 = (x * x).mean() - mu * mu
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = x.mean()
+        a0 = (x * x).mean() - mu * mu
+    # a mean that overflows makes A0 NaN or -inf, so this covers it too
+    if not np.isfinite(a0):
+        raise NumericError("magnitudes overflow float64: A0 is not finite")
     if a0 <= 0.0:
         raise DegenerateSeriesError("constant magnitudes; A0 = 0")
-    lags = np.arange(1, max_lag + 1)
-    vals = np.empty(max_lag)
-    for i, t in enumerate(lags):
-        vals[i] = ((x[:-t] * x[t:]).mean() - mu * mu) / a0
-    return CorrelationCurve(lags=lags, values=vals)
+    curve = np.empty(max_lag)
+    for t in range(1, max_lag + 1):
+        curve[t - 1] = ((x[:-t] * x[t:]).mean() - mu * mu) / a0
+    return curve
 
 
-def return_volatility_correlation(series, max_lag: int) -> CorrelationCurve:
+def return_volatility_correlation(series, max_lag: int) -> np.ndarray:
     """Correlation of returns with later squared volatilities:
 
         L(t) = <r(t') |r(t'+t)|^2> / Z,  Z = <|r|^2>^2.
@@ -138,11 +143,10 @@ def return_volatility_correlation(series, max_lag: int) -> CorrelationCurve:
     z = r2.mean() ** 2
     if z == 0.0:
         raise DegenerateSeriesError("zero second moment; Z = 0")
-    lags = np.arange(1, max_lag + 1)
-    vals = np.empty(max_lag)
-    for i, t in enumerate(lags):
-        vals[i] = (r[:-t] * r2[t:]).mean() / z
-    return CorrelationCurve(lags=lags, values=vals)
+    curve = np.empty(max_lag)
+    for t in range(1, max_lag + 1):
+        curve[t - 1] = (r[:-t] * r2[t:]).mean() / z
+    return curve
 
 
 #: Smallest window size of the DFA grid.
@@ -215,15 +219,16 @@ def tail_exponent(values, tail_fraction: float = 0.05) -> float:
     return float(k / total)
 
 
-def fit_exponential(curve: CorrelationCurve) -> FitResult:
-    """Least-squares fit of c * exp(-t / tau) to a one-signed curve.
+def fit_exponential(curve) -> FitResult:
+    """Least-squares fit of c * exp(-t / tau) to a one-signed curve on
+    lags t = 1..n.
 
     Fitted in log space: ln|v| against t.  The sign of c is the common
     sign of the curve values; mixed signs or zeros are outside the fit
     domain, as is a non-decaying fit (tau <= 0).
     """
-    v = np.asarray(curve.values, dtype=float)
-    t = np.asarray(curve.lags, dtype=float)
+    v = np.asarray(curve, dtype=float)
+    t = np.arange(1.0, len(v) + 1)
     if np.any(v == 0.0) or (np.any(v > 0.0) and np.any(v < 0.0)):
         raise FitDomainError("curve changes sign inside the fitted range")
     sign = 1.0 if v[0] > 0.0 else -1.0
@@ -238,12 +243,13 @@ def fit_exponential(curve: CorrelationCurve) -> FitResult:
     )
 
 
-def fit_power_law(lags, values) -> FitResult:
-    """Least-squares fit of amplitude * t**exponent on a log-log grid."""
-    t = np.asarray(lags, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if np.any(v <= 0.0) or np.any(t <= 0.0):
-        raise FitDomainError("power-law fit needs positive lags and values")
+def fit_power_law(curve) -> FitResult:
+    """Least-squares fit of amplitude * t**exponent to a curve on lags
+    t = 1..n, on a log-log grid."""
+    v = np.asarray(curve, dtype=float)
+    t = np.arange(1.0, len(v) + 1)
+    if np.any(v <= 0.0):
+        raise FitDomainError("power-law fit needs positive values")
     slope, intercept = np.polyfit(np.log(t), np.log(v), 1)
     residuals = np.log(v) - (slope * np.log(t) + intercept)
     return FitResult(
@@ -253,9 +259,10 @@ def fit_power_law(lags, values) -> FitResult:
     )
 
 
-def write_curve_csv(curve: CorrelationCurve, path) -> None:
-    write_csv_table(path, ["lag", "value"], map(str, curve.lags.tolist()),
-                    [curve.values])
+def write_curve_csv(curve: np.ndarray, path) -> None:
+    """Write a curve as rows `lag,value` for lags 1..n."""
+    write_csv_table(path, ["lag", "value"], map(str, range(1, len(curve) + 1)),
+                    [curve])
 
 
 def write_results_json(path, results: dict) -> None:

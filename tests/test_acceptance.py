@@ -35,7 +35,6 @@ from herdsim.spectral import (
     mode_report,
 )
 from herdsim.stats import (
-    CorrelationCurve,
     autocorrelation_abs,
     fit_exponential,
     hurst_exponent,
@@ -71,7 +70,7 @@ def _model_a_ensemble(alpha, delta_r, base_seed):
         runs.append(normalize(run_model_a(cfg).returns).values)
     return {
         "norm": runs,
-        "L": np.array([return_volatility_correlation(r, 15).values for r in runs]),
+        "L": np.array([return_volatility_correlation(r, 15) for r in runs]),
         "secs": time.time() - t0,
     }
 
@@ -122,9 +121,7 @@ def c_runs():
 
 def test_criterion_1_leverage_effect(sp_ensemble):
     mean_l = sp_ensemble["L"].mean(axis=0)
-    fit = fit_exponential(
-        CorrelationCurve(np.arange(1, 11), mean_l[:10])
-    )
+    fit = fit_exponential(mean_l[:10])
     c, tau = fit.params["c"], fit.params["tau"]
     ok = (
         bool(np.all(mean_l[:10] < 0.0))
@@ -142,9 +139,7 @@ def test_criterion_1_leverage_effect(sp_ensemble):
 
 def test_criterion_2_anti_leverage(anti_ensemble):
     mean_l = anti_ensemble["L"].mean(axis=0)
-    fit = fit_exponential(
-        CorrelationCurve(np.arange(1, 11), mean_l[:10])
-    )
+    fit = fit_exponential(mean_l[:10])
     ok = bool(np.all(mean_l[:6] > 0.0)) and fit.params["c"] > 0.0
     _report(
         "C2",
@@ -178,7 +173,7 @@ def test_criterion_4_fat_tails(sp_ensemble):
 
 def test_criterion_5_volatility_clustering_and_hurst(sp_ensemble):
     acurves = np.array(
-        [autocorrelation_abs(r, 50).values for r in sp_ensemble["norm"]]
+        [autocorrelation_abs(r, 50) for r in sp_ensemble["norm"]]
     )
     mean_a = acurves.mean(axis=0)
     hursts = [hurst_exponent(np.abs(r)) for r in sp_ensemble["norm"]]
@@ -229,10 +224,10 @@ def test_criterion_7_infodriven_stylized_facts(d_ensemble):
     pooled = np.concatenate(d_ensemble)
     kurt = float(np.mean(pooled**4) / np.mean(pooled**2) ** 2 - 3.0)
     mean_a = np.mean(
-        [autocorrelation_abs(r, 20).values for r in d_ensemble], axis=0
+        [autocorrelation_abs(r, 20) for r in d_ensemble], axis=0
     )
     mean_l = np.mean(
-        [return_volatility_correlation(r, 5).values for r in d_ensemble], axis=0
+        [return_volatility_correlation(r, 5) for r in d_ensemble], axis=0
     )
     ok = kurt > 1.0 and bool(np.all(mean_a > 0.0)) and bool(np.all(mean_l < 0.0))
     _report(
@@ -308,10 +303,10 @@ def test_criterion_9_numerical_kernels():
 
     r = rng.standard_t(4, size=1000)
     a_err = np.max(
-        np.abs(autocorrelation_abs(r, 40).values - acf_abs_oracle(r, 40))
+        np.abs(autocorrelation_abs(r, 40) - acf_abs_oracle(r, 40))
     )
     l_err = np.max(
-        np.abs(return_volatility_correlation(r, 40).values - lcurve_oracle(r, 40))
+        np.abs(return_volatility_correlation(r, 40) - lcurve_oracle(r, 40))
     )
     matrix = rng.normal(size=(1000, 5))
     tickers = tuple(f"T{i}" for i in range(5))

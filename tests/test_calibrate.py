@@ -11,7 +11,6 @@ from herdsim.calibrate import (
     _PERSISTENCE,
     DEFAULT_TAU_WEEKS,
     REFERENCE_SHIFT_PAIRS,
-    CorrelatingTime,
     InfoForceSeries,
     comovement,
     correlating_time,
@@ -41,7 +40,7 @@ from herdsim.ingest import (
 )
 from herdsim.simcore import horizon_weights, rprime_weights
 from herdsim.spectral import marchenko_pastur_bounds
-from herdsim.stats import CorrelationCurve, normalize
+from herdsim.stats import normalize
 
 
 def weighted_signs_oracle(returns, m, k=1.0):
@@ -542,52 +541,44 @@ class TestInfoForceReport:
 
 
 class TestCorrelatingTime:
-    @staticmethod
-    def curve(values):
-        return CorrelationCurve(
-            lags=np.arange(1, len(values) + 1),
-            values=np.asarray(values, dtype=float),
-        )
-
     def test_pure_power_law_returns_fallback(self):
         lags = np.arange(1, 61)
-        out = correlating_time(self.curve(0.8 * lags**-0.4))
-        assert isinstance(out, CorrelatingTime)
-        assert out.tau == 26
-        assert not out.deviation_found
+        tau, found = correlating_time(0.8 * lags**-0.4)
+        assert tau == 26
+        assert found is False
 
     def test_truncated_power_law_found_near_cutoff(self):
         lags = np.arange(1, 61.0)
         values = 0.8 * lags**-0.4
         values[25:] *= np.exp(-(lags[25:] - 25) / 3.0)  # decay from lag 26
-        out = correlating_time(self.curve(values))
-        assert out.deviation_found
-        assert abs(out.tau - 26) <= 3
+        tau, found = correlating_time(values)
+        assert found is True
+        assert abs(tau - 26) <= 3
 
     def test_nonpositive_head_falls_back(self):
         values = np.ones(40)
         values[4] = -0.1
-        out = correlating_time(self.curve(values))
-        assert out == CorrelatingTime(DEFAULT_TAU_WEEKS, False)
+        assert correlating_time(values) == (DEFAULT_TAU_WEEKS, False)
 
     def test_short_curve_rejected(self):
         with pytest.raises(InsufficientDataError):
-            correlating_time(self.curve(np.ones(10)))
+            correlating_time(np.ones(10))
 
     @staticmethod
     def run_counter_oracle(curve):
         """tau by counting runs of deviating lags, one lag at a time."""
-        head = curve.lags <= 10
-        fit = stats.fit_power_law(curve.lags[head], curve.values[head])
-        predicted = fit.params["amplitude"] * curve.lags.astype(float) ** (
+        lags = np.arange(1, len(curve) + 1)
+        head = lags <= 10
+        fit = stats.fit_power_law(curve[head])
+        predicted = fit.params["amplitude"] * lags.astype(float) ** (
             fit.params["exponent"])
         run = 0
-        for i in range(len(curve.lags)):
-            deviates = abs(curve.values[i] - predicted[i]) / abs(predicted[i])
+        for i in range(len(lags)):
+            deviates = abs(curve[i] - predicted[i]) / abs(predicted[i])
             run = run + 1 if deviates > _DEVIATION_FACTOR else 0
             if run >= _PERSISTENCE:
-                return CorrelatingTime(int(curve.lags[i - _PERSISTENCE + 1]), True)
-        return CorrelatingTime(DEFAULT_TAU_WEEKS, False)
+                return int(lags[i - _PERSISTENCE + 1]), True
+        return DEFAULT_TAU_WEEKS, False
 
     @pytest.mark.parametrize("pushed, tau", [
         pytest.param([], None, id="no-run"),
@@ -602,11 +593,9 @@ class TestCorrelatingTime:
         lags = np.arange(1, 41)
         values = 0.8 * lags**-0.4
         values[np.array(pushed, dtype=int) - 1] *= 1.0 + 2.0 * _DEVIATION_FACTOR
-        curve = self.curve(values)
-        assert correlating_time(curve) == self.run_counter_oracle(curve)
-        expected = (CorrelatingTime(tau, True) if tau
-                    else CorrelatingTime(DEFAULT_TAU_WEEKS, False))
-        assert correlating_time(curve) == expected
+        assert correlating_time(values) == self.run_counter_oracle(values)
+        expected = (tau, True) if tau else (DEFAULT_TAU_WEEKS, False)
+        assert correlating_time(values) == expected
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -649,6 +638,31 @@ class TestCorrelatingTime:
     pytest.param(lambda: stats.tail_exponent(np.ones(2000), 0.05),
                  DegenerateSeriesError, "degenerate tail; all order stats equal",
                  id="hill-tied-tail"),
+    # finite numbers whose mean, sigma or window sums overflow float64
+    pytest.param(lambda: stats.normalize([1e300, -1e300, 1e300]),
+                 NumericError, "returns overflow float64: mean or sigma is not finite",
+                 id="stats-sigma-overflows"),
+    pytest.param(lambda: stats.normalize([1e308, 1e308, 0.0]),
+                 NumericError, "returns overflow float64: mean or sigma is not finite",
+                 id="stats-mean-overflows"),
+    pytest.param(lambda: stats.normalize_columns(ReturnsPanel(
+                     dates=(1, 2, 3), tickers=("A", "B"),
+                     sector_of={"A": "1", "B": "1"},
+                     matrix=np.array([[1.0, 1e300], [2.0, -1e300], [4.0, 0.0]]))),
+                 NumericError, "return column for ticker 'B' overflows float64: "
+                 "sigma is not finite",
+                 id="stats-column-sigma-overflows"),
+    pytest.param(lambda: stats.autocorrelation_abs([1e200, 1e300, 0.0, 1.0, 2.0], 1),
+                 NumericError, "magnitudes overflow float64: A0 is not finite",
+                 id="acurve-a0-overflows"),
+    pytest.param(lambda: info_states([1e308, 1e308, 0.0]),
+                 NumericError, "attention volumes overflow float64: mean is not finite",
+                 id="info_states-mean-overflows"),
+    pytest.param(lambda: info_driving_force([0, 1, 1, 0], [1.0, 1e308, 1e308, 1.0],
+                                            4, "AAA"),
+                 NumericError, "trading volumes of 'AAA' overflow float64 "
+                 "in a window average",
+                 id="info_driving_force-sum-overflows"),
     pytest.param(lambda: marchenko_pastur_bounds(0, 100),
                  ValidationError, "n must be >= 1, got 0",
                  id="marchenko_pastur-n-0"),

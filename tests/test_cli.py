@@ -392,7 +392,7 @@ class TestAnalyze:
         out = tmp_path / "o"
         assert run(["analyze", "stats", "--in", path, "--out", out]) == 2
         assert "only 57 tail points; need at least 100" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_spectrum_failing_on_the_bounds_writes_no_file(self, tmp_path, capsys):
         # 3 days of 4 stocks decompose, but the Marchenko-Pastur bounds need T > n
@@ -406,7 +406,7 @@ class TestAnalyze:
         assert run(["analyze", "spectrum", "--panel", panel, "--sectors", sectors,
                     "--out", out]) == 1
         assert "UnsupportedRegimeError" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("what", ["stats", "lcurve"])
@@ -444,6 +444,25 @@ class TestCalibrateCommands:
                     "--horizon", 60, "--out", out]) == 1
         assert capsys.readouterr().err == (
             "error: NumericError: volume ratio V+/V- overflows float64\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau", [[], ["--tau", "12"]], ids=["estimated", "given"])
+    def test_infoforce_overflowing_volumes_exit_1(self, tmp_path, capsys,
+                                                  info_files, tau):
+        # finite trading volumes whose window sums overflow float64, which
+        # would make the forces, delta_F and a NaN
+        search, volumes, index = info_files
+        rows = volumes.read_text().splitlines()
+        for i in range(1, len(rows), 3):
+            week, ticker, _ = rows[i].split(",")
+            rows[i] = f"{week},{ticker},1e308"
+        volumes.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "cal"
+        assert run(["calibrate", "infoforce", "--search", search, "--volumes",
+                    volumes, "--index", index, "--out", out] + tau) == 1
+        assert capsys.readouterr().err == (
+            "error: NumericError: trading volumes of 'AAA' overflow float64 "
+            "in a window average\n")
         assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):

@@ -1,11 +1,12 @@
 import csv
+import re
 from datetime import date
 
 import numpy as np
 import pytest
 
 from conftest import business_dates, weekly_dates, write_csv
-from herdsim.errors import InputError, ParseError, ValidationError
+from herdsim.errors import InputError, NumericError, ParseError, ValidationError
 from herdsim.ingest import (
     IndexSeries,
     ReturnsPanel,
@@ -19,6 +20,7 @@ from herdsim.ingest import (
     log_returns,
     save_index_series,
     save_returns_panel,
+    write_json,
 )
 
 
@@ -485,3 +487,11 @@ class TestNumpyFastPath:
             f"{label},100,10\n" for label in labels))
         with pytest.raises(ParseError, match=f"row 3: cannot parse date {bad}"):
             load_index_series(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, bad):
+    path = tmp_path / "report.json"
+    with pytest.raises(NumericError, match=f"^{re.escape(str(path))}: "):
+        write_json(path, {"tau": 12, "fit": {"params": [1.0, bad]}})
+    assert not path.exists()

@@ -1,9 +1,11 @@
 """Property-based checks of the estimator invariants, the CSV loaders, the
-exit codes of `simulate` for arbitrary config values and those of every
-command for damaged input files."""
+exit codes of `simulate` for arbitrary config values, those of every
+command for damaged input files and those of every analysis for extreme
+but finite numbers."""
 
 import io
 import json
+import shutil
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from datetime import date, timedelta
 from unittest.mock import patch
@@ -52,11 +54,11 @@ def test_lcurve_antisymmetric_acurve_symmetric(series):
         return
     r = normalize(series).values
     lags = 10
-    l_pos = return_volatility_correlation(r, lags).values
-    l_neg = return_volatility_correlation(-r, lags).values
+    l_pos = return_volatility_correlation(r, lags)
+    l_neg = return_volatility_correlation(-r, lags)
     assert np.max(np.abs(l_pos + l_neg)) < 1e-12
-    a_pos = autocorrelation_abs(r, lags).values
-    a_neg = autocorrelation_abs(-r, lags).values
+    a_pos = autocorrelation_abs(r, lags)
+    a_neg = autocorrelation_abs(-r, lags)
     assert np.max(np.abs(a_pos - a_neg)) < 1e-12
 
 
@@ -421,6 +423,9 @@ COMMANDS = {
                    "--sectors", "{sectors}"],
     "infoforce": ["calibrate", "infoforce", "--search", "{search}",
                   "--volumes", "{volumes}", "--index", "{weekly_index}"],
+    "infoforce_tau": ["calibrate", "infoforce", "--search", "{search}",
+                      "--volumes", "{volumes}", "--index", "{weekly_index}",
+                      "--tau", "12"],
     "simulate": ["simulate", "a", "--config", "{config}",
                  "--calibration", "{calibration}"],
 }
@@ -530,3 +535,67 @@ def test_exit_code_for_any_damaged_input_file(cli_inputs, command, data):
     assert "Traceback" not in err
     if code != 0:
         assert err.count("\n") == 1, err
+
+
+# --- exit codes and JSON of every analysis for extreme but finite numbers ---
+
+# The positions of the numeric fields in a row of each input file.
+NUMERIC_COLUMNS = {"returns": (1,), "panel": (1, 2, 3, 4), "index": (1, 2),
+                   "weekly_index": (1, 2), "search": (2,), "volumes": (2,)}
+ANALYSES = sorted(c for c in COMMANDS if c != "simulate")
+
+# 200 examples, or more under a profile that asks for more
+# (`--hypothesis-profile deep`, registered in conftest.py).
+EXTREME_SETTINGS = settings(
+    max_examples=max(200, settings().max_examples), deadline=None)
+
+
+def _extreme(data, name, original: str) -> str:
+    """The file with one numeric column scaled by 1e300 or 1e-300, one of
+    its cells set to 1e300, every k-th set to 1e308, or every one set to 0."""
+    lines = original.splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    column = data.draw(st.sampled_from(NUMERIC_COLUMNS[name]))
+    transform = data.draw(st.sampled_from(["scale", "one", "every", "zeros"]))
+    if transform == "scale":
+        factor = data.draw(st.sampled_from([1e300, 1e-300]))
+        for row in rows:
+            row[column] = repr(float(row[column]) * factor)
+    elif transform == "one":
+        rows[data.draw(st.integers(0, len(rows) - 1))][column] = "1e300"
+    elif transform == "every":
+        k = data.draw(st.integers(1, 10))
+        for row in rows[data.draw(st.integers(0, k - 1)) :: k]:
+            row[column] = "1e308"
+    else:
+        for row in rows:
+            row[column] = "0"
+    return "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} in a JSON output")
+
+
+@EXTREME_SETTINGS
+@given(command=st.sampled_from(ANALYSES), data=st.data())
+def test_extreme_numbers_exit_cleanly(cli_inputs, command, data):
+    d, files = cli_inputs
+    name = data.draw(st.sampled_from(
+        [a[1:-1] for a in COMMANDS[command] if a[1:-1] in NUMERIC_COLUMNS]))
+    paths = {k: str(p) for k, p in files.items()}
+    extreme = d / f"extreme{files[name].suffix}"
+    extreme.write_text(_extreme(data, name, files[name].read_text()))
+    paths[name] = str(extreme)
+    out = d / "out" / command
+    shutil.rmtree(out, ignore_errors=True)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run_command(d, command, paths)
+    assert code in (0, 1, 2)
+    if code == 0:
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_refuse)
+    else:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert not out.exists()

@@ -10,7 +10,6 @@ from herdsim.errors import (
 )
 from herdsim.ingest import ReturnsPanel
 from herdsim.stats import (
-    CorrelationCurve,
     autocorrelation_abs,
     fit_exponential,
     fit_power_law,
@@ -129,28 +128,28 @@ class TestNormalizeColumns:
 class TestAutocorrelationAbs:
     def test_iid_noise_is_flat(self):
         rng = np.random.default_rng(2)
-        curve = autocorrelation_abs(normalize(rng.normal(size=100_000)), 50)
-        assert np.max(np.abs(curve.values)) < 0.02
+        curve = autocorrelation_abs(normalize(rng.normal(size=100_000)).values, 50)
+        assert np.max(np.abs(curve)) < 0.02
 
     def test_period_two_magnitudes(self):
         # |r| alternates 1, 2: perfectly anticorrelated at lag 1,
         # perfectly correlated at lag 2 (exact for even length).
         r = np.tile([1.0, -2.0], 500)
         curve = autocorrelation_abs(r, 4)
-        assert curve.values[0] == pytest.approx(-1.0, abs=1e-12)
-        assert curve.values[1] == pytest.approx(1.0, abs=1e-12)
+        assert curve[0] == pytest.approx(-1.0, abs=1e-12)
+        assert curve[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(3)
         r = rng.standard_t(4, size=1000)
         curve = autocorrelation_abs(r, 50)
-        assert np.max(np.abs(curve.values - acf_abs_oracle(r, 50))) < 1e-12
+        assert np.max(np.abs(curve - acf_abs_oracle(r, 50))) < 1e-12
 
     def test_sign_flip_invariant(self):
         rng = np.random.default_rng(4)
         r = rng.normal(size=2000)
-        a1 = autocorrelation_abs(r, 20).values
-        a2 = autocorrelation_abs(-r, 20).values
+        a1 = autocorrelation_abs(r, 20)
+        a2 = autocorrelation_abs(-r, 20)
         assert np.max(np.abs(a1 - a2)) < 1e-12
 
     def test_constant_magnitudes_degenerate(self):
@@ -166,27 +165,27 @@ class TestReturnVolatilityCorrelation:
     def test_symmetric_iid_near_zero(self):
         rng = np.random.default_rng(5)
         curve = return_volatility_correlation(
-            normalize(rng.normal(size=100_000)), 15
+            normalize(rng.normal(size=100_000)).values, 15
         )
-        assert np.max(np.abs(curve.values)) < 0.05
+        assert np.max(np.abs(curve)) < 0.05
 
     def test_hand_series_direct_summation(self):
         r = [1.0, -2.0, 1.0, 2.0, -1.0, -2.0]
         curve = return_volatility_correlation(r, 1)
         # products r(t) * r(t+1)^2: 4, -2, 4, 2, -4 -> mean 0.8; Z = 2.5^2
-        assert curve.values[0] == pytest.approx(0.8 / 6.25, abs=1e-15)
+        assert curve[0] == pytest.approx(0.8 / 6.25, abs=1e-15)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(6)
         r = rng.standard_t(5, size=1000)
         curve = return_volatility_correlation(r, 40)
-        assert np.max(np.abs(curve.values - lcurve_oracle(r, 40))) < 1e-12
+        assert np.max(np.abs(curve - lcurve_oracle(r, 40))) < 1e-12
 
     def test_antisymmetric_under_negation(self):
         rng = np.random.default_rng(7)
         r = rng.normal(size=3000)
-        l1 = return_volatility_correlation(r, 20).values
-        l2 = return_volatility_correlation(-r, 20).values
+        l1 = return_volatility_correlation(r, 20)
+        l2 = return_volatility_correlation(-r, 20)
         assert np.max(np.abs(l1 + l2)) < 1e-12
 
 
@@ -260,39 +259,36 @@ class TestTailExponent:
 class TestFits:
     def test_exponential_exact_recovery(self):
         t = np.arange(1, 16)
-        curve = CorrelationCurve(t, -0.2 * np.exp(-t / 5.0))
-        fit = fit_exponential(curve)
+        fit = fit_exponential(-0.2 * np.exp(-t / 5.0))
         assert fit.params["c"] == pytest.approx(-0.2, abs=1e-9)
         assert fit.params["tau"] == pytest.approx(5.0, abs=1e-9)
         assert fit.residual_rms < 1e-12
 
     def test_noise_curve_has_larger_residual(self):
         t = np.arange(1, 16)
-        exact = fit_exponential(CorrelationCurve(t, 0.5 * np.exp(-t / 4.0)))
+        exact = fit_exponential(0.5 * np.exp(-t / 4.0))
         rng = np.random.default_rng(21)  # seed chosen to give a decaying fit
-        noisy = fit_exponential(
-            CorrelationCurve(t, 0.5 * np.exp(-t / 4.0) * rng.uniform(0.3, 1.7, 15))
-        )
+        noisy = fit_exponential(0.5 * np.exp(-t / 4.0) * rng.uniform(0.3, 1.7, 15))
         assert noisy.residual_rms > exact.residual_rms + 0.05
 
     def test_mixed_signs_rejected(self):
-        curve = CorrelationCurve(np.arange(1, 6), np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
         with pytest.raises(FitDomainError):
-            fit_exponential(curve)
+            fit_exponential(np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
 
     def test_growing_curve_rejected(self):
         t = np.arange(1, 10)
         with pytest.raises(FitDomainError):
-            fit_exponential(CorrelationCurve(t, np.exp(t / 3.0)))
+            fit_exponential(np.exp(t / 3.0))
 
     def test_power_law_exact_recovery(self):
         t = np.arange(1, 30)
-        fit = fit_power_law(t, 2.5 * t**-0.7)
+        fit = fit_power_law(2.5 * t**-0.7)
         assert fit.params["amplitude"] == pytest.approx(2.5, rel=1e-9)
         assert fit.params["exponent"] == pytest.approx(-0.7, abs=1e-9)
 
 
-def read_curve_csv(path) -> CorrelationCurve:
+def read_curve_csv(path) -> tuple[list[int], np.ndarray]:
+    """The lag column and the value column of a curve CSV."""
     lags = []
     values = []
     with open(path, newline="") as fh:
@@ -301,7 +297,7 @@ def read_curve_csv(path) -> CorrelationCurve:
         for row in reader:
             lags.append(int(row[0]))
             values.append(float(row[1]))
-    return CorrelationCurve(lags=np.asarray(lags), values=np.asarray(values))
+    return lags, np.asarray(values)
 
 
 def test_curve_csv_roundtrip(tmp_path):
@@ -309,6 +305,6 @@ def test_curve_csv_roundtrip(tmp_path):
     curve = return_volatility_correlation(rng.normal(size=500), 10)
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path)
-    back = read_curve_csv(path)
-    assert back.lags.tolist() == curve.lags.tolist()
-    assert np.array_equal(back.values, curve.values)
+    lags, values = read_curve_csv(path)
+    assert lags == list(range(1, 11))
+    assert np.array_equal(values, curve)
