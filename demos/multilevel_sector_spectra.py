@@ -42,11 +42,11 @@ cfg = ModelConfig(
 print("simulating 50 stocks x 2500 days with three-level herding ...")
 out = run_model_c(cfg)
 
-system = eigen_decompose(cross_correlation(out.panel()))
-report = mode_report(system)
+panel = out.panel()
+lam, vectors = eigen_decompose(cross_correlation(panel))
+report = mode_report(vectors, panel.sectors)
 lo, hi = marchenko_pastur_bounds(cfg.n, out.returns.shape[0])
 
-lam = system.eigenvalues
 print(f"\nMarchenko-Pastur pure-noise band: [{lo:.3f}, {hi:.3f}]")
 print(f"largest eigenvalues: {np.array2string(lam[:5], precision=2)}")
 print(f"eigenvalues above the band: {np.sum(lam > hi)}; "
@@ -61,6 +61,7 @@ for mode in (1, 2):
     print(f"mode {mode}: lambda = {lam[mode]:.2f}, dominant sector {top} "
           f"(mass {masses[order[0]]:.2f} vs runner-up {masses[order[1]]:.2f})")
 
-write_spectrum_json(OUT / "spectrum.json", system, report)
-write_eigenvector_csv(OUT / "eigenvectors.csv", system)
+write_spectrum_json(OUT / "spectrum.json", lam, report)
+write_eigenvector_csv(OUT / "eigenvectors.csv", vectors, panel.tickers,
+                      panel.sectors)
 print(f"\nspectrum.json and eigenvectors.csv written to {OUT}/")

@@ -241,16 +241,17 @@ def cmd_analyze(args, argv) -> int:
         panel = ingest.load_returns_panel(
             args.panel, args.sectors, forward_fill=args.forward_fill
         )
-        system = spectral.eigen_decompose(spectral.cross_correlation(panel))
-        report = spectral.mode_report(system)
+        lam, vectors = spectral.eigen_decompose(spectral.cross_correlation(panel))
+        report = spectral.mode_report(vectors, panel.sectors)
         lo, hi = spectral.marchenko_pastur_bounds(
             len(panel.tickers), len(panel.dates)
         )
         out = _out_dir(args, f"analyze-{args.what}")
         outputs = [out / "spectrum.json", out / "eigenvectors.csv",
                    out / "bounds.json"]
-        spectral.write_spectrum_json(outputs[0], system, report)
-        spectral.write_eigenvector_csv(outputs[1], system)
+        spectral.write_spectrum_json(outputs[0], lam, report)
+        spectral.write_eigenvector_csv(outputs[1], vectors, panel.tickers,
+                                       panel.sectors)
         ingest.write_json(
             outputs[2],
             {"lambda_minus": lo, "lambda_plus": hi,

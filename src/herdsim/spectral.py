@@ -4,6 +4,11 @@ The largest eigenvalue of an equal-time correlation matrix captures the
 market-wide co-movement; further large eigenvalues outside the random
 bulk carry sector structure, visible in the localization of their
 eigenvectors.
+
+A correlation matrix is a plain (n, n) float array in the panel's ticker
+order, and an eigensystem is the pair (eigenvalues, eigenvectors) of
+`eigen_decompose`.  The tickers and sectors stay on the `ReturnsPanel`;
+callers pass them where they are read.
 """
 
 from __future__ import annotations
@@ -21,36 +26,6 @@ SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric equal-time cross-correlation matrix with labels."""
-
-    values: np.ndarray
-    tickers: tuple[str, ...]
-    sectors: tuple[str, ...]
-
-    def __post_init__(self):
-        n = self.values.shape[0]
-        if self.values.shape != (n, n):
-            raise ValidationError("correlation matrix must be square")
-        if len(self.tickers) != n or len(self.sectors) != n:
-            raise ValidationError("labels do not match matrix order")
-        if np.max(np.abs(self.values - self.values.T)) > SYMMETRY_TOL:
-            raise ValidationError("correlation matrix is not symmetric")
-        if np.max(np.abs(np.diag(self.values) - 1.0)) > SYMMETRY_TOL:
-            raise ValidationError("correlation matrix diagonal is not 1")
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues (descending) and orthonormal eigenvectors (columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    tickers: tuple[str, ...]
-    sectors: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ModeReport:
     """Participation ratios and sector masses per eigenvector."""
 
@@ -60,49 +35,55 @@ class ModeReport:
     dominant_sector: tuple[str, ...]
 
 
-def cross_correlation(panel: ReturnsPanel) -> CorrelationMatrix:
+def cross_correlation(panel: ReturnsPanel) -> np.ndarray:
     """Equal-time cross-correlation C_ij = <r_i r_j> of a returns panel.
 
     Columns are normalized by `normalize_columns` (mean removed, population
-    sigma); a constant column is degenerate and reported by ticker.
+    sigma); a constant column is degenerate and reported by ticker.  Row
+    and column i belong to `panel.tickers[i]`.
     """
     r = normalize_columns(panel)
     c = (r @ r.T) / r.shape[1]
     c = (c + c.T) / 2.0
     np.fill_diagonal(c, 1.0)
-    return CorrelationMatrix(
-        values=c, tickers=tuple(panel.tickers), sectors=tuple(panel.sectors)
-    )
+    return c
 
 
-def eigen_decompose(matrix: CorrelationMatrix) -> EigenSystem:
-    """Full eigen-decomposition of a correlation matrix.
+def eigen_decompose(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigen-decomposition (eigenvalues, eigenvectors) of a correlation
+    matrix, the eigenvectors as columns.
 
     Eigenpairs come sorted by descending eigenvalue, each eigenvector
-    oriented so its first component of noticeable size is positive.
+    oriented so its first component of noticeable size is positive.  The
+    matrix must be square, symmetric and have a unit diagonal.
     """
-    lam, vec = np.linalg.eigh(matrix.values)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValidationError("correlation matrix must be square")
+    if np.max(np.abs(c - c.T)) > SYMMETRY_TOL:
+        raise ValidationError("correlation matrix is not symmetric")
+    if np.max(np.abs(np.diag(c) - 1.0)) > SYMMETRY_TOL:
+        raise ValidationError("correlation matrix diagonal is not 1")
+    lam, vec = np.linalg.eigh(c)
     # eigh returns the eigenvalues ascending
     lam, vec = lam[::-1], vec[:, ::-1]
     first = vec[np.argmax(np.abs(vec) > 1e-12, axis=0), np.arange(vec.shape[1])]
     vec[:, first < 0.0] *= -1.0
-    return EigenSystem(eigenvalues=lam, eigenvectors=vec,
-                       tickers=matrix.tickers, sectors=matrix.sectors)
+    return lam, vec
 
 
-def mode_report(system: EigenSystem) -> ModeReport:
-    """Localization diagnostics of every eigenvector.
+def mode_report(eigenvectors: np.ndarray, sectors) -> ModeReport:
+    """Localization diagnostics of every eigenvector (column).
 
     Participation ratio 1 / (n * sum(u_i^4)) is 1 for a uniform vector and
     1/n for a basis vector.  Sector masses are sums of squared components
-    over the stocks of each of the system's sectors, so they add to one
-    per eigenvector.
+    over the stocks of each sector, `sectors[i]` labelling row i, so they
+    add to one per eigenvector.
     """
-    n = system.eigenvectors.shape[0]
-    u2 = system.eigenvectors**2
+    n = eigenvectors.shape[0]
+    u2 = eigenvectors**2
     pr = 1.0 / (n * (u2**2).sum(axis=0))
     # object dtype: a fixed-width string array would drop trailing NULs
-    sector_ids, codes = np.unique(np.array(system.sectors, dtype=object),
+    sector_ids, codes = np.unique(np.array(sectors, dtype=object),
                                   return_inverse=True)
     masses = np.column_stack([u2[codes == j].sum(axis=0)
                               for j in range(len(sector_ids))])
@@ -126,9 +107,9 @@ def marchenko_pastur_bounds(n: int, t: int) -> tuple[float, float]:
     return float((1.0 - q) ** 2), float((1.0 + q) ** 2)
 
 
-def write_spectrum_json(path, system: EigenSystem, report: ModeReport) -> None:
+def write_spectrum_json(path, eigenvalues: np.ndarray, report: ModeReport) -> None:
     payload = {
-        "eigenvalues": system.eigenvalues.tolist(),
+        "eigenvalues": eigenvalues.tolist(),
         "participation_ratio": report.participation_ratio.tolist(),
         "sector_ids": list(report.sector_ids),
         "sector_mass": report.sector_mass.tolist(),
@@ -141,18 +122,19 @@ def write_spectrum_json(path, system: EigenSystem, report: ModeReport) -> None:
 _CSV_MODES = 3
 
 
-def write_eigenvector_csv(path, system: EigenSystem) -> None:
-    """Leading eigenvector components per ticker, sector-blocked rows."""
-    n_modes = min(_CSV_MODES, system.eigenvectors.shape[1])
+def write_eigenvector_csv(path, eigenvectors: np.ndarray, tickers, sectors) -> None:
+    """Leading eigenvector components per ticker, sector-blocked rows;
+    row i of `eigenvectors` belongs to `tickers[i]` in `sectors[i]`."""
+    n_modes = min(_CSV_MODES, eigenvectors.shape[1])
     rows = np.lexsort([np.array(labels, dtype=object)
-                       for labels in (system.tickers, system.sectors)])
+                       for labels in (tickers, sectors)])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["ticker", "sector_id"] + [f"u{k}" for k in range(n_modes)]
         )
         writer.writerows(
-            [system.tickers[i], system.sectors[i]]
-            + [repr(float(system.eigenvectors[i, k])) for k in range(n_modes)]
+            [tickers[i], sectors[i]]
+            + [repr(float(eigenvectors[i, k])) for k in range(n_modes)]
             for i in rows
         )

@@ -139,8 +139,13 @@ def return_volatility_correlation(series, max_lag: int) -> np.ndarray:
     """
     r = _as_series(series)
     _check_max_lag(len(r), max_lag)
-    r2 = r * r
-    z = r2.mean() ** 2
+    with np.errstate(over="ignore"):
+        r2 = r * r
+        z = r2.mean() ** 2
+    # a square that overflows makes Z inf, and a finite Z keeps every
+    # lagged product finite
+    if not np.isfinite(z):
+        raise NumericError("returns overflow float64: Z is not finite")
     if z == 0.0:
         raise DegenerateSeriesError("zero second moment; Z = 0")
     curve = np.empty(max_lag)

@@ -193,10 +193,11 @@ def test_criterion_6_multilevel_spectra(c_runs):
     margin_ok = []
     identities = []
     for output in c_runs:
-        system = eigen_decompose(cross_correlation(output.panel()))
-        report = mode_report(system)
+        panel = output.panel()
+        lam, vec = eigen_decompose(cross_correlation(panel))
+        report = mode_report(vec, panel.sectors)
         market_ok.append(
-            system.eigenvalues[0] > lam_plus
+            lam[0] > lam_plus
             and report.participation_ratio[0] > 0.5
         )
         margins = []
@@ -288,16 +289,11 @@ def test_criterion_9_numerical_kernels():
         order = int(rng.integers(2, 101))
         # a correlation matrix of a panel of `order` days of `order` stocks
         corr = cross_correlation(make_panel(rng.normal(size=(order, order))))
-        system = eigen_decompose(corr)
-        sym = corr.values
-        rebuilt = (
-            system.eigenvectors
-            @ np.diag(system.eigenvalues)
-            @ system.eigenvectors.T
-        )
-        worst_rebuild = max(worst_rebuild, float(np.max(np.abs(rebuilt - sym))))
+        lam, vec = eigen_decompose(corr)
+        rebuilt = vec @ np.diag(lam) @ vec.T
+        worst_rebuild = max(worst_rebuild, float(np.max(np.abs(rebuilt - corr))))
         worst_trace = max(
-            worst_trace, abs(float(system.eigenvalues.sum() - np.trace(sym)))
+            worst_trace, abs(float(lam.sum() - np.trace(corr)))
         )
     eig_ok = worst_rebuild < 1e-8 and worst_trace < 1e-8
 
@@ -317,7 +313,7 @@ def test_criterion_9_numerical_kernels():
         matrix=matrix,
     )
     c_err = np.max(
-        np.abs(cross_correlation(panel).values - correlation_oracle(matrix))
+        np.abs(cross_correlation(panel) - correlation_oracle(matrix))
     )
     oracle_ok = a_err < 1e-12 and l_err < 1e-12 and c_err < 1e-12
 

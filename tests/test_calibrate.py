@@ -635,6 +635,14 @@ class TestCorrelatingTime:
     pytest.param(lambda: stats.return_volatility_correlation(np.zeros(8), 1),
                  DegenerateSeriesError, "zero second moment; Z = 0",
                  id="lcurve-zeros"),
+    pytest.param(lambda: stats.return_volatility_correlation(
+                     np.random.default_rng(0).normal(size=400) * 1e100, 3),
+                 NumericError, "returns overflow float64: Z is not finite",
+                 id="lcurve-z-overflows"),
+    pytest.param(lambda: stats.return_volatility_correlation(
+                     np.random.default_rng(0).normal(size=400) * 1e160, 3),
+                 NumericError, "returns overflow float64: Z is not finite",
+                 id="lcurve-squares-overflow"),
     pytest.param(lambda: stats.tail_exponent(np.ones(2000), 0.05),
                  DegenerateSeriesError, "degenerate tail; all order stats equal",
                  id="hill-tied-tail"),

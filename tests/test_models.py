@@ -146,11 +146,12 @@ class TestModelC:
             t_max=2650, warmup=150, seed=0,
         )
         out = run_model_c(cfg)
-        system = eigen_decompose(cross_correlation(out.panel()))
-        report = mode_report(system)
+        panel = out.panel()
+        lam, vec = eigen_decompose(cross_correlation(panel))
+        report = mode_report(vec, panel.sectors)
         lam_plus = marchenko_pastur_bounds(50, 2500)[1]
-        assert system.eigenvalues[0] > lam_plus
-        assert system.eigenvalues[1] > lam_plus
+        assert lam[0] > lam_plus
+        assert lam[1] > lam_plus
         assert report.participation_ratio[0] > 0.5
         for mode in (1, 2):
             masses = np.sort(report.sector_mass[mode])[::-1]
