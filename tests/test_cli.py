@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import weekly_dates, write_csv
-from herdsim import calibrate, errors, ingest
+from herdsim import calibrate, errors, ingest, stats
 from herdsim.simcore import weighted_returns
 from herdsim.cli import build_parser, main
 
@@ -343,6 +343,41 @@ class TestAnalyze:
         data = json.loads((out / "stats.json").read_text())
         assert set(data) >= {"hurst", "tail_exponent", "kurtosis_excess"}
         assert 0.0 < data["hurst"] <= 1.5
+
+    def test_stats_json_is_the_library_on_the_returns_column(self, tmp_path,
+                                                              run_dir):
+        out = tmp_path / "st"
+        assert run(["analyze", "stats", "--in", run_dir / "returns.csv",
+                    "--tail-fraction", 0.1, "--out", out]) == 0
+        data = json.loads((out / "stats.json").read_text())
+        raw = ingest.load_returns_column(run_dir / "returns.csv")
+        r = stats.normalize(raw).values
+        assert list(data) == ["n_days", "sigma", "mean", "hurst", "tail_exponent",
+                              "tail_fraction", "kurtosis_excess"]
+        assert data == {
+            "n_days": len(raw),
+            "sigma": float(np.std(raw)),
+            "mean": float(np.mean(raw)),
+            "hurst": stats.hurst_exponent(np.abs(r)),
+            "tail_exponent": stats.tail_exponent(r, 0.1),
+            "tail_fraction": 0.1,
+            "kurtosis_excess": float(np.mean(r**4) / np.mean(r**2) ** 2 - 3.0),
+        }
+
+    def test_lcurve_fit_json_is_the_library_fit(self, tmp_path, run_dir):
+        # this run's L curve keeps one sign up to lag 20
+        out = tmp_path / "lc"
+        assert run(["analyze", "lcurve", "--in", run_dir / "returns.csv",
+                    "--max-lag", 10, "--out", out]) == 0
+        data = json.loads((out / "lcurve_fit.json").read_text())
+        r = stats.normalize(ingest.load_returns_column(run_dir / "returns.csv"))
+        fit = stats.fit_exponential(stats.return_volatility_correlation(r.values, 10))
+        assert list(data) == ["estimator", "max_lag", "exponential_fit"]
+        assert list(data["exponential_fit"]) == ["model_id", "params", "residual_rms"]
+        assert list(data["exponential_fit"]["params"]) == ["c", "tau"]
+        assert data["exponential_fit"] == {"model_id": fit.model_id,
+                                           "params": fit.params,
+                                           "residual_rms": fit.residual_rms}
 
     def test_spectrum_outputs(self, tmp_path):
         cfg = small_config(
