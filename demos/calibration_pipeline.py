@@ -70,7 +70,7 @@ cfg = ModelConfig.from_fragment(report, base)
 print(f"\nrunning the herding model at (alpha, delta_R) = "
       f"({cfg.alpha:.3f}, {cfg.delta_R}) ...")
 out = run_model_a(cfg)
-lcurve = return_volatility_correlation(normalize(out.returns).values, 10)
+lcurve = return_volatility_correlation(normalize(out.returns), 10)
 print(f"L(1..5) = {np.array2string(lcurve[:5], precision=4)}")
 sign = "negative (leverage)" if lcurve[:5].mean() < 0 else "positive (anti-leverage)"
 print(f"short-lag return-volatility correlation is {sign}, "

@@ -64,7 +64,7 @@ cfg = ModelConfig(
 print("\nsimulating the information-driven market "
       f"(N = {cfg.N}, {cfg.t_max - cfg.warmup_days} days) ...")
 out = run_model_d(cfg)
-r = normalize(out.returns).values
+r = normalize(out.returns)
 
 kurt = np.mean(r**4) / np.mean(r**2) ** 2 - 3
 acurve = autocorrelation_abs(r, 20)

@@ -49,7 +49,7 @@ for label, alpha, delta_r in (
             N=10_000, M=150, p=0.0154, alpha=alpha, delta_R=delta_r,
             t_max=T_DAYS + 150, warmup=150, seed=seed,
         )
-        r = normalize(run_model_a(cfg).returns).values
+        r = normalize(run_model_a(cfg).returns)
         curves.append(return_volatility_correlation(r, 15))
         pooled.append(r)
 
@@ -57,8 +57,8 @@ for label, alpha, delta_r in (
     write_curve_csv(mean_l, OUT / f"lcurve_{label}.csv")
     fit = fit_exponential(mean_l[:10])
     print(f"  L(1..5)      : {np.array2string(mean_l[:5], precision=4)}")
-    print(f"  exp fit      : c = {fit.params['c']:+.4f}, "
-          f"tau = {fit.params['tau']:.1f} days")
+    print(f"  exp fit      : c = {fit['params']['c']:+.4f}, "
+          f"tau = {fit['params']['tau']:.1f} days")
 
     sample = np.concatenate(pooled)
     acurve = np.mean([autocorrelation_abs(r, 50) for r in pooled], axis=0)

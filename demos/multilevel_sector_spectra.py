@@ -52,12 +52,12 @@ print(f"largest eigenvalues: {np.array2string(lam[:5], precision=2)}")
 print(f"eigenvalues above the band: {np.sum(lam > hi)}; "
       f"remaining bulk spans [{lam[lam <= hi].max():.2f}, {lam.min():.2f}]")
 print(f"market mode: lambda_0 = {lam[0]:.1f}, participation ratio "
-      f"{report.participation_ratio[0]:.3f} (uniform = 1)")
+      f"{report['participation_ratio'][0]:.3f} (uniform = 1)")
 
 for mode in (1, 2):
-    masses = report.sector_mass[mode]
+    masses = report["sector_mass"][mode]
     order = np.argsort(masses)[::-1]
-    top = report.sector_ids[order[0]]
+    top = report["sector_ids"][order[0]]
     print(f"mode {mode}: lambda = {lam[mode]:.2f}, dominant sector {top} "
           f"(mass {masses[order[0]]:.2f} vs runner-up {masses[order[1]]:.2f})")
 

@@ -262,7 +262,7 @@ def asymmetry_report(index_series, m: int = 150, k: float = 1.0) -> AsymmetryEst
     """
     returns, volume = log_returns(index_series), index_series.volume[1:]
     est = trading_asymmetry(returns, volume, m=m, k=k)
-    shift = herding_shift(normalize(returns).values, volume)
+    shift = herding_shift(normalize(returns), volume)
     return dataclasses.replace(est, delta_r=shift,
                                delta_R=herding_offset_from_shift(shift))
 
@@ -454,11 +454,11 @@ def correlating_time(curve) -> tuple[int, bool]:
             f"curve has {len(curve)} lags; need at least {_TAU_LAGS}"
         )
     try:
-        fit = fit_power_law(curve[:10])
+        params = fit_power_law(curve[:10])["params"]
     except FitDomainError:
         return DEFAULT_TAU_WEEKS, False
     lags = np.arange(1.0, len(curve) + 1)
-    predicted = fit.params["amplitude"] * lags ** fit.params["exponent"]
+    predicted = params["amplitude"] * lags ** params["exponent"]
     deviates = np.abs(curve - predicted) / np.abs(predicted) > _DEVIATION_FACTOR
     # runs[i]: every entry of deviates[i : i + _PERSISTENCE] is set
     runs = sliding_window_view(deviates, _PERSISTENCE).all(axis=1)

@@ -208,9 +208,10 @@ def cmd_analyze(args, argv) -> int:
     # every estimate runs before the output directory is made, so a failure
     # leaves no directory and no file
     if args.what in ("lcurve", "stats"):  # one returns file
-        r = stats.normalize(_read_returns_column(args.infile))
+        raw = _read_returns_column(args.infile)
+        r = stats.normalize(raw)
         if args.what == "lcurve":
-            curve = stats.return_volatility_correlation(r.values, args.max_lag)
+            curve = stats.return_volatility_correlation(r, args.max_lag)
             results: dict = {"estimator": "L", "max_lag": args.max_lag}
             try:
                 results["exponential_fit"] = stats.fit_exponential(curve)
@@ -218,18 +219,15 @@ def cmd_analyze(args, argv) -> int:
                 results["exponential_fit_error"] = str(exc)
             names = "lcurve.csv", "lcurve_fit.json"
         else:  # stats
-            curve = stats.autocorrelation_abs(r.values, args.max_lag)
-            pooled = r.values
+            curve = stats.autocorrelation_abs(r, args.max_lag)
             results = {
-                "n_days": len(pooled),
-                "sigma": r.sigma,
-                "mean": r.mean_removed,
-                "hurst": stats.hurst_exponent(np.abs(pooled)),
-                "tail_exponent": stats.tail_exponent(pooled, args.tail_fraction),
+                "n_days": len(r),
+                "sigma": float(raw.std()),
+                "mean": float(raw.mean()),
+                "hurst": stats.hurst_exponent(np.abs(r)),
+                "tail_exponent": stats.tail_exponent(r, args.tail_fraction),
                 "tail_fraction": args.tail_fraction,
-                "kurtosis_excess": float(
-                    np.mean(pooled**4) / np.mean(pooled**2) ** 2 - 3.0
-                ),
+                "kurtosis_excess": float(np.mean(r**4) / np.mean(r**2) ** 2 - 3.0),
             }
             names = "acurve.csv", "stats.json"
         out = _out_dir(args, f"analyze-{args.what}")

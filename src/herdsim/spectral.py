@@ -14,7 +14,6 @@ callers pass them where they are read.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +22,6 @@ from .ingest import ReturnsPanel, write_json
 from .stats import normalize_columns
 
 SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ModeReport:
-    """Participation ratios and sector masses per eigenvector."""
-
-    participation_ratio: np.ndarray
-    sector_ids: tuple[str, ...]
-    sector_mass: np.ndarray  # shape (n_modes, n_sectors)
-    dominant_sector: tuple[str, ...]
 
 
 def cross_correlation(panel: ReturnsPanel) -> np.ndarray:
@@ -71,8 +60,10 @@ def eigen_decompose(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def mode_report(eigenvectors: np.ndarray, sectors) -> ModeReport:
-    """Localization diagnostics of every eigenvector (column).
+def mode_report(eigenvectors: np.ndarray, sectors) -> dict:
+    """Localization diagnostics of every eigenvector (column), as the lists
+    `spectrum.json` holds: participation_ratio and dominant_sector per
+    mode, the sorted sector_ids, and sector_mass[mode][sector].
 
     Participation ratio 1 / (n * sum(u_i^4)) is 1 for a uniform vector and
     1/n for a basis vector.  Sector masses are sums of squared components
@@ -87,12 +78,12 @@ def mode_report(eigenvectors: np.ndarray, sectors) -> ModeReport:
                                   return_inverse=True)
     masses = np.column_stack([u2[codes == j].sum(axis=0)
                               for j in range(len(sector_ids))])
-    return ModeReport(
-        participation_ratio=pr,
-        sector_ids=tuple(sector_ids),
-        sector_mass=masses,
-        dominant_sector=tuple(sector_ids[masses.argmax(axis=1)]),
-    )
+    return {
+        "participation_ratio": pr.tolist(),
+        "sector_ids": sector_ids.tolist(),
+        "sector_mass": masses.tolist(),
+        "dominant_sector": sector_ids[masses.argmax(axis=1)].tolist(),
+    }
 
 
 def marchenko_pastur_bounds(n: int, t: int) -> tuple[float, float]:
@@ -107,15 +98,8 @@ def marchenko_pastur_bounds(n: int, t: int) -> tuple[float, float]:
     return float((1.0 - q) ** 2), float((1.0 + q) ** 2)
 
 
-def write_spectrum_json(path, eigenvalues: np.ndarray, report: ModeReport) -> None:
-    payload = {
-        "eigenvalues": eigenvalues.tolist(),
-        "participation_ratio": report.participation_ratio.tolist(),
-        "sector_ids": list(report.sector_ids),
-        "sector_mass": report.sector_mass.tolist(),
-        "dominant_sector": list(report.dominant_sector),
-    }
-    write_json(path, payload)
+def write_spectrum_json(path, eigenvalues: np.ndarray, report: dict) -> None:
+    write_json(path, {"eigenvalues": eigenvalues.tolist(), **report})
 
 
 #: Leading eigenvectors written by write_eigenvector_csv.

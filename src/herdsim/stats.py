@@ -4,13 +4,11 @@ Normalization, volatility autocorrelation, return-volatility correlation,
 detrended-fluctuation Hurst exponents, Hill tail exponents and simple
 curve fits.  Every estimator takes a plain 1-d sequence of finite numbers.
 A correlation curve is a 1-d float array whose entry t - 1 is the value
-at lag t, for lags 1..n.
+at lag t, for lags 1..n, and a fit is a dict of its model_id, params and
+residual_rms.
 """
 
 from __future__ import annotations
-
-import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,23 +31,7 @@ def _as_series(values) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class NormalizedReturns:
-    """Return series centered to mean zero and scaled to unit variance."""
-
-    values: np.ndarray
-    mean_removed: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class FitResult:
-    model_id: str
-    params: dict[str, float]
-    residual_rms: float
-
-
-def normalize(returns) -> NormalizedReturns:
+def normalize(returns) -> np.ndarray:
     """Center and scale a return series: r = (R - <R>) / sigma.
 
     sigma is the population standard deviation sqrt(<R^2> - <R>^2).  Finite
@@ -65,7 +47,7 @@ def normalize(returns) -> NormalizedReturns:
         raise NumericError("returns overflow float64: mean or sigma is not finite")
     if sigma == 0.0:
         raise DegenerateSeriesError("zero variance; cannot normalize")
-    return NormalizedReturns(values=(x - mean) / sigma, mean_removed=mean, sigma=sigma)
+    return (x - mean) / sigma
 
 
 def normalize_columns(panel: ReturnsPanel) -> np.ndarray:
@@ -73,7 +55,7 @@ def normalize_columns(panel: ReturnsPanel) -> np.ndarray:
     as one row per stock in ticker order.
 
     Each row is reduced along its contiguous memory, the order in which a
-    1-d series is summed, so a row equals normalize(column).values bit for
+    1-d series is summed, so a row equals normalize(column) bit for
     bit.  A constant column is degenerate, and one whose sigma overflows
     float64 a NumericError; either is reported by ticker.
     """
@@ -224,7 +206,7 @@ def tail_exponent(values, tail_fraction: float = 0.05) -> float:
     return float(k / total)
 
 
-def fit_exponential(curve) -> FitResult:
+def fit_exponential(curve) -> dict:
     """Least-squares fit of c * exp(-t / tau) to a one-signed curve on
     lags t = 1..n.
 
@@ -241,14 +223,12 @@ def fit_exponential(curve) -> FitResult:
     if slope >= 0.0:
         raise FitDomainError("curve does not decay; tau would be <= 0")
     residuals = np.log(np.abs(v)) - (slope * t + intercept)
-    return FitResult(
-        model_id="exponential",
-        params={"c": sign * float(np.exp(intercept)), "tau": -1.0 / float(slope)},
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
-    )
+    c, tau = sign * float(np.exp(intercept)), -1.0 / float(slope)
+    return {"model_id": "exponential", "params": {"c": c, "tau": tau},
+            "residual_rms": float(np.sqrt(np.mean(residuals**2)))}
 
 
-def fit_power_law(curve) -> FitResult:
+def fit_power_law(curve) -> dict:
     """Least-squares fit of amplitude * t**exponent to a curve on lags
     t = 1..n, on a log-log grid."""
     v = np.asarray(curve, dtype=float)
@@ -257,11 +237,9 @@ def fit_power_law(curve) -> FitResult:
         raise FitDomainError("power-law fit needs positive values")
     slope, intercept = np.polyfit(np.log(t), np.log(v), 1)
     residuals = np.log(v) - (slope * np.log(t) + intercept)
-    return FitResult(
-        model_id="power_law",
-        params={"amplitude": float(np.exp(intercept)), "exponent": float(slope)},
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
-    )
+    params = {"amplitude": float(np.exp(intercept)), "exponent": float(slope)}
+    return {"model_id": "power_law", "params": params,
+            "residual_rms": float(np.sqrt(np.mean(residuals**2)))}
 
 
 def write_curve_csv(curve: np.ndarray, path) -> None:
@@ -271,6 +249,5 @@ def write_curve_csv(curve: np.ndarray, path) -> None:
 
 
 def write_results_json(path, results: dict) -> None:
-    """Write estimator/fit results; FitResult values are expanded in place."""
-    write_json(path, {k: dataclasses.asdict(v) if isinstance(v, FitResult) else v
-                      for k, v in results.items()})
+    """Write estimator/fit results as one JSON object."""
+    write_json(path, results)

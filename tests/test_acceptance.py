@@ -67,7 +67,7 @@ def _model_a_ensemble(alpha, delta_r, base_seed):
             N=10_000, M=150, p=0.0154, alpha=alpha, delta_R=delta_r,
             t_max=T_DAYS + WARMUP, warmup=WARMUP, seed=base_seed + i,
         )
-        runs.append(normalize(run_model_a(cfg).returns).values)
+        runs.append(normalize(run_model_a(cfg).returns))
     return {
         "norm": runs,
         "L": np.array([return_volatility_correlation(r, 15) for r in runs]),
@@ -102,7 +102,7 @@ def d_ensemble():
             N=10_000, M=150, b1=3.5, a=0.2, tau=26, f=0.8,
             t_max=T_DAYS + WARMUP, warmup=WARMUP, seed=600 + i,
         )
-        runs.append(normalize(run_model_d(cfg).returns).values)
+        runs.append(normalize(run_model_d(cfg).returns))
     return runs
 
 
@@ -122,7 +122,7 @@ def c_runs():
 def test_criterion_1_leverage_effect(sp_ensemble):
     mean_l = sp_ensemble["L"].mean(axis=0)
     fit = fit_exponential(mean_l[:10])
-    c, tau = fit.params["c"], fit.params["tau"]
+    c, tau = fit["params"]["c"], fit["params"]["tau"]
     ok = (
         bool(np.all(mean_l[:10] < 0.0))
         and c < 0.0
@@ -140,12 +140,12 @@ def test_criterion_1_leverage_effect(sp_ensemble):
 def test_criterion_2_anti_leverage(anti_ensemble):
     mean_l = anti_ensemble["L"].mean(axis=0)
     fit = fit_exponential(mean_l[:10])
-    ok = bool(np.all(mean_l[:6] > 0.0)) and fit.params["c"] > 0.0
+    ok = bool(np.all(mean_l[:6] > 0.0)) and fit["params"]["c"] > 0.0
     _report(
         "C2",
         ok,
         f"anti-leverage: mean L(1..6) all > 0 (min {mean_l[:6].min():.4f}), "
-        f"fit c={fit.params['c']:.4f}",
+        f"fit c={fit['params']['c']:.4f}",
     )
 
 
@@ -198,15 +198,15 @@ def test_criterion_6_multilevel_spectra(c_runs):
         report = mode_report(vec, panel.sectors)
         market_ok.append(
             lam[0] > lam_plus
-            and report.participation_ratio[0] > 0.5
+            and report["participation_ratio"][0] > 0.5
         )
         margins = []
         for mode in (1, 2):
-            masses = np.sort(report.sector_mass[mode])[::-1]
+            masses = np.sort(report["sector_mass"][mode])[::-1]
             margins.append(masses[0] >= 1.5 * masses[1])
         margin_ok.append(all(margins))
         identities.append(
-            (report.dominant_sector[1], report.dominant_sector[2])
+            (report["dominant_sector"][1], report["dominant_sector"][2])
         )
     majority = sum(margin_ok)
     typical = max(set(identities), key=identities.count)

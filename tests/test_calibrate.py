@@ -236,7 +236,7 @@ class TestComovement:
         matrix = np.tile(col[:, None], (1, 6))
         panel = self.panel_from(matrix, ["1"] * 3 + ["2"] * 3)
         est = comovement(panel)
-        r = normalize(col).values
+        r = normalize(col)
         expected = np.mean(r**2)  # zeta = 1, v_n = 0 every day
         assert est.H_M == pytest.approx(expected, rel=1e-12)
         assert est.H_j["1"] == pytest.approx(expected, rel=1e-12)
@@ -303,7 +303,7 @@ class TestComovement:
         sectors = ["1", "1", "2", "2"]
         est = comovement(self.panel_from(matrix, sectors))
         r = np.column_stack(
-            [normalize(matrix[:, j]).values for j in range(4)]
+            [normalize(matrix[:, j]) for j in range(4)]
         )
         zetas, gaps = [], []
         for day in range(5):
@@ -570,8 +570,8 @@ class TestCorrelatingTime:
         lags = np.arange(1, len(curve) + 1)
         head = lags <= 10
         fit = stats.fit_power_law(curve[head])
-        predicted = fit.params["amplitude"] * lags.astype(float) ** (
-            fit.params["exponent"])
+        predicted = fit["params"]["amplitude"] * lags.astype(float) ** (
+            fit["params"]["exponent"])
         run = 0
         for i in range(len(lags)):
             deviates = abs(curve[i] - predicted[i]) / abs(predicted[i])

@@ -66,7 +66,7 @@ def reference_comovement(panel: ReturnsPanel) -> calibrate.ComovementEstimate:
     columns = []
     for i, ticker in enumerate(panel.tickers):
         try:
-            columns.append(normalize(panel.matrix[:, i]).values)
+            columns.append(normalize(panel.matrix[:, i]))
         except DegenerateSeriesError:
             raise DegenerateSeriesError(
                 f"constant return column for ticker {ticker!r}") from None

@@ -351,7 +351,7 @@ class TestAnalyze:
                     "--tail-fraction", 0.1, "--out", out]) == 0
         data = json.loads((out / "stats.json").read_text())
         raw = ingest.load_returns_column(run_dir / "returns.csv")
-        r = stats.normalize(raw).values
+        r = stats.normalize(raw)
         assert list(data) == ["n_days", "sigma", "mean", "hurst", "tail_exponent",
                               "tail_fraction", "kurtosis_excess"]
         assert data == {
@@ -371,13 +371,11 @@ class TestAnalyze:
                     "--max-lag", 10, "--out", out]) == 0
         data = json.loads((out / "lcurve_fit.json").read_text())
         r = stats.normalize(ingest.load_returns_column(run_dir / "returns.csv"))
-        fit = stats.fit_exponential(stats.return_volatility_correlation(r.values, 10))
+        fit = stats.fit_exponential(stats.return_volatility_correlation(r, 10))
         assert list(data) == ["estimator", "max_lag", "exponential_fit"]
         assert list(data["exponential_fit"]) == ["model_id", "params", "residual_rms"]
         assert list(data["exponential_fit"]["params"]) == ["c", "tau"]
-        assert data["exponential_fit"] == {"model_id": fit.model_id,
-                                           "params": fit.params,
-                                           "residual_rms": fit.residual_rms}
+        assert data["exponential_fit"] == fit
 
     def test_spectrum_outputs(self, tmp_path):
         cfg = small_config(

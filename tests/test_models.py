@@ -152,9 +152,9 @@ class TestModelC:
         lam_plus = marchenko_pastur_bounds(50, 2500)[1]
         assert lam[0] > lam_plus
         assert lam[1] > lam_plus
-        assert report.participation_ratio[0] > 0.5
+        assert report["participation_ratio"][0] > 0.5
         for mode in (1, 2):
-            masses = np.sort(report.sector_mass[mode])[::-1]
+            masses = np.sort(report["sector_mass"][mode])[::-1]
             assert masses[0] >= 1.5 * masses[1]
 
 

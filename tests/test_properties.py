@@ -43,8 +43,8 @@ def test_normalize_idempotent(series):
     if not varied(series):
         return
     first = normalize(series)
-    second = normalize(first.values)
-    assert np.max(np.abs(second.values - first.values)) < 1e-12
+    second = normalize(first)
+    assert np.max(np.abs(second - first)) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -52,7 +52,7 @@ def test_normalize_idempotent(series):
 def test_lcurve_antisymmetric_acurve_symmetric(series):
     if not varied(series) or np.std(np.abs(series)) < 1e-6:
         return
-    r = normalize(series).values
+    r = normalize(series)
     lags = 10
     l_pos = return_volatility_correlation(r, lags)
     l_neg = return_volatility_correlation(-r, lags)

@@ -130,12 +130,12 @@ class TestModeReport:
     def test_uniform_vector_fully_delocalized(self):
         n = 16
         report = mode_report(np.full((n, 1), n**-0.5), ["1"] * n)
-        assert report.participation_ratio[0] == pytest.approx(1.0, abs=1e-6)
+        assert report["participation_ratio"][0] == pytest.approx(1.0, abs=1e-6)
 
     def test_basis_vector_fully_localized(self):
         report = mode_report(np.eye(4), ["a", "b", "b", "b"])
-        assert report.participation_ratio[0] == pytest.approx(0.25, abs=1e-12)
-        assert report.dominant_sector[0] == "a"
+        assert report["participation_ratio"][0] == pytest.approx(0.25, abs=1e-12)
+        assert report["dominant_sector"][0] == "a"
 
     def test_sector_masses_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -143,7 +143,7 @@ class TestModeReport:
         panel = make_panel(rng.normal(size=(200, 9)), sectors)
         _, vec = eigen_decompose(cross_correlation(panel))
         report = mode_report(vec, panel.sectors)
-        assert report.sector_mass.sum(axis=1) == pytest.approx(
+        assert np.array(report["sector_mass"]).sum(axis=1) == pytest.approx(
             np.ones(9), abs=1e-10
         )
 
@@ -155,17 +155,17 @@ class TestModeReport:
         )
         _, vec = eigen_decompose(cross_correlation(panel))
         report = mode_report(vec, panel.sectors)
-        assert report.sector_ids == ("x", "y")
+        assert report["sector_ids"] == ["x", "y"]
 
     def test_ids_differing_by_a_trailing_nul_are_two_sectors(self):
         # a fixed-width string array would drop the NUL and merge them
         rng = np.random.default_rng(11)
         vectors = np.linalg.qr(rng.normal(size=(4, 4)))[0]
         report = mode_report(vectors, ["s", "s\x00", "s", "s\x00"])
-        assert report.sector_ids == ("s", "s\x00")
-        assert report.sector_mass.sum(axis=1) == pytest.approx(
-            np.ones(4), abs=1e-12)
-        assert report.sector_mass[:, 1] == pytest.approx(
+        assert report["sector_ids"] == ["s", "s\x00"]
+        masses = np.array(report["sector_mass"])
+        assert masses.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-12)
+        assert masses[:, 1] == pytest.approx(
             (vectors[[1, 3]] ** 2).sum(axis=0), abs=1e-12)
 
 
@@ -208,10 +208,10 @@ def test_exports(tmp_path):
     spectrum = json.loads((tmp_path / "spectrum.json").read_text())
     assert spectrum == {
         "eigenvalues": lam.tolist(),
-        "participation_ratio": report.participation_ratio.tolist(),
+        "participation_ratio": report["participation_ratio"],
         "sector_ids": ["1", "2"],
-        "sector_mass": report.sector_mass.tolist(),
-        "dominant_sector": list(report.dominant_sector),
+        "sector_mass": report["sector_mass"],
+        "dominant_sector": report["dominant_sector"],
     }
     lines = (tmp_path / "vectors.csv").read_text().strip().splitlines()
     assert lines[0] == "ticker,sector_id,u0,u1,u2"

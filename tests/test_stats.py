@@ -73,8 +73,7 @@ def hurst_oracle(values):
 class TestNormalize:
     def test_already_normalized_passthrough(self):
         out = normalize([1.0, -1.0, 1.0, -1.0])
-        assert out.values.tolist() == [1.0, -1.0, 1.0, -1.0]
-        assert out.sigma == 1.0
+        assert out.tolist() == [1.0, -1.0, 1.0, -1.0]
 
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateSeriesError):
@@ -83,22 +82,22 @@ class TestNormalize:
     def test_hand_values_population_sigma(self):
         out = normalize([0.0, 2.0, 4.0])
         sigma = np.sqrt(8.0 / 3.0)
-        assert out.mean_removed == pytest.approx(2.0, abs=1e-15)
-        assert out.sigma == pytest.approx(sigma, abs=1e-15)
-        assert out.values == pytest.approx([-2 / sigma, 0.0, 2 / sigma], abs=1e-12)
-        assert out.values[2] == pytest.approx(1.224744871391589, abs=1e-12)
+        # the mean 2 and the population sigma were the ones removed
+        assert out * sigma + 2.0 == pytest.approx([0.0, 2.0, 4.0], abs=1e-15)
+        assert out == pytest.approx([-2 / sigma, 0.0, 2 / sigma], abs=1e-12)
+        assert out[2] == pytest.approx(1.224744871391589, abs=1e-12)
 
     def test_moments_pinned(self):
         rng = np.random.default_rng(0)
         out = normalize(rng.normal(3.0, 7.0, 1000))
-        assert abs(out.values.mean()) < 1e-10
-        assert abs(out.values.std() - 1.0) < 1e-10
+        assert abs(out.mean()) < 1e-10
+        assert abs(out.std() - 1.0) < 1e-10
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         first = normalize(rng.normal(2.0, 5.0, 500))
-        second = normalize(first.values)
-        assert np.max(np.abs(second.values - first.values)) < 1e-12
+        second = normalize(first)
+        assert np.max(np.abs(second - first)) < 1e-12
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
@@ -122,13 +121,13 @@ class TestNormalizeColumns:
             sector_of={t: "1" for t in tickers}, matrix=matrix))
         assert rows.shape == (9, days)
         for i in range(9):
-            assert rows[i].tobytes() == normalize(matrix[:, i]).values.tobytes()
+            assert rows[i].tobytes() == normalize(matrix[:, i]).tobytes()
 
 
 class TestAutocorrelationAbs:
     def test_iid_noise_is_flat(self):
         rng = np.random.default_rng(2)
-        curve = autocorrelation_abs(normalize(rng.normal(size=100_000)).values, 50)
+        curve = autocorrelation_abs(normalize(rng.normal(size=100_000)), 50)
         assert np.max(np.abs(curve)) < 0.02
 
     def test_period_two_magnitudes(self):
@@ -165,7 +164,7 @@ class TestReturnVolatilityCorrelation:
     def test_symmetric_iid_near_zero(self):
         rng = np.random.default_rng(5)
         curve = return_volatility_correlation(
-            normalize(rng.normal(size=100_000)).values, 15
+            normalize(rng.normal(size=100_000)), 15
         )
         assert np.max(np.abs(curve)) < 0.05
 
@@ -260,16 +259,16 @@ class TestFits:
     def test_exponential_exact_recovery(self):
         t = np.arange(1, 16)
         fit = fit_exponential(-0.2 * np.exp(-t / 5.0))
-        assert fit.params["c"] == pytest.approx(-0.2, abs=1e-9)
-        assert fit.params["tau"] == pytest.approx(5.0, abs=1e-9)
-        assert fit.residual_rms < 1e-12
+        assert fit["params"]["c"] == pytest.approx(-0.2, abs=1e-9)
+        assert fit["params"]["tau"] == pytest.approx(5.0, abs=1e-9)
+        assert fit["residual_rms"] < 1e-12
 
     def test_noise_curve_has_larger_residual(self):
         t = np.arange(1, 16)
         exact = fit_exponential(0.5 * np.exp(-t / 4.0))
         rng = np.random.default_rng(21)  # seed chosen to give a decaying fit
         noisy = fit_exponential(0.5 * np.exp(-t / 4.0) * rng.uniform(0.3, 1.7, 15))
-        assert noisy.residual_rms > exact.residual_rms + 0.05
+        assert noisy["residual_rms"] > exact["residual_rms"] + 0.05
 
     def test_mixed_signs_rejected(self):
         with pytest.raises(FitDomainError):
@@ -283,8 +282,8 @@ class TestFits:
     def test_power_law_exact_recovery(self):
         t = np.arange(1, 30)
         fit = fit_power_law(2.5 * t**-0.7)
-        assert fit.params["amplitude"] == pytest.approx(2.5, rel=1e-9)
-        assert fit.params["exponent"] == pytest.approx(-0.7, abs=1e-9)
+        assert fit["params"]["amplitude"] == pytest.approx(2.5, rel=1e-9)
+        assert fit["params"]["exponent"] == pytest.approx(-0.7, abs=1e-9)
 
 
 def read_curve_csv(path) -> tuple[list[int], np.ndarray]:
