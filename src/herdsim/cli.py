@@ -169,9 +169,10 @@ def cmd_simulate(args, argv) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     config.validate_for(args.model)
+    # the last seed must stay within the seed bound
+    dataclasses.replace(config, seed=config.seed + args.ensemble - 1).validate()
     members = [dataclasses.replace(config, seed=config.seed + i)
                for i in range(args.ensemble)]
-    members[-1].validate()  # the last seed must stay within the seed bound
     out = _out_dir(args, f"simulate-{args.model}")
     inputs = [args.config] + ([args.calibration] if args.calibration else [])
     dirs = [out] if len(members) == 1 else [out / f"seed_{m.seed}" for m in members]

@@ -81,6 +81,8 @@ class ReturnsPanel:
     def __post_init__(self):
         if len(self.dates) < 2:
             raise ValidationError("panel needs at least 2 dates")
+        if not self.tickers:
+            raise ValidationError("panel needs at least 1 ticker")
         _check_increasing(self.dates, "panel dates")
         if self.matrix.shape != (len(self.dates), len(self.tickers)):
             raise ValidationError(

@@ -48,6 +48,8 @@ def eigen_decompose(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValidationError("correlation matrix must be square")
+    if c.size == 0:
+        raise ValidationError("correlation matrix is empty")
     if np.max(np.abs(c - c.T)) > SYMMETRY_TOL:
         raise ValidationError("correlation matrix is not symmetric")
     if np.max(np.abs(np.diag(c) - 1.0)) > SYMMETRY_TOL:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -998,6 +999,25 @@ class TestBadInputsExit2:
         assert not (tmp_path / "r").exists()
         assert run(["simulate", "a", "--config", config, "--seed", 2147483646,
                     "--ensemble", 2, "--out", tmp_path / "r"]) == 0
+
+    def test_ensemble_past_the_seed_bound_exits_before_its_members(
+            self, tmp_path, capsys, monkeypatch):
+        # 2**31 member configs would fill the memory before the seed check
+        # ran; a member list that is built first fails here after 100
+        replace = dataclasses.replace
+        made = []
+
+        def counted(config, **changes):
+            made.append(changes)
+            assert len(made) < 100, "member configs built before the seed check"
+            return replace(config, **changes)
+
+        monkeypatch.setattr(dataclasses, "replace", counted)
+        self.expect_exit_2(
+            capsys, ["simulate", "a", "--config", small_config(tmp_path),
+                     "--ensemble", 2**31, "--out", tmp_path / "r"],
+            "seed must be at most 2147483647")
+        assert not (tmp_path / "r").exists()
 
 
 def _subclasses(cls):

@@ -68,6 +68,10 @@ class TestRecordChecks:
         with pytest.raises(ValidationError, match=message):
             ReturnsPanel(self.DATES, ("AAA", "BBB"), sector_of, matrix)
 
+    def test_returns_panel_without_tickers(self):
+        with pytest.raises(ValidationError, match="panel needs at least 1 ticker"):
+            ReturnsPanel(self.DATES, (), {}, np.zeros((3, 0)))
+
 
 class TestLoadIndexSeries:
     def test_three_row_echo(self, tmp_path):

@@ -235,7 +235,8 @@ def test_correlation_matrix_validation():
     (np.ones(3), "correlation matrix must be square"),
     (np.array([[1.0, 0.2], [0.3, 1.0]]), "correlation matrix is not symmetric"),
     (np.array([[1.0, 0.2], [0.2, 0.9]]), "correlation matrix diagonal is not 1"),
-], ids=["square", "one-dimensional", "symmetric", "diagonal"])
+    (np.zeros((0, 0)), "correlation matrix is empty"),
+], ids=["square", "one-dimensional", "symmetric", "diagonal", "empty"])
 def test_correlation_matrix_checks(values, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         eigen_decompose(values)
