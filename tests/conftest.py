@@ -101,6 +101,44 @@ def info_files(tmp_path):
     return search, volumes, index
 
 
+@pytest.fixture
+def info_gap_files(tmp_path):
+    """120 weeks of attention and trading volumes for six tickers, the
+    attention of "FLAT" constant, and a weekly index that lacks weeks 30,
+    31 and 75 of the clock."""
+    rng = np.random.default_rng(24)
+    n = 120
+    weeks = weekly_dates(n)
+    t = np.arange(n)
+    attention = []
+    trading = []
+    for i, ticker in enumerate(("AAA", "BBB", "CCC", "DDD", "EEE", "FLAT")):
+        if ticker == "FLAT":
+            g = np.full(n, 4.0)
+        else:
+            g = 5 + 2 * np.sin(2 * np.pi * t / (20 + 6 * i) + i)
+            g = np.maximum(g + rng.normal(0, 0.4, n), 0.0)
+        v = rng.uniform(50, 150, n) + 30 * (g > g.mean())
+        attention += [(w.isoformat(), ticker, repr(float(x)))
+                      for w, x in zip(weeks, g)]
+        trading += [(w.isoformat(), ticker, repr(float(x)))
+                    for w, x in zip(weeks, v)]
+    search = write_csv(
+        tmp_path / "search.csv", ["week_start", "ticker", "volume"], attention
+    )
+    volumes = write_csv(
+        tmp_path / "volumes.csv", ["week_start", "ticker", "volume"], trading
+    )
+    closes = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
+    index = write_csv(
+        tmp_path / "index.csv",
+        ["date", "close", "volume"],
+        [(w.isoformat(), repr(float(c)), "1")
+         for i, (w, c) in enumerate(zip(weeks, closes)) if i not in (30, 31, 75)],
+    )
+    return search, volumes, index
+
+
 # `--hypothesis-profile deep` raises the loader equivalence tests in
 # tests/test_properties.py from 300 to 2,000 examples each.
 settings.register_profile("deep", max_examples=2000)

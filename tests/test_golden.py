@@ -92,6 +92,11 @@ REPORT_DIGESTS = {
         "edea58ec63406ff7f60f184204b2407262894feeb956f8bbb91c10d1431597e0",
         "025fdc24d50a35f86f27ae5e3ce7d5e89351e5e76d63e05f4ae04691c09a5f3b",
     ),
+    # six tickers, one of constant attention, on an index lacking clock weeks
+    "infoforce-gaps": (
+        "383775481a350533ac57337cf3cc1fbdea9a1fdf35d9a1e39e3396f67840e6f2",
+        "dc6c4ca0f00a922a78880decad30a50d09b38e382058606a4cb263bf34147b80",
+    ),
 }
 
 
@@ -102,9 +107,12 @@ def _calibrate_argv(request, name):
     if name == "comovement":
         panel, sectors, *_ = request.getfixturevalue("panel_files")
         return ["comovement", "--panel", panel, "--sectors", sectors]
-    search, volumes, index = request.getfixturevalue("info_files")
+    if name == "infoforce-gaps":
+        search, volumes, index = request.getfixturevalue("info_gap_files")
+    else:
+        search, volumes, index = request.getfixturevalue("info_files")
     # "infoforce" estimates tau from the attention curve
-    tau = ["--tau", 12] if name == "infoforce-tau" else []
+    tau = [] if name == "infoforce" else ["--tau", 12]
     return ["infoforce", "--search", search, "--volumes", volumes,
             "--index", index, *tau]
 
@@ -116,3 +124,14 @@ def test_report_digests(tmp_path, request, name):
     assert main([str(a) for a in argv]) == 0
     assert (_sha256(out / "report.json"), _sha256(out / "report.txt")) == (
         REPORT_DIGESTS[name])
+
+
+def test_gap_report_has_skipped_and_unlabelled_windows(tmp_path, request):
+    # the constant attention of FLAT skips all its windows, and the clock
+    # weeks the index lacks leave the windows over them unlabelled
+    out = tmp_path / "cal"
+    argv = ["calibrate", *_calibrate_argv(request, "infoforce-gaps"), "--out", out]
+    assert main([str(a) for a in argv]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["windows_skipped"] > 0
+    assert report["windows_unlabelled"] > 0
