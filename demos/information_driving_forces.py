@@ -5,7 +5,8 @@ volumes, an index) and walks the empirical pipeline:
 
     attention -> binary states (above/below mean)
               -> windowed driving forces F = V1/V0 - 1
-              -> bear/bull force asymmetry delta_F and a = delta_F / 2
+    index     -> bull/bear label of every window, summed once
+    both      -> bear/bull force asymmetry delta_F and a = delta_F / 2
 
 Part 2 feeds the calibrated (tau, a) into the information-driven agent
 model: a market state flipping every ~tau steps, an exponential shared
@@ -21,6 +22,7 @@ from herdsim.calibrate import (
     info_driving_force,
     info_force_asymmetry,
     info_states,
+    window_labels,
 )
 from herdsim.simcore import ModelConfig, run_model_d
 from herdsim.stats import (
@@ -37,7 +39,7 @@ t = np.arange(n_weeks)
 market = rng.normal(0.001, 0.02, n_weeks)          # weekly index returns
 bearish = np.convolve(market, np.ones(8) / 8, "same") < 0
 
-forces = []
+series = []
 for stock in range(12):
     attention = 5 + 2 * np.sin(2 * np.pi * t / 70 + rng.uniform(0, 6)) \
         + rng.normal(0, 0.4, n_weeks)
@@ -45,12 +47,15 @@ for stock in range(12):
     # trading volume responds to attention, more strongly in bear phases
     response = np.where(bearish, 60.0, 40.0)
     volume = rng.uniform(80, 120, n_weeks) + response * states
-    forces.append(info_driving_force(states, volume, tau=26, ticker=f"S{stock}"))
+    series.append(info_driving_force(states, volume, tau=26))
 
-pooled = np.concatenate([f.forces for f in forces])
-delta_f = info_force_asymmetry(forces, market)
+# one label per window start; each stock's kept windows index into it
+labels = window_labels(market, tau=26)
+pooled = np.concatenate([s.forces for s in series])
+delta_f = info_force_asymmetry(
+    pooled, np.concatenate([labels[s.window_starts] for s in series]))
 print("empirical-style pipeline on 12 synthetic stocks, 260 weeks:")
-print(f"  windows per stock : {len(forces[0].forces)} (tau = 26 weeks)")
+print(f"  windows per stock : {len(series[0].forces)} (tau = 26 weeks)")
 print(f"  mean force        : {pooled.mean():+.3f}  "
       f"(positive: attention spikes come with extra trading)")
 print(f"  delta_F           : {delta_f:+.3f}  -> model asymmetry a = "

@@ -103,61 +103,12 @@ class ComovementEstimate:
 
 @dataclass(frozen=True)
 class InfoForceSeries:
-    """Windowed driving forces of one ticker."""
+    """Windowed driving forces of one ticker: the force of each kept window
+    start, and the number of windows skipped."""
 
-    ticker: str
     window_starts: np.ndarray
     forces: np.ndarray
-    tau: int
     skipped: int = 0
-
-
-@dataclass(frozen=True)
-class InfoForceReport:
-    """Driving forces of a set of tickers and their bull/bear asymmetry.
-
-    tau_deviation_found is None when tau was given rather than estimated.
-    Skipped windows have no force; unlabelled ones have a force but are
-    neither bull nor bear.
-    """
-
-    tau: int
-    tau_deviation_found: bool | None
-    delta_F: float
-    forces: list[InfoForceSeries]
-    windows_unlabelled: int
-
-    @property
-    def a(self) -> float:
-        return self.delta_F / 2.0
-
-    @property
-    def windows_skipped(self) -> int:
-        return sum(f.skipped for f in self.forces)
-
-    def report(self) -> tuple[dict, list[str]]:
-        """The values of report.json and the lines of report.txt."""
-        values = {
-            "tau": self.tau,
-            "delta_F": self.delta_F,
-            "a": self.a,
-            "tau_deviation_found": self.tau_deviation_found,
-            "tickers": [f.ticker for f in self.forces],
-            "windows_skipped": self.windows_skipped,
-            "windows_unlabelled": self.windows_unlabelled,
-        }
-        lines = [
-            "information driving forces",
-            f"  tau (weeks)   {self.tau}",
-            f"  delta_F       {self.delta_F:.4f}",
-            f"  a = dF/2      {self.a:.4f}",
-        ]
-        lines += [
-            f"  {f.ticker:<10} windows {len(f.forces):>4}  "
-            f"mean F {np.mean(f.forces) if len(f.forces) else float('nan'):.4f}"
-            for f in self.forces
-        ]
-        return values, lines
 
 
 def _returns_and_volumes(returns, volumes) -> tuple[np.ndarray, np.ndarray]:
@@ -377,48 +328,39 @@ def info_driving_force(states, volumes, tau: int, ticker: str = "") -> InfoForce
         raise NumericError(f"trading volumes of {ticker!r} overflow float64 "
                            "in a window average")
     return InfoForceSeries(
-        ticker=ticker,
         window_starts=np.flatnonzero(kept).astype(np.int64),
         forces=forces,
-        tau=tau,
         skipped=int(len(kept) - kept.sum()),
     )
 
 
-def _window_labels(force_series, market: np.ndarray) -> np.ndarray:
-    """The label of each window, series after series: 1 bull, -1 bear, 0
-    unlabelled.
+def window_labels(market, tau: int) -> np.ndarray:
+    """The label of the window [t, t + tau) of each start t of the market
+    return series: 1 bull, -1 bear, 0 unlabelled.
 
     A window is bull (bear) when the cumulative market return over it is
-    positive (negative).  Flat windows, windows running past the end of
-    the market series and windows with NaN entries, whose sum is NaN and
-    so neither positive nor negative, stay unlabelled.
+    positive (negative).  Flat windows and windows with NaN entries, whose
+    sum is NaN and so neither positive nor negative, stay unlabelled.
     """
-    labels = [np.empty(0, np.int8)]
-    for series in force_series:
-        tau = series.tau
-        if len(market) < tau:
-            raise ValidationError("market return series shorter than tau")
-        starts = np.asarray(series.window_starts, dtype=np.int64)
-        inside = starts + tau <= len(market)
-        label = np.zeros(len(starts), dtype=np.int8)
-        total = sliding_window_view(market, tau).sum(axis=1)[starts[inside]]
-        label[inside] = (total > 0.0).astype(np.int8) - (total < 0.0)
-        labels.append(label)
-    return np.concatenate(labels)
+    market = np.asarray(market, dtype=float)
+    if len(market) < tau:
+        raise ValidationError("market return series shorter than tau")
+    total = sliding_window_view(market, tau).sum(axis=1)
+    return (total > 0.0).astype(np.int8) - (total < 0.0)
 
 
-def info_force_asymmetry(force_series, market_returns) -> float:
-    """Relative bear-bull gap of the driving forces of a list of series:
+def info_force_asymmetry(forces, labels) -> float:
+    """Relative bear-bull gap of pooled driving forces:
 
-        delta_F = (mean F over bear windows - mean F over bull) / mean F.
+        delta_F = (mean F over bear windows - mean F over bull) / mean F,
 
-    A window is bull (bear) when the cumulative market return over it is
-    positive (negative); flat windows, and windows with missing market
-    data (NaN entries), stay unlabeled.
+    labels holding the window_labels entry of each force's window; the
+    overall mean runs over unlabelled windows too.
     """
-    labels = _window_labels(force_series, np.asarray(market_returns, dtype=float))
-    forces = np.concatenate([np.empty(0)] + [s.forces for s in force_series])
+    forces = np.asarray(forces, dtype=float)
+    labels = np.asarray(labels)
+    if len(forces) != len(labels):
+        raise ValidationError("forces and labels have different lengths")
     bull = forces[labels > 0]
     bear = forces[labels < 0]
     if len(bull) == 0 or len(bear) == 0:
@@ -476,8 +418,9 @@ def _common_weeks(a, b):
     return np.intersect1d(a, b, assume_unique=True, return_indices=True)
 
 
-def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
-    """Full information-force calibration: tau, delta_F and a = delta_F / 2.
+def infoforce_report(searches, volumes, index, tau: int = 0) -> tuple[dict, list[str]]:
+    """Full information-force calibration: tau, delta_F and a = delta_F / 2,
+    as the values of report.json and the lines of report.txt.
 
     searches and volumes are the SearchPanels of a search.csv and of a
     weekly trading-volume file, index the weekly IndexSeries that labels
@@ -486,7 +429,10 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
     is the correlating time of the mean attention autocorrelation (see
     correlating_time for its DEFAULT_TAU_WEEKS fallback).  The clock needs
     2 * DEFAULT_TAU_WEEKS weeks with tau given, 4 * (_TAU_LAGS + 1)
-    without.
+    without.  The market windows are labelled once, and every ticker's
+    kept windows take their labels from that one array: skipped windows
+    have no force, unlabelled ones have a force but are neither bull nor
+    bear.  tau_deviation_found is None when tau was given.
     """
     for ticker in searches.tickers:
         if ticker not in volumes.tickers:
@@ -519,14 +465,30 @@ def infoforce_report(searches, volumes, index, tau: int = 0) -> InfoForceReport:
             except NumericError as exc:  # name the ticker, keep the type
                 raise type(exc)(f"attention of {ticker!r}: {exc}")
         tau, deviation_found = correlating_time(np.mean(curves, axis=0))
-    forces = [info_driving_force(info_states(search), volume, tau, ticker=ticker)
+    series = [info_driving_force(info_states(search), volume, tau, ticker=ticker)
               for ticker, search, volume in zip(searches.tickers, attention, trading)]
-    delta_f = info_force_asymmetry(forces, market_vec)
-    unlabelled = int(np.count_nonzero(_window_labels(forces, market_vec) == 0))
-    return InfoForceReport(
-        tau=tau,
-        tau_deviation_found=deviation_found,
-        delta_F=delta_f,
-        forces=forces,
-        windows_unlabelled=unlabelled,
-    )
+    starts = np.concatenate([np.empty(0, np.int64)] + [s.window_starts for s in series])
+    forces = np.concatenate([np.empty(0)] + [s.forces for s in series])
+    labels = window_labels(market_vec, tau)[starts]
+    delta_f = info_force_asymmetry(forces, labels)
+    values = {
+        "tau": tau,
+        "delta_F": delta_f,
+        "a": delta_f / 2.0,
+        "tau_deviation_found": deviation_found,
+        "tickers": list(searches.tickers),
+        "windows_skipped": sum(s.skipped for s in series),
+        "windows_unlabelled": int(np.count_nonzero(labels == 0)),
+    }
+    lines = [
+        "information driving forces",
+        f"  tau (weeks)   {tau}",
+        f"  delta_F       {delta_f:.4f}",
+        f"  a = dF/2      {delta_f / 2.0:.4f}",
+    ]
+    lines += [
+        f"  {ticker:<10} windows {len(s.forces):>4}  "
+        f"mean F {np.mean(s.forces) if len(s.forces) else float('nan'):.4f}"
+        for ticker, s in zip(searches.tickers, series)
+    ]
+    return values, lines

@@ -4,7 +4,8 @@ Every command writes its results under an output directory (``--out``, or
 ``$HERDSIM_OUT/<command>-<subcommand>``) together with a run manifest that
 records the command line, config hash, seed, tool version, numpy build and
 input file digests.  Exit codes: 0 success, 1 runtime/numeric failure (out
-of memory included), 2 input or validation failure.
+of memory and a dead ``--jobs`` worker included), 2 input or validation
+failure.
 
 Simulation output schema: ``returns.csv`` with columns ``day,R`` (plus one
 column per stock for model c), ``diagnostics.csv`` with per-day traces, and
@@ -22,6 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from datetime import datetime, timezone
 from itertools import repeat
@@ -115,7 +117,7 @@ def cmd_calibrate(args, argv) -> int:
             ingest.load_search_series(args.volumes),
             ingest.load_index_series(args.index),
             tau=args.tau,
-        ).report()
+        )
         inputs = [args.search, args.volumes, args.index]
     out = _out_dir(args, f"calibrate-{args.what}")
     _write_report(out, values, lines)
@@ -354,6 +356,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
+        return 1
+    except BrokenProcessPool as exc:  # a --jobs worker died, e.g. killed for memory
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -11,7 +11,6 @@ from herdsim.calibrate import (
     _PERSISTENCE,
     DEFAULT_TAU_WEEKS,
     REFERENCE_SHIFT_PAIRS,
-    InfoForceSeries,
     comovement,
     correlating_time,
     herding_offset_from_shift,
@@ -23,6 +22,7 @@ from herdsim.calibrate import (
     round_half_away,
     shift_relation,
     trading_asymmetry,
+    window_labels,
 )
 from herdsim.errors import (
     ConfigError,
@@ -397,36 +397,29 @@ class TestInfoDrivingForce:
 
 class TestInfoForceAsymmetry:
     @staticmethod
-    def force_series(starts, forces, tau=4):
-        return InfoForceSeries(
-            ticker="X",
-            window_starts=np.asarray(starts),
-            forces=np.asarray(forces, dtype=float),
-            tau=tau,
-        )
+    def labels(starts, market, tau=4):
+        return window_labels(market, tau)[starts]
 
     def test_identical_regimes_give_zero(self):
         market = np.tile([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0], 10)
-        series = self.force_series([0, 4, 8, 12], [0.5, 0.5, 0.5, 0.5])
-        assert info_force_asymmetry([series], market) == pytest.approx(0.0, abs=1e-15)
+        labels = self.labels([0, 4, 8, 12], market)
+        assert info_force_asymmetry(np.full(4, 0.5), labels) == pytest.approx(
+            0.0, abs=1e-15)
 
     def test_bear_heavier_by_twenty_percent(self):
         market = np.tile([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0], 10)
         bull_windows = [0, 8]    # positive market sums
         bear_windows = [4, 12]   # negative market sums
-        series = self.force_series(
-            bull_windows + bear_windows, [1.0, 1.0, 1.2, 1.2]
-        )
+        labels = self.labels(bull_windows + bear_windows, market)
         expected = (1.2 - 1.0) / 1.1
-        assert info_force_asymmetry([series], market) == pytest.approx(
+        assert info_force_asymmetry([1.0, 1.0, 1.2, 1.2], labels) == pytest.approx(
             expected, abs=1e-14
         )
 
     def test_missing_regime_rejected(self):
         market = np.ones(100)
-        series = self.force_series([0, 4], [1.0, 2.0])
         with pytest.raises(InsufficientDataError):
-            info_force_asymmetry([series], market)
+            info_force_asymmetry([1.0, 2.0], self.labels([0, 4], market))
 
 
 class TestInfoForceReport:
@@ -454,33 +447,36 @@ class TestInfoForceReport:
 
     def test_estimators_on_the_common_weeks(self):
         searches, volumes, index = self.inputs()
-        rep = infoforce_report(searches, volumes, index, tau=8)
+        values, lines = infoforce_report(searches, volumes, index, tau=8)
         # common clock: weeks 10..79; the index return of week w is
         # ln(close[w] / close[w - 1])
-        market = np.diff(np.log(index.close))[9:79]
-        forces = [
-            info_driving_force(info_states(searches.volume[10:, j]),
-                               volumes.volume[:, j], 8, ticker)
-            for j, ticker in enumerate(searches.tickers)
-        ]
-        assert rep.tau == 8 and rep.tau_deviation_found is None
-        assert rep.delta_F == info_force_asymmetry(forces, market)
-        assert rep.a == rep.delta_F / 2
-        assert rep.windows_skipped == sum(f.skipped for f in forces)
-        assert rep.windows_unlabelled == 0
-        for got, want in zip(rep.forces, forces):
-            assert got.window_starts.tolist() == want.window_starts.tolist()
-            assert got.forces.tolist() == want.forces.tolist()
+        labels = window_labels(np.diff(np.log(index.close))[9:79], 8)
+        series = [info_driving_force(info_states(searches.volume[10:, j]),
+                                     volumes.volume[:, j], 8)
+                  for j in range(len(searches.tickers))]
+        assert values["tau"] == 8 and values["tau_deviation_found"] is None
+        assert values["delta_F"] == info_force_asymmetry(
+            np.concatenate([s.forces for s in series]),
+            np.concatenate([labels[s.window_starts] for s in series]))
+        assert values["a"] == values["delta_F"] / 2
+        assert values["tickers"] == ["AAA", "BBB"]
+        assert values["windows_skipped"] == sum(s.skipped for s in series)
+        assert values["windows_unlabelled"] == 0
+        # one report.txt line per ticker: its kept windows and mean force
+        assert len(lines) == 4 + len(series)
+        for line, ticker, s in zip(lines[4:], searches.tickers, series):
+            assert line.split() == [ticker, "windows", str(len(s.forces)),
+                                    "mean", "F", f"{np.mean(s.forces):.4f}"]
 
     def test_unfittable_attention_curve_falls_back_to_default_tau(self):
         # attention cycling every 20 weeks has a negative autocorrelation
         # from lag 6 on, so correlating_time has no power law to fit
         searches, volumes, index = self.inputs(200, slice(0, 200), n=200)
-        rep = infoforce_report(searches, volumes, index)
-        assert rep.tau == DEFAULT_TAU_WEEKS
-        assert rep.tau_deviation_found is False
-        fixed = infoforce_report(searches, volumes, index, tau=DEFAULT_TAU_WEEKS)
-        assert rep.delta_F == fixed.delta_F
+        values, _ = infoforce_report(searches, volumes, index)
+        assert values["tau"] == DEFAULT_TAU_WEEKS
+        assert values["tau_deviation_found"] is False
+        fixed, _ = infoforce_report(searches, volumes, index, tau=DEFAULT_TAU_WEEKS)
+        assert values["delta_F"] == fixed["delta_F"]
 
     def test_missing_volume_ticker_rejected(self):
         searches, volumes, index = self.inputs()
@@ -493,14 +489,14 @@ class TestInfoForceReport:
     def test_tau_estimate_needs_124_common_weeks(self, weeks):
         # correlating_time needs 30 lags, and the curve has weeks // 4 - 1
         searches, volumes, index = self.inputs(weeks, slice(0, weeks), n=weeks)
-        assert infoforce_report(searches, volumes, index, tau=8).tau == 8
+        assert infoforce_report(searches, volumes, index, tau=8)[0]["tau"] == 8
         if weeks < 124:
             with pytest.raises(InputError, match=f"share only {weeks} weeks; "
                                                  "need 124 to estimate tau"):
                 infoforce_report(searches, volumes, index)
         else:
-            rep = infoforce_report(searches, volumes, index)
-            assert rep.tau == DEFAULT_TAU_WEEKS
+            values, _ = infoforce_report(searches, volumes, index)
+            assert values["tau"] == DEFAULT_TAU_WEEKS
 
     def test_day_numbers_share_no_week_with_dates(self):
         searches, volumes, index = self.inputs()
@@ -619,8 +615,7 @@ class TestCorrelatingTime:
                  id="info_driving_force-short"),
     # window 0 sums to 2 (bull), window 1 to -2 (bear); the forces cancel
     pytest.param(lambda: info_force_asymmetry(
-                     [InfoForceSeries("", np.array([0, 1]), np.array([1.0, -1.0]), 2)],
-                     [1.0, 1.0, -3.0]),
+                     [1.0, -1.0], window_labels([1.0, 1.0, -3.0], 2)),
                  FitDomainError, "zero overall mean force",
                  id="info_force_asymmetry-zero-mean"),
     pytest.param(lambda: stats.normalize(np.ones((2, 2))),

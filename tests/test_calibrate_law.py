@@ -3,9 +3,10 @@ against the per-day and per-window loops they replaced.
 
 The `reference_*` functions are the original implementations: `comovement`
 walked the panel one day and one stock group at a time, `info_driving_force`
-sliced every window of the attention series, and `info_force_asymmetry`
-sliced the market series again for every kept window.  The array forms only
-sum in a different order, so window starts, skip counts and bull/bear labels
+sliced every window of the attention series, and the bull/bear labels and
+`info_force_asymmetry` sliced the market series again for every window.
+The array forms (`window_labels` sums every market window once) only sum
+in a different order, so window starts, skip counts and bull/bear labels
 must agree exactly and every float to 1e-12.
 """
 
@@ -23,6 +24,7 @@ from herdsim.calibrate import (
     comovement,
     info_driving_force,
     info_force_asymmetry,
+    window_labels,
 )
 from herdsim.errors import (
     DegenerateSeriesError,
@@ -85,7 +87,7 @@ def reference_comovement(panel: ReturnsPanel) -> calibrate.ComovementEstimate:
     return calibrate.ComovementEstimate(H_M=h_m, H_j=h_j)
 
 
-def reference_info_driving_force(states, volumes, tau: int, ticker: str = ""):
+def reference_info_driving_force(states, volumes, tau: int):
     s = np.asarray(states, dtype=np.int8)
     v = np.asarray(volumes, dtype=float)
     if len(s) != len(v):
@@ -114,47 +116,36 @@ def reference_info_driving_force(states, volumes, tau: int, ticker: str = ""):
         starts.append(t)
         forces.append(high.mean() / v0 - 1.0)
     return InfoForceSeries(
-        ticker=ticker,
         window_starts=np.asarray(starts, dtype=np.int64),
         forces=np.asarray(forces, dtype=float),
-        tau=tau,
         skipped=skipped,
     )
 
 
-def reference_window_labels(force_series, market) -> list[np.ndarray]:
-    """1 bull, -1 bear, 0 unlabeled for every window, one window at a time."""
+def reference_window_labels(market, tau: int) -> np.ndarray:
+    """1 bull, -1 bear, 0 unlabeled for every window start, one window at a
+    time."""
+    if len(market) < tau:
+        raise ValidationError("market return series shorter than tau")
     labels = []
-    for series in force_series:
-        if len(market) < series.tau:
-            raise ValidationError("market return series shorter than tau")
-        label = []
-        for start in series.window_starts:
-            window = market[start : start + series.tau]
-            if start + series.tau > len(market) or np.any(np.isnan(window)):
-                label.append(0)
-                continue
-            total = window.sum()
-            label.append(1 if total > 0.0 else -1 if total < 0.0 else 0)
-        labels.append(np.asarray(label, dtype=np.int8))
-    return labels
+    for start in range(len(market) - tau + 1):
+        window = market[start : start + tau]
+        if np.any(np.isnan(window)):
+            labels.append(0)
+            continue
+        total = window.sum()
+        labels.append(1 if total > 0.0 else -1 if total < 0.0 else 0)
+    return np.asarray(labels, dtype=np.int8)
 
 
-def reference_info_force_asymmetry(force_series, market_returns) -> float:
-    if isinstance(force_series, InfoForceSeries):
-        force_series = [force_series]
-    market = np.asarray(market_returns, dtype=float)
+def reference_info_force_asymmetry(force_series, market, tau: int) -> float:
     bull_forces = []
     bear_forces = []
     all_forces = []
     for series in force_series:
-        if len(market) < series.tau:
-            raise ValidationError("market return series shorter than tau")
         for start, force in zip(series.window_starts, series.forces):
             all_forces.append(force)
-            if start + series.tau > len(market):
-                continue
-            window = market[start : start + series.tau]
+            window = market[start : start + tau]
             if np.any(np.isnan(window)):
                 continue
             total = window.sum()
@@ -168,6 +159,15 @@ def reference_info_force_asymmetry(force_series, market_returns) -> float:
     if overall == 0.0:
         raise calibrate.FitDomainError("zero overall mean force")
     return float((np.mean(bear_forces) - np.mean(bull_forces)) / overall)
+
+
+def pooled_info_force_asymmetry(force_series, market, tau: int) -> float:
+    """info_force_asymmetry on the forces of every series, pooled, and the
+    labels of their windows, taken from one window_labels array."""
+    labels = window_labels(market, tau)
+    return info_force_asymmetry(
+        np.concatenate([s.forces for s in force_series]),
+        np.concatenate([labels[s.window_starts] for s in force_series]))
 
 
 def same_outcome(fn, ref, *args):
@@ -326,62 +326,58 @@ def test_driving_force_matches_window_loop(case):
     assert got.window_starts.dtype == np.int64
     assert got.window_starts.tolist() == expected.window_starts.tolist()
     assert got.skipped == expected.skipped
-    assert got.tau == expected.tau
     np.testing.assert_allclose(got.forces, expected.forces, **TOL)
     assert len(got.forces) + got.skipped == len(states) - tau + 1
 
 
 @st.composite
 def labelled_cases(draw):
-    """Force series of several window lengths against a market of exact
-    binary fractions (so flat windows sum to exactly zero in any order),
-    with NaN weeks and windows that run past the end of the market."""
+    """Force series on the clock of a market of exact binary fractions (so
+    flat windows sum to exactly zero in any order), with NaN weeks."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_market = draw(st.integers(2, 40))
     market = rng.integers(-3, 4, n_market) / 4.0
     nan_frac = draw(st.sampled_from([0.0, 0.05, 0.3]))
     market[rng.random(n_market) < nan_frac] = np.nan
+    tau = draw(st.integers(2, n_market))
     series = []
-    for i in range(draw(st.integers(1, 3))):
-        tau = draw(st.integers(2, n_market))
-        length = draw(st.integers(tau, n_market + 10))
-        kept = rng.random(length - tau + 1) < 0.7
+    for _ in range(draw(st.integers(1, 3))):
+        kept = rng.random(n_market - tau + 1) < 0.7
         starts = np.flatnonzero(kept).astype(np.int64)
         forces = rng.normal(0.3, 0.5, len(starts))
-        series.append(InfoForceSeries(
-            ticker=f"W{i}", window_starts=starts, forces=forces, tau=tau))
-    return series, market
+        series.append(InfoForceSeries(window_starts=starts, forces=forces))
+    return series, market, tau
 
 
 @settings(max_examples=300, deadline=None)
 @given(labelled_cases())
 def test_window_labels_and_delta_f_match_window_loop(case):
-    series, market = case
-    got = calibrate._window_labels(series, market)
-    expected = reference_window_labels(series, market)
-    assert got.tolist() == np.concatenate(expected).tolist()
-    outcome = same_outcome(info_force_asymmetry, reference_info_force_asymmetry,
-                           series, market)
+    series, market, tau = case
+    got = window_labels(market, tau)
+    assert got.dtype == np.int8
+    assert got.tolist() == reference_window_labels(market, tau).tolist()
+    outcome = same_outcome(pooled_info_force_asymmetry,
+                           reference_info_force_asymmetry, series, market, tau)
     if outcome is not None:
         expected_f, got_f = outcome
         assert np.isclose(got_f, expected_f, **TOL)
 
 
 def test_short_market_rejected_before_labelling():
-    series = InfoForceSeries(ticker="W",
-                             window_starts=np.array([0, 1], np.int64),
-                             forces=np.array([0.1, 0.2]), tau=5)
     with pytest.raises(ValidationError, match="shorter than tau"):
-        info_force_asymmetry([series], np.ones(4))
+        window_labels(np.ones(4), 5)
     with pytest.raises(InsufficientDataError, match="no bull or no bear"):
-        info_force_asymmetry([], np.ones(4))
+        info_force_asymmetry(np.empty(0), np.empty(0, np.int8))
 
 
-def test_nan_and_overhanging_windows_stay_unlabelled():
-    series = InfoForceSeries(
-        ticker="W",
-        window_starts=np.arange(5, dtype=np.int64),
-        forces=np.ones(5), tau=3)
-    market = np.array([1.0, -1.0, 0.0, np.nan, 1.0, 2.0])
-    # windows: [1,-1,0] flat, [-1,0,nan], [0,nan,1], [nan,1,2], [1,2] past end
-    assert calibrate._window_labels([series], market).tolist() == [0] * 5
+def test_forces_and_labels_of_unequal_length_rejected():
+    with pytest.raises(ValidationError,
+                       match="forces and labels have different lengths"):
+        info_force_asymmetry(np.ones(3), np.array([1, -1], np.int8))
+
+
+def test_nan_and_flat_windows_stay_unlabelled():
+    market = np.array([2.0, 1.0, -1.0, 0.0, np.nan, 1.0, 2.0, -4.0])
+    # windows: [2,1,-1] bull, [1,-1,0] flat, [-1,0,nan], [0,nan,1],
+    # [nan,1,2], [1,2,-4] bear
+    assert window_labels(market, 3).tolist() == [1, 0, 0, 0, 0, -1]

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
 import shlex
 from datetime import date, timedelta
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import weekly_dates, write_csv
-from herdsim import calibrate, errors, ingest, stats
+from herdsim import calibrate, errors, ingest, simcore, stats
 from herdsim.simcore import weighted_returns
 from herdsim.cli import build_parser, main
 
@@ -243,6 +245,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory")
         assert detail in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched runner reaches the workers by fork")
+    def test_dead_worker_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a worker killed mid-run, as by the kernel when memory runs out
+        def killed(config):
+            os._exit(3)
+
+        monkeypatch.setitem(simcore.RUNNERS, "a", killed)
+        cfg = small_config(tmp_path)
+        assert run(["simulate", "a", "--config", cfg, "--ensemble", 2,
+                    "--jobs", 2, "--out", tmp_path / "r"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: BrokenProcessPool: ")
         assert err.count("\n") == 1
 
     def test_integral_float_counts_become_ints(self, tmp_path):
@@ -569,19 +586,40 @@ class TestCalibrateCommands:
                     "--tau", 12, "--out", out]) == 0
         report = json.loads((out / "report.json").read_text())
         assert list(report)[-2:] == ["windows_skipped", "windows_unlabelled"]
-        rep = calibrate.infoforce_report(
-            ingest.load_search_series(search), ingest.load_search_series(volumes),
-            ingest.load_index_series(index), tau=12)
-        assert report["windows_skipped"] == rep.windows_skipped
-        assert report["windows_unlabelled"] == rep.windows_unlabelled
+        searches = ingest.load_search_series(search)
+        trading = ingest.load_search_series(volumes)
+        values, _ = calibrate.infoforce_report(
+            searches, trading, ingest.load_index_series(index), tau=12)
+        assert {key: report[key] for key in values} == values
         # 200 weeks: 189 windows per ticker, each kept or skipped; the index
         # covers every week but the first, whose return is missing (NaN)
-        kept = sum(len(f.forces) for f in rep.forces)
-        assert kept + rep.windows_skipped == 2 * (200 - 12 + 1)
-        assert rep.windows_unlabelled == sum(
-            int(f.window_starts[0] == 0) for f in rep.forces if len(f.forces))
-        assert report["delta_F"] == rep.delta_F
-        assert report["a"] == rep.a
+        series = [calibrate.info_driving_force(calibrate.info_states(g), v, 12)
+                  for g, v in zip(searches.volume.T, trading.volume.T)]
+        kept = sum(len(s.forces) for s in series)
+        assert kept + values["windows_skipped"] == 2 * (200 - 12 + 1)
+        assert values["windows_unlabelled"] == sum(
+            int(s.window_starts[0] == 0) for s in series if len(s.forces))
+
+    def test_infoforce_report_lines_are_the_driving_forces(self, tmp_path,
+                                                           info_gap_files):
+        search, volumes, index = info_gap_files
+        out = tmp_path / "cal"
+        assert run(["calibrate", "infoforce", "--search", search,
+                    "--volumes", volumes, "--index", index,
+                    "--tau", 12, "--out", out]) == 0
+        searches = ingest.load_search_series(search)
+        trading = ingest.load_search_series(volumes)
+        assert (trading.weeks, trading.tickers) == (searches.weeks, searches.tickers)
+        lines = (out / "report.txt").read_text().splitlines()[4:]
+        assert len(lines) == len(searches.tickers)
+        # FLAT's constant attention skips every window: no mean force
+        for line, ticker, g, v in zip(lines, searches.tickers,
+                                      searches.volume.T, trading.volume.T):
+            forces = calibrate.info_driving_force(
+                calibrate.info_states(g), v, 12).forces
+            mean = f"{np.mean(forces):.4f}" if len(forces) else "nan"
+            assert line.split() == [ticker, "windows", str(len(forces)),
+                                    "mean", "F", mean]
 
     def test_infoforce_estimates_tau(self, tmp_path, info_files):
         search, volumes, index = info_files
