@@ -48,12 +48,11 @@ def _sha256(path) -> str:
 
 
 def _out_dir(args, default_name: str) -> Path:
+    """The output directory's path; each command makes the directory just
+    before its first write, so a failed run leaves none."""
     if args.out:
-        out = Path(args.out)
-    else:
-        out = Path(os.environ.get("HERDSIM_OUT", ".")) / default_name
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return Path(args.out)
+    return Path(os.environ.get("HERDSIM_OUT", ".")) / default_name
 
 
 def _numpy_build() -> dict:
@@ -92,7 +91,7 @@ def _write_report(out: Path, values: dict, table_lines: list[str]) -> None:
     report = {key: values.get(key) for key in REPORT_KEYS}
     report.update({k: v for k, v in values.items() if k not in REPORT_KEYS})
     ingest.write_json(out / "report.json", report)
-    with open(out / "report.txt", "w") as fh:
+    with open(out / "report.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(table_lines) + "\n")
 
 
@@ -120,6 +119,7 @@ def cmd_calibrate(args, argv) -> int:
         )
         inputs = [args.search, args.volumes, args.index]
     out = _out_dir(args, f"calibrate-{args.what}")
+    out.mkdir(parents=True, exist_ok=True)
     _write_report(out, values, lines)
     _write_manifest(out, argv, inputs,
                     outputs=[out / "report.json", out / "report.txt"])
@@ -210,6 +210,7 @@ _read_returns_column = ingest.load_returns_column
 def cmd_analyze(args, argv) -> int:
     # every estimate runs before the output directory is made, so a failure
     # leaves no directory and no file
+    out = _out_dir(args, f"analyze-{args.what}")
     if args.what in ("lcurve", "stats"):  # one returns file
         raw = _read_returns_column(args.infile)
         r = stats.normalize(raw)
@@ -233,7 +234,7 @@ def cmd_analyze(args, argv) -> int:
                 "kurtosis_excess": float(np.mean(r**4) / np.mean(r**2) ** 2 - 3.0),
             }
             names = "acurve.csv", "stats.json"
-        out = _out_dir(args, f"analyze-{args.what}")
+        out.mkdir(parents=True, exist_ok=True)
         outputs = [out / name for name in names]
         stats.write_curve_csv(curve, outputs[0])
         stats.write_results_json(outputs[1], results)
@@ -247,7 +248,7 @@ def cmd_analyze(args, argv) -> int:
         lo, hi = spectral.marchenko_pastur_bounds(
             len(panel.tickers), len(panel.dates)
         )
-        out = _out_dir(args, f"analyze-{args.what}")
+        out.mkdir(parents=True, exist_ok=True)
         outputs = [out / "spectrum.json", out / "eigenvectors.csv",
                    out / "bounds.json"]
         spectral.write_spectrum_json(outputs[0], lam, report)
@@ -350,15 +351,13 @@ def main(argv=None) -> int:
             raise
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    # BrokenProcessPool: a --jobs worker died, e.g. killed for memory
+    except (NumericError, BrokenProcessPool) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
-        return 1
-    except BrokenProcessPool as exc:  # a --jobs worker died, e.g. killed for memory
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

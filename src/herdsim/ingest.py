@@ -125,36 +125,30 @@ class SearchPanel:
 # --- one table reader: a numpy fast path and the row parser ---------------
 
 
-@dataclass(frozen=True)
-class _Table:
-    """The data rows of a headered CSV: what the header check returned as
-    column `names`; per leading text column, the distinct raw cells in order
-    of first appearance and the code of each row's cell (`keys`); the
-    numbers of the other columns read (`values`)."""
-
-    path: object
-    names: tuple
-    keys: list
-    values: np.ndarray
-
-    def row(self, i) -> int:
-        """The row number of data row `i` in the file (the header is row 1),
-        for an error message."""
-        with open(self.path, newline="") as fh:
-            numbered = (n for n, row in enumerate(csv.reader(fh), 1) if row)
-            return next(islice(numbered, i + 1, None))
+def _row(path, i) -> int:
+    """The row number of data row `i` of the file at `path` (the header is
+    row 1), for an error message."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        numbered = (n for n, row in enumerate(csv.reader(fh), 1) if row)
+        return next(islice(numbered, i + 1, None))
 
 
 def _read_table(path, check_header, keys=0, usecols=None, strip=False,
-                forward_fill=False) -> _Table:
+                forward_fill=False):
     """Read a header, which `check_header(path, header)` turns into column
     names or rejects, then rows of `keys` text cells followed by finite
     numbers: every column, in rows as wide as the header, or only
     `usecols`, in rows wide enough to hold them. `strip` strips number
     cells and makes an empty one a gap: NaN under `forward_fill`, an error
-    otherwise."""
+    otherwise.
+
+    Returns `(names, keys, values)`: the column names; per text column,
+    the distinct raw cells in order of first appearance and the code of
+    each row's cell; the numbers of the other columns read, one row per
+    data row.
+    """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
     with fh:
@@ -170,7 +164,7 @@ def _read_table(path, check_header, keys=0, usecols=None, strip=False,
                                     usecols, strip, forward_fill)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not {exc.encoding} text") from None
-    return _Table(path, names, *parts)
+    return (names, *parts)
 
 
 # A 1 MiB block added its own size to the peak RSS of a run; 64 KiB scans
@@ -203,7 +197,7 @@ def _scan_numeric_csv(path, width, keys, usecols):
             warnings.simplefilter("ignore")  # loadtxt warns on no data rows
             values = np.loadtxt(
                 path, delimiter=",", skiprows=1, usecols=usecols, ndmin=2,
-                comments=None,
+                comments=None, encoding="utf-8",
                 converters={c: d.__getitem__ for c, d in enumerate(codes)},
             )
     except ValueError:
@@ -276,11 +270,10 @@ def _first_row(mask):
     return int(hits[0]) if hits.size else None
 
 
-def _labels(table: _Table, path):
-    """The distinct cells of the first key column, read all as ISO dates or
-    all as day numbers, as the first one reads, and the code of each row's
+def _labels(cells, codes, path):
+    """The distinct cells of a key column, read all as ISO dates or all as
+    day numbers, as the first one reads, and the code of each row's
     label."""
-    cells, codes = table.keys[0]
     parse = int
     try:
         if cells:
@@ -297,7 +290,7 @@ def _labels(table: _Table, path):
             parse(cell)
         except ValueError:
             raise ParseError(
-                f"{path}: row {table.row(_first_row(codes == code))}: "
+                f"{path}: row {_row(path, _first_row(codes == code))}: "
                 f"cannot parse date {cell!r}") from None
 
 
@@ -321,19 +314,20 @@ def _repeats(codes):
 
 def load_index_series(path) -> IndexSeries:
     """Load an index.csv file, sorted by date."""
-    table = _read_table(path, _header("date", "close", "volume"), keys=1)
-    days, rank = _ranks(*_labels(table, path))
-    close, volume = table.values.T
+    _, (key,), values = _read_table(path, _header("date", "close", "volume"),
+                                    keys=1)
+    days, rank = _ranks(*_labels(*key, path))
+    close, volume = values.T
     i = _first_row((close <= 0.0) | (volume < 0.0))
     if i is not None:
         problem = (f"non-positive close {close[i]}" if close[i] <= 0.0
                    else f"negative volume {volume[i]}")
-        raise ValidationError(f"{path}: row {table.row(i)}: {problem}")
+        raise ValidationError(f"{path}: row {_row(path, i)}: {problem}")
     order = np.argsort(rank, kind="stable")
     i = _first_row(np.diff(rank[order]) == 0)
     if i is not None:
         raise ValidationError(
-            f"{path}: rows {table.row(order[i])} and {table.row(order[i + 1])}:"
+            f"{path}: rows {_row(path, order[i])} and {_row(path, order[i + 1])}:"
             f" duplicate date {days[rank[order[i]]]}")
     return IndexSeries(dates=tuple(days), close=close[order],
                        volume=volume[order])
@@ -346,13 +340,13 @@ def log_returns(series: IndexSeries) -> np.ndarray:
 
 
 def load_sector_map(path) -> dict[str, str]:
-    table = _read_table(path, _header("ticker", "sector_id"), keys=2)
+    _, keys, _ = _read_table(path, _header("ticker", "sector_id"), keys=2)
     (tickers, ticker_codes), (sectors, sector_codes) = (
         _ranks([cell.strip() for cell in cells], codes)
-        for cells, codes in table.keys)
+        for cells, codes in keys)
     i = _first_row(_repeats(ticker_codes))
     if i is not None:
-        raise ValidationError(f"{path}: row {table.row(i)}: duplicate "
+        raise ValidationError(f"{path}: row {_row(path, i)}: duplicate "
                               f"ticker {tickers[ticker_codes[i]]!r}")
     return dict(zip(map(tickers.__getitem__, ticker_codes.tolist()),
                     map(sectors.__getitem__, sector_codes.tolist())))
@@ -376,11 +370,10 @@ def load_returns_panel(path, sector_map_path, forward_fill: bool = False) -> Ret
     gaps of at most 2 consecutive days per ticker.
     """
     sector_of = load_sector_map(sector_map_path)
-    table = _read_table(path, _panel_header, keys=1, strip=True,
-                        forward_fill=forward_fill)
-    labels, codes = _labels(table, path)
-    tickers = table.names[1:]
-    matrix = table.values
+    names, (key,), matrix = _read_table(path, _panel_header, keys=1,
+                                        strip=True, forward_fill=forward_fill)
+    labels, codes = _labels(*key, path)
+    tickers = names[1:]
     if forward_fill:
         gaps = np.isnan(matrix)
         longer = (gaps[:-2] & gaps[1:-1] & gaps[2:]).any(axis=0)
@@ -412,7 +405,7 @@ def _returns_header(path, header):
 def load_returns_column(path) -> np.ndarray:
     """The second column of a headered CSV as floats: the aggregate return
     R of a simulation's returns.csv (`day,R[,stock columns]`)."""
-    values = _read_table(path, _returns_header, usecols=(1,)).values[:, 0]
+    values = _read_table(path, _returns_header, usecols=(1,))[2][:, 0]
     if len(values) < 2:
         raise InputError(f"{path}: no return rows")
     return values
@@ -424,20 +417,19 @@ def load_search_series(path) -> SearchPanel:
     Only the weeks that every ticker has are kept, so panel-wide
     comparisons share a clock.
     """
-    table = _read_table(path, _header("week_start", "ticker", "volume"),
-                        keys=2)
-    if not len(table.values):
+    _, (week_key, (cells, codes)), values = _read_table(
+        path, _header("week_start", "ticker", "volume"), keys=2)
+    if not len(values):
         raise ValidationError(f"{path}: no data rows")
-    weeks, week_rank = _ranks(*_labels(table, path))
-    cells, codes = table.keys[1]
+    weeks, week_rank = _ranks(*_labels(*week_key, path))
     tickers, ticker_codes = _ranks([cell.strip() for cell in cells], codes)
-    volume = table.values[:, 0]
+    volume = values[:, 0]
     negative = volume < 0.0
     i = _first_row(negative | _repeats(ticker_codes * len(weeks) + week_rank))
     if i is not None:
         problem = (f"negative volume {volume[i]}" if negative[i]
                    else f"duplicate week {weeks[week_rank[i]]}")
-        raise ValidationError(f"{path}: row {table.row(i)}: {problem} for "
+        raise ValidationError(f"{path}: row {_row(path, i)}: {problem} for "
                               f"{tickers[ticker_codes[i]]!r}")
     common = np.bincount(week_rank) == len(tickers)
     if not common.any():
@@ -461,7 +453,7 @@ def write_json(path, obj) -> None:
         text = json.dumps(obj, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"{path}: {exc}") from None
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
@@ -479,7 +471,7 @@ def write_csv_table(path, header, labels, columns) -> None:
     row, and the block size bounds the memory held in Python strings.
     """
     labels = iter(labels)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             stop = start + _WRITE_BLOCK_ROWS
@@ -501,7 +493,7 @@ def save_returns_panel(panel: ReturnsPanel, path, sectors_path) -> None:
         map(str, panel.dates),  # str() of a date is its ISO form
         np.asarray(panel.matrix, dtype=float).T,
     )
-    with open(sectors_path, "w", newline="") as fh:
+    with open(sectors_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ticker", "sector_id"])
         writer.writerows(sorted(panel.sector_of.items()))

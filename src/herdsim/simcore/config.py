@@ -274,7 +274,7 @@ def _require_object(data) -> None:
 def read_json(path):
     """The JSON value in the file at `path`; a file that is not JSON text
     raises InputError."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # invalid JSON, or bytes that are not text

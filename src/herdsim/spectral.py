@@ -114,7 +114,7 @@ def write_eigenvector_csv(path, eigenvectors: np.ndarray, tickers, sectors) -> N
     n_modes = min(_CSV_MODES, eigenvectors.shape[1])
     rows = np.lexsort([np.array(labels, dtype=object)
                        for labels in (tickers, sectors)])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["ticker", "sector_id"] + [f"u{k}" for k in range(n_modes)]

@@ -16,7 +16,7 @@ STUB = textwrap.dedent("""\
     args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
     seed = int(args["--seed"])
     log = Path(__file__).resolve().parent.parent.parent / "calls.log"
-    with open(log, "a") as fh:
+    with open(log, "a", encoding="utf-8") as fh:
         fh.write(f"{SIDE} {args['--workload']} {seed} {args['--seconds']} "
                  f"{args['--trace']}\\n")
     print("a readable report")

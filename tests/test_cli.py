@@ -262,6 +262,36 @@ class TestSimulate:
         assert err.startswith("error: BrokenProcessPool: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("members", [[], ["--ensemble", 2, "--jobs", 1]],
+                             ids=["single", "first-of-ensemble"])
+    def test_failed_run_leaves_no_out_directory(self, tmp_path, capsys,
+                                                monkeypatch, members):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 22.4 GiB")
+
+        monkeypatch.setitem(simcore.RUNNERS, "a", exhausted)
+        cfg = small_config(tmp_path)
+        out = tmp_path / "r"
+        assert run(["simulate", "a", "--config", cfg, "--out", out,
+                    *members]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory")
+        assert not out.exists()
+
+    def test_later_member_failing_keeps_earlier_members(self, tmp_path,
+                                                        monkeypatch):
+        def second_exhausted(config):
+            if config.seed == 8:
+                raise MemoryError()
+            return simcore.run_model_a(config)
+
+        monkeypatch.setitem(simcore.RUNNERS, "a", second_exhausted)
+        cfg = small_config(tmp_path)
+        out = tmp_path / "r"
+        assert run(["simulate", "a", "--config", cfg, "--out", out,
+                    "--ensemble", 2, "--jobs", 1]) == 1
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "seed_7", "seed_7/diagnostics.csv", "seed_7/returns.csv"]
+
     def test_integral_float_counts_become_ints(self, tmp_path):
         kwargs = dict(N=2000, H_M=0.363, H_j=[0.491, 0.546], P_group=0.363, t_max=200)
         (tmp_path / "i").mkdir()

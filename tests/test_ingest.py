@@ -1,11 +1,15 @@
 import csv
+import json
 import re
+from contextlib import nullcontext
 from datetime import date
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from conftest import business_dates, weekly_dates, write_csv
+from herdsim import ingest
 from herdsim.errors import InputError, NumericError, ParseError, ValidationError
 from herdsim.ingest import (
     IndexSeries,
@@ -22,6 +26,7 @@ from herdsim.ingest import (
     save_returns_panel,
     write_json,
 )
+from herdsim.simcore.config import read_json
 
 
 def save_search_panel(panel: SearchPanel, path) -> None:
@@ -491,6 +496,77 @@ class TestNumpyFastPath:
             f"{label},100,10\n" for label in labels))
         with pytest.raises(ParseError, match=f"row 3: cannot parse date {bad}"):
             load_index_series(path)
+
+
+def with_bom(path):
+    """A copy of `path` that starts with a UTF-8 byte-order mark, as
+    Excel's "CSV UTF-8" export writes."""
+    copy = path.with_name("bom_" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+def same(a, b):
+    """Records equal field by field, arrays bit for bit."""
+    assert type(a) is type(b)
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == other.tobytes()
+        else:
+            assert value == other
+
+
+class TestEncoding:
+    """Input files are read as UTF-8, with or without a byte-order mark, on
+    the numpy path and on the row parser alike; output files are written as
+    UTF-8."""
+
+    @pytest.fixture(params=[False, True], ids=["numpy-path", "row-parser"])
+    def path_taken(self, request):
+        with patch.object(ingest, "_scan_numeric_csv",
+                          return_value=None) if request.param else nullcontext():
+            yield
+
+    def test_index_with_bom(self, index_csv, path_taken):
+        same(load_index_series(with_bom(index_csv)), load_index_series(index_csv))
+
+    def test_panel_and_sectors_with_bom(self, panel_files, path_taken):
+        panel, sectors = panel_files[:2]
+        same(load_returns_panel(with_bom(panel), with_bom(sectors)),
+             load_returns_panel(panel, sectors))
+
+    def test_search_with_bom(self, info_files, path_taken):
+        search = info_files[0]
+        same(load_search_series(with_bom(search)), load_search_series(search))
+
+    def test_returns_column_with_bom(self, tmp_path, path_taken):
+        path = tmp_path / "returns.csv"
+        path.write_bytes(b"day,R\r\n1,3\r\n2,-4\r\n")
+        assert load_returns_column(with_bom(path)).tolist() == [3.0, -4.0]
+
+    def test_config_with_bom(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps({"N": 100, "M": 20, "seed": 3}).encode())
+        assert read_json(with_bom(path)) == read_json(path)
+
+    def test_bom_row_numbers(self, tmp_path):
+        path = tmp_path / "i.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,close,volume\n"
+                         b"2020-01-01,100,10\n2020-01-02,0,12\n")
+        with pytest.raises(ValidationError, match="row 3: non-positive close"):
+            load_index_series(path)
+
+    def test_non_ascii_names_round_trip_as_utf8(self, tmp_path):
+        tickers = ("\u00c4BC", "\u6771\u4eac")
+        panel = ReturnsPanel(dates=(1, 2), tickers=tickers,
+                             sector_of={tickers[0]: "\u00e9", tickers[1]: "2"},
+                             matrix=np.array([[0.1, 0.2], [0.3, -0.1]]))
+        path, sectors = tmp_path / "panel.csv", tmp_path / "sectors.csv"
+        save_returns_panel(panel, path, sectors)
+        assert path.read_bytes().startswith("date,\u00c4BC,\u6771\u4eac".encode())
+        assert "\u00e9".encode() in sectors.read_bytes()
+        same(load_returns_panel(path, sectors), panel)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
