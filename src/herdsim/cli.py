@@ -7,10 +7,10 @@ input file digests.  Exit codes: 0 success, 1 runtime/numeric failure (out
 of memory and a dead ``--jobs`` worker included), 2 input or validation
 failure.
 
-Simulation output schema: ``returns.csv`` with columns ``day,R`` (plus one
-column per stock for model c), ``diagnostics.csv`` with per-day traces, and
-for model c additionally ``panel.csv``/``sectors.csv`` ready for
-``analyze spectrum``.  Rerunning with the same config and seed reproduces
+Simulation output schema: ``returns.csv`` with columns ``day,R``,
+``diagnostics.csv`` with per-day traces, and for model c additionally
+``panel.csv`` with each stock's returns and ``sectors.csv`` with their
+sectors, ready for ``analyze spectrum``.  Rerunning with the same config and seed reproduces
 ``returns.csv`` byte for byte.
 """
 
@@ -128,15 +128,11 @@ def cmd_calibrate(args, argv) -> int:
 
 
 def _returns_csv(out: SimOutput, path: Path) -> None:
-    returns = out.returns.astype(np.int64)
-    days = map(str, range(1, len(returns) + 1))
-    if returns.ndim == 1:
-        ingest.write_csv_table(path, ["day", "R"], days, [returns])
-    else:
-        ingest.write_csv_table(
-            path, ["day", "R"] + list(out.tickers), days,
-            [returns.sum(axis=1), *returns.T],
-        )
+    # R of a multi-stock run is the sum over its stocks, whose own returns
+    # go to panel.csv
+    days = len(out.returns)
+    R = out.returns.astype(np.int64).reshape(days, -1).sum(axis=1)
+    ingest.write_csv_table(path, ["day", "R"], map(str, range(1, days + 1)), [R])
 
 
 def _diagnostics_csv(out: SimOutput, path: Path) -> None:

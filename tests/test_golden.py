@@ -1,5 +1,6 @@
 """Golden sha256 digests of returns.csv and diagnostics.csv for one small
-config per model, and of report.json and report.txt for each calibration.
+config per model, of model c's panel.csv and sectors.csv, and of
+report.json and report.txt for each calibration.
 
 Each returns digest pins the model's random stream end to end through
 `cli.main`: a refactor that keeps the stream keeps the digest.  Each
@@ -35,8 +36,9 @@ DIGESTS = {
     "a": "84ef7962576385f736c9e324e68fdf6b55aa01fb01eb8930e7fb53f9844e3e92",
     "b": "bbe756bd62e574899da652b70c1d5838be880e7d045372d26eb19cd5d0d8a3c6",
     # count-level day sampler with no draws below the M-level on days whose
-    # M-groups all decide alike (same law as the per-group loop, new stream)
-    "c": "e480450806578766e642b1d73e4f502264f85d2309ad669929af4af86a952c03",
+    # M-groups all decide alike (same law as the per-group loop, new stream);
+    # returns.csv holds day,R only, the per-stock returns are in panel.csv
+    "c": "ab03268362a5360d3debc14ed2d9c5ca5d0576d06353f2ec44c8a1556daf4d11",
     # feedback-free draws made before the day loop (same law as the
     # day-by-day loop, new stream)
     "d": "b5201ab0bc3d229ec23f76442aa3e5257031b74c2369a2d9f64b4ea2e894bd0c",
@@ -48,6 +50,14 @@ DIAGNOSTICS_DIGESTS = {
     "b": "3592e021b6a70f3f9e794813784c954ae91a05f9207169cda801fdd5eb561df2",
     "c": "a3d82e93c39bdd219a006f4f57b8ef9ea05b3b75fe412e2f4f79a4db844804bc",
     "d": "e822ac419c9969af938907fbf20248bca1496fd5f55600e15ad6a179c930c4ec",
+}
+
+
+# model c's per-stock returns and sector map, as `analyze spectrum` and
+# `calibrate comovement` read them
+PANEL_DIGESTS = {
+    "panel.csv": "cd98af05eb209dc86dfcd175994bd016eb027461bcd8218eb30531fe9558ba70",
+    "sectors.csv": "466cc90ff6d3c2f8dd30954c678c217f4f09d12be9045a09094fdec071a13aed",
 }
 
 
@@ -72,6 +82,11 @@ def test_returns_digest(tmp_path, model):
 def test_diagnostics_digest(tmp_path, model):
     out = _simulate(tmp_path, model)
     assert _sha256(out / "diagnostics.csv") == DIAGNOSTICS_DIGESTS[model]
+
+
+def test_panel_digests(tmp_path):
+    out = _simulate(tmp_path, "c")
+    assert {name: _sha256(out / name) for name in PANEL_DIGESTS} == PANEL_DIGESTS
 
 
 # (report.json, report.txt) of each calibration on the conftest inputs
