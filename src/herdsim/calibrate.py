@@ -8,7 +8,6 @@ their bull/bear asymmetry and the correlating time of attention data.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -50,17 +49,14 @@ def round_half_away(x: float) -> int:
 
 @dataclass(frozen=True)
 class AsymmetryEstimate:
-    """Trading and herding asymmetry of one index.
-
-    beta is stored as 2 - alpha exactly; delta_r and delta_R stay None
-    when only the volume side has been estimated.
-    """
+    """Trading and herding asymmetry of one index; beta is 2 - alpha
+    exactly."""
 
     alpha: float
     beta: float
     volume_ratio: float
-    delta_r: float | None = None
-    delta_R: int | None = None
+    delta_r: float
+    delta_R: int
 
     def report(self) -> tuple[dict, list[str]]:
         """The values of report.json and the lines of report.txt."""
@@ -76,10 +72,9 @@ class AsymmetryEstimate:
             f"  volume ratio V+/V-   {self.volume_ratio:.4f}",
             f"  alpha                {self.alpha:.4f}",
             f"  beta                 {self.beta:.4f}",
+            f"  delta_r              {self.delta_r:.4f}",
+            f"  delta_R              {self.delta_R}",
         ]
-        if self.delta_r is not None:  # the herding side was estimated
-            lines += [f"  delta_r              {self.delta_r:.4f}",
-                      f"  delta_R              {self.delta_R}"]
         return values, lines
 
 
@@ -126,8 +121,9 @@ def _returns_and_volumes(returns, volumes) -> tuple[np.ndarray, np.ndarray]:
     return r, v
 
 
-def trading_asymmetry(returns, volume, m: int = 150, k: float = 1.0) -> AsymmetryEstimate:
-    """Estimate alpha from volumes following bull and bear weighted returns.
+def trading_asymmetry(returns, volume, m: int = 150, k: float = 1.0) -> tuple[float, float]:
+    """Estimate alpha from volumes following bull and bear weighted returns,
+    as the pair (alpha, volume_ratio).
 
     volume[t] is the volume of the day returns[t] ends on.  With the
     trading probability proportional to volume, the bull/bear volume ratio
@@ -157,7 +153,7 @@ def trading_asymmetry(returns, volume, m: int = 150, k: float = 1.0) -> Asymmetr
     alpha = 2.0 * ratio / (1.0 + ratio)
     if not math.isfinite(alpha):
         raise NumericError("volume ratio V+/V- overflows float64")
-    return AsymmetryEstimate(alpha=alpha, beta=2.0 - alpha, volume_ratio=ratio)
+    return alpha, ratio
 
 
 def herding_shift(r: np.ndarray, volumes) -> float:
@@ -212,10 +208,10 @@ def asymmetry_report(index_series, m: int = 150, k: float = 1.0) -> AsymmetryEst
     labels the days.
     """
     returns, volume = log_returns(index_series), index_series.volume[1:]
-    est = trading_asymmetry(returns, volume, m=m, k=k)
+    alpha, ratio = trading_asymmetry(returns, volume, m=m, k=k)
     shift = herding_shift(normalize(returns), volume)
-    return dataclasses.replace(est, delta_r=shift,
-                               delta_R=herding_offset_from_shift(shift))
+    return AsymmetryEstimate(alpha=alpha, beta=2.0 - alpha, volume_ratio=ratio,
+                             delta_r=shift, delta_R=herding_offset_from_shift(shift))
 
 
 #: Days per block of the co-movement pass: its temporaries stay a few

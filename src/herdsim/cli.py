@@ -4,8 +4,8 @@ Every command writes its results under an output directory (``--out``, or
 ``$HERDSIM_OUT/<command>-<subcommand>``) together with a run manifest that
 records the command line, config hash, seed, tool version, numpy build and
 input file digests.  Exit codes: 0 success, 1 runtime/numeric failure (out
-of memory and a dead ``--jobs`` worker included), 2 input or validation
-failure.
+of memory, a dead ``--jobs`` worker and an I/O error that names no file,
+such as a full disk, included), 2 input or validation failure.
 
 Simulation output schema: ``returns.csv`` with columns ``day,R``,
 ``diagnostics.csv`` with per-day traces, and for model c additionally
@@ -95,6 +95,14 @@ def _write_report(out: Path, values: dict, table_lines: list[str]) -> None:
         fh.write("\n".join(table_lines) + "\n")
 
 
+def _load_panel(args):
+    """The returns panel of --panel and --sectors, with the two paths as
+    the command's inputs."""
+    panel = ingest.load_returns_panel(args.panel, args.sectors,
+                                      forward_fill=args.forward_fill)
+    return panel, [args.panel, args.sectors]
+
+
 def cmd_calibrate(args, argv) -> int:
     if args.what == "asymmetry":
         # the report's M must be a value simulate --calibration accepts
@@ -105,11 +113,8 @@ def cmd_calibrate(args, argv) -> int:
         values.update(M=args.horizon)
         inputs = [args.index]
     elif args.what == "comovement":
-        panel = ingest.load_returns_panel(
-            args.panel, args.sectors, forward_fill=args.forward_fill
-        )
+        panel, inputs = _load_panel(args)
         values, lines = calibrate.comovement(panel).report()
-        inputs = [args.panel, args.sectors]
     else:  # infoforce
         values, lines = calibrate.infoforce_report(
             ingest.load_search_series(args.search),
@@ -236,9 +241,7 @@ def cmd_analyze(args, argv) -> int:
         stats.write_results_json(outputs[1], results)
         inputs = [args.infile]
     else:  # spectrum
-        panel = ingest.load_returns_panel(
-            args.panel, args.sectors, forward_fill=args.forward_fill
-        )
+        panel, inputs = _load_panel(args)
         lam, vectors = spectral.eigen_decompose(spectral.cross_correlation(panel))
         report = spectral.mode_report(vectors, panel.sectors)
         lo, hi = spectral.marchenko_pastur_bounds(
@@ -255,7 +258,6 @@ def cmd_analyze(args, argv) -> int:
             {"lambda_minus": lo, "lambda_plus": hi,
              "n": len(panel.tickers), "T": len(panel.dates)},
         )
-        inputs = [args.panel, args.sectors]
     _write_manifest(out, argv, inputs, outputs=outputs)
     print(f"analysis written to {out}")
     return 0
@@ -283,11 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="max investment horizon M (default 150)")
     asym.add_argument("--out")
     como = cal_sub.add_parser("comovement", help="H_M and per-sector H_j")
-    como.add_argument("--panel", required=True, help="panel.csv of returns")
-    como.add_argument("--sectors", required=True, help="sectors.csv")
-    como.add_argument("--forward-fill", action="store_true",
-                      help="zero-fill panel gaps of up to 2 days")
-    como.add_argument("--out")
     info = cal_sub.add_parser("infoforce", help="tau, delta_F and a")
     info.add_argument("--search", required=True, help="search.csv of attention volumes")
     info.add_argument("--volumes", required=True,
@@ -323,11 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--tail-fraction", type=float, default=0.05)
     st.add_argument("--out")
     spec = ana_sub.add_parser("spectrum", help="correlation-matrix eigenstructure")
-    spec.add_argument("--panel", required=True)
-    spec.add_argument("--sectors", required=True)
-    spec.add_argument("--forward-fill", action="store_true",
-                      help="zero-fill panel gaps of up to 2 days")
-    spec.add_argument("--out")
+    for panel_input in (como, spec):
+        panel_input.add_argument("--panel", required=True, help="panel.csv of returns")
+        panel_input.add_argument("--sectors", required=True, help="sectors.csv")
+        panel_input.add_argument("--forward-fill", action="store_true",
+                                 help="zero-fill panel gaps of up to 2 days")
+        panel_input.add_argument("--out")
     return parser
 
 
@@ -343,8 +341,9 @@ def main(argv=None) -> int:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
     except OSError as exc:
-        if exc.filename is None:
-            raise
+        if exc.filename is None:  # no file to blame, as for a full disk
+            print(f"error: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     # BrokenProcessPool: a --jobs worker died, e.g. killed for memory

@@ -252,8 +252,8 @@ def test_criterion_8_calibration_oracles():
     volume = np.ones(n)
     for i, s in enumerate(signs[:-1]):
         volume[m + i] = rho if s > 0 else 1.0
-    est = trading_asymmetry(returns, volume, m=m)
-    checks.append(abs(est.alpha - 2 * rho / (1 + rho)) < 1e-12)
+    alpha, _ = trading_asymmetry(returns, volume, m=m)
+    checks.append(abs(alpha - 2 * rho / (1 + rho)) < 1e-12)
 
     # delta_r = 0 on a sign-symmetric fixture
     r = np.array([0.7, -0.7, 1.9, -1.9, 0.3, -0.3])

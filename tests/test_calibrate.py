@@ -11,6 +11,7 @@ from herdsim.calibrate import (
     _PERSISTENCE,
     DEFAULT_TAU_WEEKS,
     REFERENCE_SHIFT_PAIRS,
+    asymmetry_report,
     comovement,
     correlating_time,
     herding_offset_from_shift,
@@ -37,6 +38,7 @@ from herdsim.ingest import (
     IndexSeries,
     ReturnsPanel,
     SearchPanel,
+    log_returns,
 )
 from herdsim.simcore import horizon_weights, rprime_weights
 from herdsim.spectral import marchenko_pastur_bounds
@@ -71,27 +73,24 @@ def series_with_controlled_volumes(ratio, m=60, n=400, seed=0):
 class TestTradingAsymmetry:
     def test_symmetric_volumes_give_unit_alpha(self):
         series, _ = series_with_controlled_volumes(1.0)
-        est = trading_asymmetry(*series, m=60)
-        assert est.alpha == pytest.approx(1.0, abs=1e-12)
-        assert est.beta == pytest.approx(1.0, abs=1e-12)
+        alpha, _ = trading_asymmetry(*series, m=60)
+        assert alpha == pytest.approx(1.0, abs=1e-12)
+        assert 2.0 - alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_ratio_three_halves(self):
         series, _ = series_with_controlled_volumes(1.5)
-        est = trading_asymmetry(*series, m=60)
-        assert est.volume_ratio == pytest.approx(1.5, abs=1e-12)
-        assert est.alpha == pytest.approx(1.2, abs=1e-12)
-        assert est.beta == pytest.approx(0.8, abs=1e-12)
-
-    def test_alpha_beta_sum_exactly_two(self):
-        series, _ = series_with_controlled_volumes(1.37, seed=3)
-        est = trading_asymmetry(*series, m=60)
-        assert est.alpha + est.beta == 2.0
+        pair = trading_asymmetry(*series, m=60)
+        assert type(pair) is tuple and [type(x) for x in pair] == [float, float]
+        alpha, volume_ratio = pair
+        assert volume_ratio == pytest.approx(1.5, abs=1e-12)
+        assert alpha == pytest.approx(1.2, abs=1e-12)
+        assert 2.0 - alpha == pytest.approx(0.8, abs=1e-12)
 
     def test_volume_scale_invariance(self):
         series, _ = series_with_controlled_volumes(1.5, seed=1)
         returns, volume = series
-        a = trading_asymmetry(returns, volume, m=60).alpha
-        b = trading_asymmetry(returns, volume * 1e6, m=60).alpha
+        a, _ = trading_asymmetry(returns, volume, m=60)
+        b, _ = trading_asymmetry(returns, volume * 1e6, m=60)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_one_sided_sample_rejected(self):
@@ -109,19 +108,44 @@ class TestTradingAsymmetry:
                            match="zero mean volume after bull or bear days"):
             trading_asymmetry(returns, volume, m=60)
 
-    def test_report_of_the_volume_side_alone(self):
-        series, _ = series_with_controlled_volumes(1.5)
-        values, lines = trading_asymmetry(*series, m=60).report()
-        assert values["delta_r"] is None and values["delta_R"] is None
-        assert lines[-1].startswith("  beta ")
-        assert not any("delta" in line for line in lines)
-
     def test_us_large_cap_regime(self):
         # volume ratio tuned to the published large-cap value alpha = 1.01
         ratio = 1.01 / 0.99
         series, _ = series_with_controlled_volumes(ratio, seed=2)
-        est = trading_asymmetry(*series, m=60)
-        assert est.alpha == pytest.approx(1.01, abs=0.01)
+        alpha, _ = trading_asymmetry(*series, m=60)
+        assert alpha == pytest.approx(1.01, abs=0.01)
+
+
+class TestAsymmetryReport:
+    @staticmethod
+    def index(ratio, seed):
+        """An index whose log returns and volumes are those of
+        series_with_controlled_volumes, one row in front."""
+        (returns, volume), _ = series_with_controlled_volumes(ratio, seed=seed)
+        close = np.exp(np.concatenate(([0.0], np.cumsum(returns))))
+        return IndexSeries(dates=tuple(range(len(close))), close=close,
+                           volume=np.concatenate(([1.0], volume)))
+
+    def test_alpha_beta_sum_exactly_two(self):
+        est = asymmetry_report(self.index(1.37, seed=3), m=60)
+        assert est.alpha + est.beta == 2.0
+
+    def test_the_pair_and_the_herding_side(self):
+        index = self.index(1.5, seed=0)
+        est = asymmetry_report(index, m=60)
+        returns, volume = log_returns(index), index.volume[1:]
+        assert (est.alpha, est.volume_ratio) == trading_asymmetry(returns, volume,
+                                                                   m=60)
+        assert est.delta_r == herding_shift(normalize(returns), volume)
+        assert est.delta_R == herding_offset_from_shift(est.delta_r)
+
+    def test_report_holds_all_five_values(self):
+        values, lines = asymmetry_report(self.index(1.5, seed=0), m=60).report()
+        assert list(values) == ["alpha", "beta", "delta_r", "delta_R",
+                                "volume_ratio"]
+        assert None not in values.values()
+        assert [line.split()[0] for line in lines[1:]] == [
+            "volume", "alpha", "beta", "delta_r", "delta_R"]
 
 
 class TestAsymmetryInputs:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -246,6 +247,22 @@ class TestSimulate:
         assert err.startswith("error: out of memory")
         assert detail in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("error, message", [
+        (OSError(errno.EIO, "Input/output error"), "Input/output error"),
+        (OSError(errno.ENOSPC, "No space left on device"), "No space left on device"),
+        (OSError("device went away"), "device went away"),
+    ], ids=["EIO", "ENOSPC", "no-errno"])
+    def test_os_error_without_a_path_exits_1(self, tmp_path, capsys, monkeypatch,
+                                             error, message):
+        # an error of the disk, not of a file the user named
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr("herdsim.ingest.write_csv_table", fail)
+        cfg = small_config(tmp_path)
+        assert run(["simulate", "a", "--config", cfg, "--out", tmp_path / "r"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched runner reaches the workers by fork")
@@ -956,14 +973,6 @@ class TestBadInputsExit2:
         paths = {"CONFIG": str(small_config(tmp_path)), "OUT": str(tmp_path / "o")}
         args = [paths.get(a, a.replace("LONG", long)) for a in args]
         self.expect_exit_2(capsys, args, "File name too long")
-
-    def test_os_error_without_a_path_propagates(self, tmp_path, monkeypatch):
-        def fail(args, argv):
-            raise OSError(5, "Input/output error")
-
-        monkeypatch.setattr("herdsim.cli.cmd_analyze", fail)
-        with pytest.raises(OSError, match="Input/output error"):
-            run(["analyze", "stats", "--in", tmp_path / "r.csv"])
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--horizon", "20", "M must lie in [50, 500], got 20"),

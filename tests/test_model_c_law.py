@@ -7,8 +7,17 @@ and the I-group to S-group map, then sums the agents' decisions.
 `multi_stock.sample_day_returns` draws only how many groups at each level
 end in a buy or a sell.  The two consume the random stream differently, so
 they are compared in law: per-stock moments, P(r = 0) and cross-stock
-covariances on fixed states, then whole runs over many seeds.
+covariances on fixed states, then whole runs over many seeds.  On tiny
+states the law is also computed exactly, by enumeration of the reference
+and by composition of the sampler's counts, and the sampler's draws are
+checked against it (see "the exact law" below).
 """
+
+import math
+from collections import Counter
+from fractions import Fraction
+from functools import cache, reduce
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -206,3 +215,237 @@ def test_full_runs_match_reference(monkeypatch):
     # the sector structure is there in both: in-sector above cross-sector
     assert fast[:, 1].mean() > fast[:, 2].mean()
     assert ref[:, 1].mean() > ref[:, 2].mean()
+
+
+# ------------------------------------------------------------ the exact law
+#
+# On tiny states the day's law is computed twice, in exact rational
+# arithmetic, as the joint pmf of every stock's return:
+#
+# * by enumeration of the reference: every M-group decision, every S-group
+#   to M-group spread, every I-group to S-group spread and every map of
+#   agents to I-groups, outcome by outcome (equally likely outcomes of one
+#   level are counted with integers, then divided once);
+# * by composition of the counts the sampler draws: the M-level decisions,
+#   the alike-day shortcut, then at each level the hypergeometric pair for
+#   the picks within the pool and the binomial pair for the picks beyond
+#   it, and the agents' binomial pair.
+#
+# Given the M-level decisions the sectors are independent, and given a
+# sector's S-level outcome its stocks are, so both laws are built as sums
+# of products of per-stock laws.  The sampler's draws are then checked
+# against the exact law with the Dvoretzky-Kiefer-Wolfowitz bound, as
+# test_aggregate_law.py does for the single-stock day.
+
+F = Fraction
+# Two sectors of one or two stocks, at most 3 agents a stock and 3 slots.
+# Every _draw_spread branch is taken at the S-level and at the I-level:
+# fewer picks than the pool (hypergeometric only), exactly the pool (no
+# draw) and more picks than the pool (the whole pool, then uniform extras),
+# both with and without a partial pool elsewhere in the same call.
+EXACT_STATES = {
+    # S: 2 of 3 slots, 4 of 2; I: 1 and 3 of 2 S-groups, 4 and 2 of 4
+    "fewer_and_more": dict(agents_per_stock=(3, 2, 3, 1), igroups=(1, 3, 4, 2),
+                           sgroups=(2, 4), slots=(3, 2), p_group=F(3, 10)),
+    # S: 3 of 1 slot, 3 of 3 (no hypergeometric); I: 3 and 4 of 3, 3 and 3
+    # of 3 (no hypergeometric)
+    "whole_and_extra": dict(agents_per_stock=(2, 3, 3, 1), igroups=(3, 4, 3, 3),
+                            sgroups=(3, 3), slots=(1, 3), p_group=F(1, 4)),
+    # every pick takes its whole pool: the only draws are the agents'
+    "whole_pools": dict(agents_per_stock=(3, 3), igroups=(2, 3),
+                        sgroups=(2, 3), slots=(2, 3), p_group=F(1, 3)),
+    # one slot each: every day is alike
+    "alike": dict(agents_per_stock=(3, 2), igroups=(2, 1),
+                  sgroups=(2, 1), slots=(1, 1), p_group=F(1, 4)),
+    # no M-group holds; one slot against two
+    "no_hold": dict(agents_per_stock=(3, 2, 1, 3), igroups=(2, 1, 3, 2),
+                    sgroups=(2, 2), slots=(1, 2), p_group=F(1, 2)),
+}
+EXACT_DRAWS = 10_000
+# Per-comparison false-alarm probability of the DKW checks.
+EXACT_ALPHA = 1e-7
+
+
+def _product(a, b):
+    """Joint law of two independent parts, keyed by concatenated tuples."""
+    return {x + y: p * q for x, p in a.items() for y, q in b.items()}
+
+
+def _add(law, part, weight):
+    for key, p in part.items():
+        law[key] = law.get(key, 0) + weight * p
+
+
+def _sector_stocks(state, j):
+    per_sector = len(state["igroups"]) // len(state["sgroups"])
+    return range(j * per_sector, (j + 1) * per_sector)
+
+
+def _day_law(state, sector_law):
+    """Joint law of the day: the M-group decisions in order, then the
+    independent sectors given them; `sector_law(j, phi_m)` is sector j's
+    joint law given the decisions (1 buy, -1 sell, 0 hold)."""
+    p = state["p_group"]
+    decide = {1: p, -1: p, 0: 1 - 2 * p}
+    law = {}
+    for phi_m in product(decide, repeat=max(state["slots"])):
+        weight = math.prod(decide[x] for x in phi_m)
+        if weight:
+            sectors = [sector_law(j, phi_m) for j in range(len(state["sgroups"]))]
+            _add(law, reduce(_product, sectors), weight)
+    return law
+
+
+def spread_outcomes(count, pool):
+    """Every outcome of _spread_sample(count, pool): the equally likely
+    target tuples, a permutation's prefix or a whole permutation followed by
+    uniform extras."""
+    extras = list(product(range(pool), repeat=max(count - pool, 0)))
+    return [perm[:count] + extra for perm in permutations(range(pool))
+            for extra in extras]
+
+
+@cache
+def _reference_stock_law(phi_s, igroups, agents):
+    """A stock's return law given its sector's S-group decisions: every
+    I-group to S-group spread and every map of its agents to I-groups."""
+    counts = Counter()
+    spreads = spread_outcomes(igroups, len(phi_s))
+    for i_to_s in spreads:
+        phi_i = [phi_s[t] for t in i_to_s]
+        for picks in product(range(igroups), repeat=agents):
+            counts[(sum(phi_i[c] for c in picks),)] += 1
+    total = len(spreads) * igroups**agents
+    return {r: F(n, total) for r, n in counts.items()}
+
+
+def enumerated_day_law(state):
+    """The joint law of reference_day_returns, outcome by outcome."""
+    def sector_law(j, phi_m):
+        spreads = spread_outcomes(state["sgroups"][j], state["slots"][j])
+        phi_s = Counter(tuple(phi_m[t] for t in s_to_m) for s_to_m in spreads)
+        law = {}
+        for decisions, n in phi_s.items():
+            stocks = [_reference_stock_law(decisions, state["igroups"][s],
+                                           state["agents_per_stock"][s])
+                      for s in _sector_stocks(state, j)]
+            _add(law, reduce(_product, stocks), F(n, len(spreads)))
+        return law
+    return _day_law(state, sector_law)
+
+
+def hypergeometric_pmf(good, bad, sample, k):
+    return F(math.comb(good, k) * math.comb(bad, sample - k),
+             math.comb(good + bad, sample))
+
+
+def binomial_pmf(n, p, k):
+    return math.comb(n, k) * p**k * (1 - p) ** (n - k)
+
+
+@cache
+def picks_law(buy, sell, pool, draws):
+    """(buys, sells) of draw_picks: a binomial on buy / pool, then one on
+    sell / (pool - buy) among the rest."""
+    rest = pool - buy
+    law = {}
+    for b in range(draws + 1):
+        pb = binomial_pmf(draws, F(buy, pool), b)
+        for s in range(draws - b + 1):
+            p = pb * binomial_pmf(draws - b, F(sell, rest) if rest else F(0), s)
+            if p:
+                law[(b, s)] = law.get((b, s), 0) + p
+    return law
+
+
+@cache
+def spread_law(buy, sell, pool, draws):
+    """(buys, sells) of _draw_spread: the hypergeometric pair on the first
+    min(draws, pool) picks, then draw_picks on the picks beyond the pool."""
+    first = min(draws, pool)
+    extra = picks_law(buy, sell, pool, max(draws - pool, 0))
+    law = {}
+    for b in range(first + 1):
+        pb = hypergeometric_pmf(buy, pool - buy, first, b)
+        if not pb:
+            continue
+        for s in range(first - b + 1):
+            p = pb * hypergeometric_pmf(sell, pool - buy - sell, first - b, s)
+            if p:
+                _add(law, {(b + x, s + y): q for (x, y), q in extra.items()}, p)
+    return law
+
+
+@cache
+def _count_stock_law(buy_s, sell_s, sgroups, igroups, agents):
+    """A stock's return law given its sector's S-level counts."""
+    law = {}
+    for (buy_i, sell_i), p in spread_law(buy_s, sell_s, sgroups, igroups).items():
+        for (buys, sells), q in picks_law(buy_i, sell_i, igroups, agents).items():
+            law[(buys - sells,)] = law.get((buys - sells,), 0) + p * q
+    return law
+
+
+def composed_day_law(state):
+    """The joint law of the counts sample_day_returns draws."""
+    slots, sgroups = state["slots"], state["sgroups"]
+    agents = state["agents_per_stock"]
+
+    def sector_law(j, phi_m):
+        if len(set(phi_m)) == 1:  # alike: every agent follows phi_m[0]
+            return {tuple(phi_m[0] * agents[s] for s in _sector_stocks(state, j)): 1}
+        prefix = phi_m[: slots[j]]
+        law = {}
+        counts = spread_law(prefix.count(1), prefix.count(-1), slots[j], sgroups[j])
+        for (buy_s, sell_s), p in counts.items():
+            stocks = [_count_stock_law(buy_s, sell_s, sgroups[j],
+                                       state["igroups"][s], agents[s])
+                      for s in _sector_stocks(state, j)]
+            _add(law, reduce(_product, stocks), p)
+        return law
+    return _day_law(state, sector_law)
+
+
+@pytest.fixture(scope="module", params=sorted(EXACT_STATES))
+def exact_law(request):
+    state = EXACT_STATES[request.param]
+    return request.param, state, enumerated_day_law(state)
+
+
+def test_composed_counts_give_the_enumerated_law(exact_law):
+    _, state, enumerated = exact_law
+    assert sum(enumerated.values()) == 1
+    assert composed_day_law(state) == enumerated
+
+
+def _dkw_distance(draws, law):
+    """Kolmogorov-Smirnov distance of the draws (one value each) from the
+    exact law, over the law's support in sorted order."""
+    support = sorted(law)
+    index = {x: i for i, x in enumerate(support)}
+    counts = np.bincount([index[x] for x in draws], minlength=len(support))
+    empirical = np.cumsum(counts) / len(draws)
+    return np.abs(empirical - np.cumsum([float(law[x]) for x in support])).max()
+
+
+def test_sampler_draws_follow_the_exact_law(exact_law):
+    name, state, law = exact_law
+    rng = np.random.default_rng(2017)
+    arrays = {key: np.array(value) for key, value in state.items()
+              if key != "p_group"}
+    draws = [tuple(multi_stock.sample_day_returns(
+        **arrays, p_group=float(state["p_group"]), rng=rng).tolist())
+        for _ in range(EXACT_DRAWS)]
+    assert set(draws) <= set(law)
+    # Dvoretzky-Kiefer-Wolfowitz with Massart's constant: the distance
+    # exceeds this with probability at most EXACT_ALPHA for a correct
+    # sampler, for each stock's return and for the day's index in the
+    # sorted joint support, each a real random variable
+    threshold = math.sqrt(math.log(2 / EXACT_ALPHA) / (2 * EXACT_DRAWS))
+    for s in range(len(state["igroups"])):
+        marginal = {}
+        for x, p in law.items():
+            _add(marginal, {(x[s],): p}, 1)
+        distance = _dkw_distance([(d[s],) for d in draws], marginal)
+        assert distance <= threshold, f"{name} stock {s}: {distance}"
+    assert _dkw_distance(draws, law) <= threshold, f"{name} joint"
