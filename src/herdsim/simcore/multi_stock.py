@@ -31,29 +31,39 @@ def group_count(members, size):
     return np.maximum(1, round_count(members / size))
 
 
-def _draw_spread(buy, sell, pool, draws, rng: np.random.Generator):
-    """Buy/sell counts among `draws` picks that avoid repeats while possible.
+def _spread_counts(buy, sell, pool, draws, rng: np.random.Generator):
+    """Buy/sell counts among `draws` picks that avoid repeats while possible,
+    one entry (a sector at the S-level, a stock at the I-level) at a time.
 
-    A pick takes each group of the pool once, in random order, before any
-    group is taken twice; picks beyond the pool size are uniform.  The
-    first part is a multivariate hypergeometric draw (skipped when every
-    pick takes its whole pool), the rest a uniform draw (skipped when no
-    pool runs out).
+    Entry g picks draws[g] times among pool[g] targets, buy[g] of them
+    buying and sell[g] selling: each target once, in random order, before
+    any is taken twice.  Picks within the pool are a multivariate
+    hypergeometric draw; past it the whole pool is taken and the extra
+    picks are uniform, a binomial pair as in `draw_picks`.  Given the level
+    above, the entries are independent, so each is drawn by scalar calls,
+    and only where its count is random: no pick, buyer or seller left gives
+    0, and a pick of every candidate, or among buyers (sellers) only, gives
+    the forced count.
     """
-    extra = draws - pool
-    if (extra >= 0).all():
-        buys, sells = buy, sell
-    else:
-        first = np.minimum(draws, pool)
-        buys = rng.hypergeometric(buy, pool - buy, first)
-        sells = rng.hypergeometric(sell, pool - buy - sell, first - buys)
-    if (extra > 0).any():
-        more_buys, more_sells = draw_picks(
-            buy, sell, pool, np.maximum(extra, 0), rng
-        )
-        buys = buys + more_buys
-        sells = sells + more_sells
-    return buys, sells
+    hypergeometric, binomial = rng.hypergeometric, rng.binomial
+    buys, sells = [], []
+    for b, s, n, d in zip(buy.tolist(), sell.tolist(), pool.tolist(), draws.tolist()):
+        rest = n - b  # the targets that do not buy
+        if d < n:  # distinct targets: buyers, then sellers among the rest
+            x = d if b == n else hypergeometric(b, rest, d) if b and d else 0
+            d -= x
+            y = (d if s == rest else s if d == rest
+                 else hypergeometric(s, rest - s, d) if s and d else 0)
+        else:  # the whole pool, then d - n uniform picks
+            d -= n
+            x = d if b == n else binomial(d, b / n) if b and d else 0
+            d -= x
+            y = d if s == rest else binomial(d, s / rest) if s and d else 0
+            x += b
+            y += s
+        buys.append(x)
+        sells.append(y)
+    return np.array(buys), np.array(sells)
 
 
 def sample_day_returns(
@@ -85,6 +95,11 @@ def sample_day_returns(
     alike, every S-group, I-group and agent follows that one decision.
     The day is then fixed by the M-level draw, and the levels below draw
     nothing: the law is the same, the stream is shorter.
+
+    On other days each sector's S-level counts and each stock's I-level
+    counts are drawn one entry at a time, skipping every count whose
+    outcome is fixed (`_spread_counts`), and the agents' counts are one
+    `draw_picks` array pair over all stocks.
     """
     u = rng.random(int(slots.max()))
     side = (u >= p_group).astype(np.int64) + (u >= 2.0 * p_group)
@@ -92,10 +107,10 @@ def sample_day_returns(
         return agents_per_stock * (1, -1, 0)[side[0]]
     buy_m = (side == 0).cumsum()[slots - 1]
     sell_m = (side == 1).cumsum()[slots - 1]
-    buy_s, sell_s = _draw_spread(buy_m, sell_m, slots, sgroups, rng)
+    buy_s, sell_s = _spread_counts(buy_m, sell_m, slots, sgroups, rng)
 
     per_sector = len(igroups) // len(sgroups)
-    buy_i, sell_i = _draw_spread(
+    buy_i, sell_i = _spread_counts(
         buy_s.repeat(per_sector),
         sell_s.repeat(per_sector),
         sgroups.repeat(per_sector),

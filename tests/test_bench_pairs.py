@@ -62,6 +62,7 @@ def test_alternating_pairs_ratios_and_a_malformed_run(tmp_path, bench_pairs):
 
     report = json.loads(out.read_text())
     assert report["run_seconds"] == 3
+    assert report["trace"] == 0
     assert report["machine"]["cpu_count"] >= 1
     pairs = report["workloads"]["w1"]["pairs"]
     assert [(p["seed"], p["first"]) for p in pairs] == [
@@ -81,3 +82,16 @@ def test_alternating_pairs_ratios_and_a_malformed_run(tmp_path, bench_pairs):
                               "iqr": 0.5}
     assert wall["change"]["median"] == 55.25
     assert report["workloads"]["w1"]["metrics"]["setup_s"]["ratios"] == [1.0, 1.0]
+
+
+def test_trace_option_reaches_every_run(tmp_path, bench_pairs):
+    parent = make_checkout(tmp_path, "parent", 1.0)
+    change = make_checkout(tmp_path, "change", 0.5)
+    out = tmp_path / "BENCH_layers_stub.json"
+    assert bench_pairs.main([str(parent), str(change), "--workloads", "w1",
+                             "--pairs", "2", "--seed", "20", "--out", str(out),
+                             "--trace", "1"]) == 0
+    calls = (tmp_path / "calls.log").read_text().splitlines()
+    assert calls == ["parent w1 20 3 1", "change w1 20 3 1",
+                     "change w1 21 3 1", "parent w1 21 3 1"]
+    assert json.loads(out.read_text())["trace"] == 1

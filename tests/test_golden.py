@@ -36,9 +36,10 @@ DIGESTS = {
     "a": "84ef7962576385f736c9e324e68fdf6b55aa01fb01eb8930e7fb53f9844e3e92",
     "b": "bbe756bd62e574899da652b70c1d5838be880e7d045372d26eb19cd5d0d8a3c6",
     # count-level day sampler with no draws below the M-level on days whose
-    # M-groups all decide alike (same law as the per-group loop, new stream);
+    # M-groups all decide alike, and sector and stock counts drawn one at a
+    # time only where random (same law as the per-group loop, new stream);
     # returns.csv holds day,R only, the per-stock returns are in panel.csv
-    "c": "ab03268362a5360d3debc14ed2d9c5ca5d0576d06353f2ec44c8a1556daf4d11",
+    "c": "0f0aa3ef2e3336feeeab45738409036bf4ae9c3120e71cb5b9d32d87f312544d",
     # feedback-free draws made before the day loop (same law as the
     # day-by-day loop, new stream)
     "d": "b5201ab0bc3d229ec23f76442aa3e5257031b74c2369a2d9f64b4ea2e894bd0c",
@@ -48,7 +49,7 @@ DIGESTS = {
 DIAGNOSTICS_DIGESTS = {
     "a": "8de80024aec503e3110902f80437d0f05b0baa4df5d0e34785946bfd857bdef8",
     "b": "3592e021b6a70f3f9e794813784c954ae91a05f9207169cda801fdd5eb561df2",
-    "c": "a3d82e93c39bdd219a006f4f57b8ef9ea05b3b75fe412e2f4f79a4db844804bc",
+    "c": "fcdfedc3c0a7783c9b647f2d64860d7f69a2bfa58e0f22dc593baa8f8431840b",
     "d": "e822ac419c9969af938907fbf20248bca1496fd5f55600e15ad6a179c930c4ec",
 }
 
@@ -56,7 +57,7 @@ DIAGNOSTICS_DIGESTS = {
 # model c's per-stock returns and sector map, as `analyze spectrum` and
 # `calibrate comovement` read them
 PANEL_DIGESTS = {
-    "panel.csv": "cd98af05eb209dc86dfcd175994bd016eb027461bcd8218eb30531fe9558ba70",
+    "panel.csv": "dd7cfe746bd31afb5dca84091eeda1edc8995361942a8f522f3b7cb28b5d203b",
     "sectors.csv": "466cc90ff6d3c2f8dd30954c678c217f4f09d12be9045a09094fdec071a13aed",
 }
 

@@ -239,10 +239,11 @@ def test_full_runs_match_reference(monkeypatch):
 
 F = Fraction
 # Two sectors of one or two stocks, at most 3 agents a stock and 3 slots.
-# Every _draw_spread branch is taken at the S-level and at the I-level:
-# fewer picks than the pool (hypergeometric only), exactly the pool (no
+# Every _spread_counts branch is taken at the S-level and at the I-level:
+# fewer picks than the pool (the hypergeometric pair), exactly the pool (no
 # draw) and more picks than the pool (the whole pool, then uniform extras),
-# both with and without a partial pool elsewhere in the same call.
+# both beside and without an entry of the same level that takes a partial
+# pool.
 EXACT_STATES = {
     # S: 2 of 3 slots, 4 of 2; I: 1 and 3 of 2 S-groups, 4 and 2 of 4
     "fewer_and_more": dict(agents_per_stock=(3, 2, 3, 1), igroups=(1, 3, 4, 2),
@@ -345,8 +346,9 @@ def binomial_pmf(n, p, k):
 
 @cache
 def picks_law(buy, sell, pool, draws):
-    """(buys, sells) of draw_picks: a binomial on buy / pool, then one on
-    sell / (pool - buy) among the rest."""
+    """(buys, sells) of draw_picks, and of the picks beyond the pool in
+    _spread_counts: a binomial on buy / pool, then one on sell / (pool - buy)
+    among the rest."""
     rest = pool - buy
     law = {}
     for b in range(draws + 1):
@@ -360,8 +362,9 @@ def picks_law(buy, sell, pool, draws):
 
 @cache
 def spread_law(buy, sell, pool, draws):
-    """(buys, sells) of _draw_spread: the hypergeometric pair on the first
-    min(draws, pool) picks, then draw_picks on the picks beyond the pool."""
+    """(buys, sells) of one _spread_counts entry: the hypergeometric pair on
+    the first min(draws, pool) picks, then picks_law's binomial pair on the
+    picks beyond the pool."""
     first = min(draws, pool)
     extra = picks_law(buy, sell, pool, max(draws - pool, 0))
     law = {}
@@ -449,3 +452,99 @@ def test_sampler_draws_follow_the_exact_law(exact_law):
         distance = _dkw_distance([(d[s],) for d in draws], marginal)
         assert distance <= threshold, f"{name} stock {s}: {distance}"
     assert _dkw_distance(draws, law) <= threshold, f"{name} joint"
+
+
+# ------------------------------------------------ no fixed count is drawn
+#
+# Above the agent level the sampler draws a count only where it is random:
+# a hypergeometric with no sample, no good, no bad or a sample of the whole
+# urn, or a binomial with no trial or p of 0 or 1, has one outcome, which is
+# written instead.  A stand-in generator forwards every call to a real one
+# and records its arguments entry by entry; the agents' counts are the
+# day's last two calls, one binomial pair over all stocks.
+
+
+class RecordingGenerator:
+    """A Generator's random, hypergeometric and binomial, forwarded to a real
+    one, each call recorded as (name, [argument tuple of every entry])."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def _record(self, name, *args):
+        entries = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*args)))
+        self.calls.append((name, list(entries)))
+        return getattr(self._rng, name)(*args)
+
+    def random(self, size):
+        return self._record("random", size)
+
+    def hypergeometric(self, good, bad, sample):
+        return self._record("hypergeometric", good, bad, sample)
+
+    def binomial(self, n, p):
+        return self._record("binomial", n, p)
+
+
+def _fixed_outcome(name, entry):
+    if name == "hypergeometric":
+        good, bad, sample = entry
+        return 0 in (good, bad, sample) or sample == good + bad
+    n, p = entry
+    return n == 0 or p in (0, 1)
+
+
+def _check_drawn_counts(state, seed):
+    """Sample one day through the recorder; return whether it went below
+    the M-level, after checking that no count above the agents' is fixed
+    and that the day equals the real generator's."""
+    rec = RecordingGenerator(seed)
+    r = multi_stock.sample_day_returns(**state, rng=rec)
+    twin = multi_stock.sample_day_returns(**state, rng=np.random.default_rng(seed))
+    assert np.array_equal(r, twin)
+    assert rec.calls[0][0] == "random"
+    if len(rec.calls) == 1:  # alike: nothing drawn below the M-level
+        return False
+    agents = rec.calls[-2:]
+    assert [name for name, _ in agents] == ["binomial", "binomial"]
+    assert [n for n, _ in agents[0][1]] == list(state["agents_per_stock"])
+    for name, entries in rec.calls[1:-2]:
+        fixed = [e for e in entries if _fixed_outcome(name, e)]
+        assert not fixed, f"{name} drew fixed counts {fixed}"
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(STATES) + sorted(EXACT_STATES))
+def test_no_fixed_count_is_drawn_on_the_states(name):
+    state = {key: np.asarray(value) for key, value in
+             {**STATES, **EXACT_STATES}[name].items()}
+    state["p_group"] = float(state["p_group"])
+    for seed in range(300):
+        _check_drawn_counts(state, seed)
+
+
+# the multi-level benchmark's model C: the NYSE co-movement table
+NYSE_RUN = dict(N=10_000, M=150, n=50, n_sec=5, H_M=0.363,
+                H_j=(0.491, 0.414, 0.438, 0.431, 0.546), P_group=0.363,
+                t_max=550, warmup=150, seed=29)
+
+
+def test_no_fixed_count_is_drawn_at_the_nyse_table(monkeypatch):
+    states = []
+    sample = multi_stock.sample_day_returns
+
+    def keep(agents_per_stock, igroups, sgroups, slots, p_group, rng):
+        states.append(dict(agents_per_stock=agents_per_stock, igroups=igroups,
+                           sgroups=sgroups, slots=slots, p_group=p_group))
+        return sample(agents_per_stock, igroups, sgroups, slots, p_group, rng)
+
+    monkeypatch.setattr(multi_stock, "sample_day_returns", keep)
+    run_model_c(ModelConfig(**NYSE_RUN))
+    monkeypatch.undo()
+    drawn = 0
+    for seed, state in enumerate(states):
+        drawn += _check_drawn_counts(state, seed)
+        if drawn == 200:
+            break
+    assert drawn == 200

@@ -3,11 +3,12 @@ every run, the per-pair ratios and the spread, in one JSON file.
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR \\
         --workloads multi-level,single-stock --pairs 5 --seed 131 \\
-        --out BENCH_<label>.json
+        --out BENCH_<label>.json [--trace 1]
 
 For each workload and pair i (seed S + i on both sides), runs each
-checkout's own `perfbench/run.py --trace 0` for the `run_seconds` of the
-parent's BENCHMARK.json; the parent runs first in even pairs and the change
+checkout's own `perfbench/run.py --trace T` (T from `--trace`, default 0:
+untraced, as speed claims are read) for the `run_seconds` of the parent's
+BENCHMARK.json; the parent runs first in even pairs and the change
 first in odd ones. Each run's last stdout line is read as the benchmark's
 JSON result. Every run is recorded, a failed or malformed one with its
 exit status and the tail of its stderr, and a pair counts for a metric only
@@ -63,10 +64,11 @@ def machine_block(checkout: Path) -> dict:
             "numpy": numpy_build}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds, trace: int) -> dict:
     """One benchmark run; `result` is the parsed JSON last line, or None."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds),
+               "--trace", str(trace)]
     start = perf_counter()
     try:
         done = subprocess.run(command, cwd=checkout, capture_output=True,
@@ -142,6 +144,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True,
                         help="seed of pair 0; pair i runs seed + i")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1 records the per-layer metrics (default 0)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -155,6 +159,7 @@ def main(argv=None) -> int:
         "machine": machine_block(checkouts["change"]),
         "commits": {side: _commit(path) for side, path in checkouts.items()},
         "run_seconds": seconds,
+        "trace": args.trace,
         "workloads": {},
     }
     for workload in args.workloads.split(","):
@@ -163,7 +168,8 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": args.seed + i, "first": order[0]}
             for side in order:
-                pair[side] = run_once(checkouts[side], workload, pair["seed"], seconds)
+                pair[side] = run_once(checkouts[side], workload, pair["seed"],
+                                      seconds, args.trace)
                 print(f"{workload} pair {i} {side}: "
                       f"{pair[side]['error'] or 'ok'}", file=sys.stderr)
             pairs.append(pair)
