@@ -392,11 +392,11 @@ def correlating_time(curve) -> tuple[int, bool]:
             f"curve has {len(curve)} lags; need at least {_TAU_LAGS}"
         )
     try:
-        params = fit_power_law(curve[:10])["params"]
+        amplitude, exponent = fit_power_law(curve[:10])
     except FitDomainError:
         return DEFAULT_TAU_WEEKS, False
     lags = np.arange(1.0, len(curve) + 1)
-    predicted = params["amplitude"] * lags ** params["exponent"]
+    predicted = amplitude * lags**exponent
     deviates = np.abs(curve - predicted) / np.abs(predicted) > _DEVIATION_FACTOR
     # runs[i]: every entry of deviates[i : i + _PERSISTENCE] is set
     runs = sliding_window_view(deviates, _PERSISTENCE).all(axis=1)

@@ -1,11 +1,13 @@
 """Command-line interface: calibrate, simulate, analyze.
 
 Every command writes its results under an output directory (``--out``, or
-``$HERDSIM_OUT/<command>-<subcommand>``) together with a run manifest that
-records the command line, config hash, seed, tool version, numpy build and
-input file digests.  Exit codes: 0 success, 1 runtime/numeric failure (out
-of memory, a dead ``--jobs`` worker and an I/O error that names no file,
-such as a full disk, included), 2 input or validation failure.
+``$HERDSIM_OUT/<command>-<subcommand or model>``) together with a run
+manifest that records the command line, config hash, seed, tool version,
+numpy build and input file digests; a failed command removes the output
+directory if it made it.  Exit codes: 0 success, 1 runtime/numeric
+failure (out of memory, a dead ``--jobs`` worker and an I/O error that
+names no file, such as a full disk, included), 2 input or validation
+failure.
 
 Simulation output schema: ``returns.csv`` with columns ``day,R``,
 ``diagnostics.csv`` with per-day traces, and for model c additionally
@@ -21,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -47,12 +50,14 @@ def _sha256(path) -> str:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
-def _out_dir(args, default_name: str) -> Path:
-    """The output directory's path; each command makes the directory just
-    before its first write, so a failed run leaves none."""
+def _out_dir(args) -> Path:
+    """The output directory's path: --out, or <command>-<subcommand or
+    model> under $HERDSIM_OUT.  Each command makes it just before its first
+    write."""
     if args.out:
         return Path(args.out)
-    return Path(os.environ.get("HERDSIM_OUT", ".")) / default_name
+    name = f"{args.command}-{vars(args).get('what') or args.model}"
+    return Path(os.environ.get("HERDSIM_OUT", ".")) / name
 
 
 def _numpy_build() -> dict:
@@ -103,7 +108,7 @@ def _load_panel(args):
     return panel, [args.panel, args.sectors]
 
 
-def cmd_calibrate(args, argv) -> int:
+def cmd_calibrate(args, out: Path) -> tuple[dict, str]:
     if args.what == "asymmetry":
         # the report's M must be a value simulate --calibration accepts
         ModelConfig(M=args.horizon).validate()
@@ -123,13 +128,10 @@ def cmd_calibrate(args, argv) -> int:
             tau=args.tau,
         )
         inputs = [args.search, args.volumes, args.index]
-    out = _out_dir(args, f"calibrate-{args.what}")
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out, values, lines)
-    _write_manifest(out, argv, inputs,
-                    outputs=[out / "report.json", out / "report.txt"])
-    print(f"report written to {out}")
-    return 0
+    return (dict(inputs=inputs, outputs=[out / "report.json", out / "report.txt"]),
+            f"report written to {out}")
 
 
 def _returns_csv(out: SimOutput, path: Path) -> None:
@@ -161,7 +163,7 @@ def _run_one_seed(model: str, config: ModelConfig, out: Path):
     return _sha256(written[0]), written
 
 
-def cmd_simulate(args, argv) -> int:
+def cmd_simulate(args, out: Path) -> tuple[dict, str]:
     for flag in ("ensemble", "jobs"):
         if getattr(args, flag) < 1:
             raise InputError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
@@ -176,7 +178,6 @@ def cmd_simulate(args, argv) -> int:
     dataclasses.replace(config, seed=config.seed + args.ensemble - 1).validate()
     members = [dataclasses.replace(config, seed=config.seed + i)
                for i in range(args.ensemble)]
-    out = _out_dir(args, f"simulate-{args.model}")
     inputs = [args.config] + ([args.calibration] if args.calibration else [])
     dirs = [out] if len(members) == 1 else [out / f"seed_{m.seed}" for m in members]
 
@@ -198,20 +199,15 @@ def cmd_simulate(args, argv) -> int:
             ],
         })
         done = f"{len(members)} runs written to {out}"
-    _write_manifest(out, argv, inputs, seed=config.seed,
-                    config=dataclasses.asdict(config), outputs=outputs)
-    print(done)
-    return 0
+    return dict(inputs=inputs, seed=config.seed, config=dataclasses.asdict(config),
+                outputs=outputs), done
 
 
 # perfbench/tracing.py times the returns read by wrapping this name.
 _read_returns_column = ingest.load_returns_column
 
 
-def cmd_analyze(args, argv) -> int:
-    # every estimate runs before the output directory is made, so a failure
-    # leaves no directory and no file
-    out = _out_dir(args, f"analyze-{args.what}")
+def cmd_analyze(args, out: Path) -> tuple[dict, str]:
     if args.what in ("lcurve", "stats"):  # one returns file
         raw = _read_returns_column(args.infile)
         r = stats.normalize(raw)
@@ -258,9 +254,7 @@ def cmd_analyze(args, argv) -> int:
             {"lambda_minus": lo, "lambda_plus": hi,
              "n": len(panel.tickers), "T": len(panel.dates)},
         )
-    _write_manifest(out, argv, inputs, outputs=outputs)
-    print(f"analysis written to {out}")
-    return 0
+    return dict(inputs=inputs, outputs=outputs), f"analysis written to {out}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,8 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
+    out = _out_dir(args)
+    made = not os.path.exists(out)  # unlike Path.exists, never raises
     try:
-        return args.run(args, argv)
+        try:  # each cmd_* returns its manifest fields and its result line
+            fields, done = args.run(args, out)
+            _write_manifest(out, argv, **fields)
+        except BaseException:
+            if made:  # a failed run leaves no directory it made
+                shutil.rmtree(out, ignore_errors=True)
+            raise
+        print(done)
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -228,18 +228,15 @@ def fit_exponential(curve) -> dict:
             "residual_rms": float(np.sqrt(np.mean(residuals**2)))}
 
 
-def fit_power_law(curve) -> dict:
+def fit_power_law(curve) -> tuple[float, float]:
     """Least-squares fit of amplitude * t**exponent to a curve on lags
-    t = 1..n, on a log-log grid."""
+    t = 1..n, on a log-log grid, as (amplitude, exponent)."""
     v = np.asarray(curve, dtype=float)
     t = np.arange(1.0, len(v) + 1)
     if np.any(v <= 0.0):
         raise FitDomainError("power-law fit needs positive values")
     slope, intercept = np.polyfit(np.log(t), np.log(v), 1)
-    residuals = np.log(v) - (slope * np.log(t) + intercept)
-    params = {"amplitude": float(np.exp(intercept)), "exponent": float(slope)}
-    return {"model_id": "power_law", "params": params,
-            "residual_rms": float(np.sqrt(np.mean(residuals**2)))}
+    return float(np.exp(intercept)), float(slope)
 
 
 def write_curve_csv(curve: np.ndarray, path) -> None:

@@ -589,9 +589,8 @@ class TestCorrelatingTime:
         """tau by counting runs of deviating lags, one lag at a time."""
         lags = np.arange(1, len(curve) + 1)
         head = lags <= 10
-        fit = stats.fit_power_law(curve[head])
-        predicted = fit["params"]["amplitude"] * lags.astype(float) ** (
-            fit["params"]["exponent"])
+        amplitude, exponent = stats.fit_power_law(curve[head])
+        predicted = amplitude * lags.astype(float) ** exponent
         run = 0
         for i in range(len(lags)):
             deviates = abs(curve[i] - predicted[i]) / abs(predicted[i])

@@ -263,6 +263,7 @@ class TestSimulate:
         cfg = small_config(tmp_path)
         assert run(["simulate", "a", "--config", cfg, "--out", tmp_path / "r"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched runner reaches the workers by fork")
@@ -294,8 +295,9 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: out of memory")
         assert not out.exists()
 
-    def test_later_member_failing_keeps_earlier_members(self, tmp_path,
-                                                        monkeypatch):
+    def test_later_member_failing_leaves_no_out_directory(self, tmp_path,
+                                                          monkeypatch):
+        # the first member's files are written, then removed with --out
         def second_exhausted(config):
             if config.seed == 8:
                 raise MemoryError()
@@ -306,8 +308,7 @@ class TestSimulate:
         out = tmp_path / "r"
         assert run(["simulate", "a", "--config", cfg, "--out", out,
                     "--ensemble", 2, "--jobs", 1]) == 1
-        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
-            "seed_7", "seed_7/diagnostics.csv", "seed_7/returns.csv"]
+        assert not out.exists()
 
     def test_integral_float_counts_become_ints(self, tmp_path):
         kwargs = dict(N=2000, H_M=0.363, H_j=[0.491, 0.546], P_group=0.363, t_max=200)
@@ -897,11 +898,27 @@ def test_readme_command_line_parses(argv):
     build_parser().parse_args(argv)
 
 
-def test_default_out_root_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HERDSIM_OUT", str(tmp_path / "root"))
-    cfg = small_config(tmp_path, t_max=120)
+def test_default_out_root_env(tmp_path, monkeypatch, capsys, index_csv):
+    # each command's default --out and the one line it prints
+    root = tmp_path / "root"
+    monkeypatch.setenv("HERDSIM_OUT", str(root))
+    cfg = small_config(tmp_path, t_max=2050)  # analyze stats needs 2000 days
     assert run(["simulate", "a", "--config", cfg]) == 0
-    assert (tmp_path / "root" / "simulate-a" / "returns.csv").exists()
+    out = root / "simulate-a"
+    sha = digest(out / "returns.csv")[:12]
+    assert capsys.readouterr().out == f"run written to {out} (returns sha256 {sha})\n"
+    assert run(["analyze", "stats", "--in", out / "returns.csv"]) == 0
+    out = root / "analyze-stats"
+    assert (out / "stats.json").exists()
+    assert capsys.readouterr().out == f"analysis written to {out}\n"
+    assert run(["calibrate", "asymmetry", "--index", index_csv, "--horizon", 60]) == 0
+    out = root / "calibrate-asymmetry"
+    assert (out / "report.json").exists()
+    assert capsys.readouterr().out == f"report written to {out}\n"
+    ensemble = tmp_path / "e"
+    assert run(["simulate", "a", "--config", cfg, "--ensemble", 2,
+                "--out", ensemble]) == 0
+    assert capsys.readouterr().out == f"2 runs written to {ensemble}\n"
 
 
 class TestBadInputsExit2:
@@ -1128,7 +1145,7 @@ def _subclasses(cls):
                                          key=lambda c: c.__name__),
                          ids=lambda c: c.__name__)
 def test_every_error_class_has_its_exit_code(tmp_path, capsys, monkeypatch, error):
-    def fail(args, argv):
+    def fail(args, out):
         raise error("no estimate")
 
     monkeypatch.setattr("herdsim.cli.cmd_analyze", fail)
@@ -1141,3 +1158,47 @@ def test_every_error_class_has_its_exit_code(tmp_path, capsys, monkeypatch, erro
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no estimate" in err
     assert err.count("\n") == 1
+
+
+class TestFailedWriteLeavesNoOut:
+    """A command whose write fails removes the --out it made, and no --out
+    that was there before it (simulate's case is in TestSimulate)."""
+
+    @staticmethod
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def test_calibrate_after_report_json(self, tmp_path, capsys, monkeypatch,
+                                         index_csv):
+        # report.json is written; report.txt is not
+        def open_but_report_txt(path, *args, **kwargs):
+            if Path(path).name == "report.txt":
+                self.full_disk()
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr("herdsim.cli.open", open_but_report_txt, raising=False)
+        out = tmp_path / "cal"
+        assert run(["calibrate", "asymmetry", "--index", index_csv,
+                    "--horizon", 60, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert not out.exists()
+
+    def test_analyze_after_its_curve(self, tmp_path, capsys, monkeypatch):
+        # acurve.csv is written; stats.json is not
+        returns = tmp_path / "returns.csv"
+        draws = np.random.default_rng(3).integers(-50, 50, 2000)
+        write_csv(returns, ["day", "R"], enumerate(draws.tolist(), start=1))
+        monkeypatch.setattr("herdsim.stats.write_results_json", self.full_disk)
+        out = tmp_path / "o"
+        assert run(["analyze", "stats", "--in", returns, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert not out.exists()
+
+    def test_out_made_before_the_command_stays(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("herdsim.ingest.write_csv_table", self.full_disk)
+        out = tmp_path / "r"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert run(["simulate", "a", "--config", small_config(tmp_path),
+                    "--out", out]) == 1
+        assert (out / "notes.txt").read_text() == "kept\n"

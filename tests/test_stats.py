@@ -281,9 +281,9 @@ class TestFits:
 
     def test_power_law_exact_recovery(self):
         t = np.arange(1, 30)
-        fit = fit_power_law(2.5 * t**-0.7)
-        assert fit["params"]["amplitude"] == pytest.approx(2.5, rel=1e-9)
-        assert fit["params"]["exponent"] == pytest.approx(-0.7, abs=1e-9)
+        amplitude, exponent = fit_power_law(2.5 * t**-0.7)
+        assert amplitude == pytest.approx(2.5, rel=1e-9)
+        assert exponent == pytest.approx(-0.7, abs=1e-9)
 
 
 def read_curve_csv(path) -> tuple[list[int], np.ndarray]:
