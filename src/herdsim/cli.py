@@ -3,11 +3,12 @@
 Every command writes its results under an output directory (``--out``, or
 ``$HERDSIM_OUT/<command>-<subcommand or model>``) together with a run
 manifest that records the command line, config hash, seed, tool version,
-numpy build and input file digests; a failed command removes the output
-directory if it made it.  Exit codes: 0 success, 1 runtime/numeric
-failure (out of memory, a dead ``--jobs`` worker and an I/O error that
-names no file, such as a full disk, included), 2 input or validation
-failure.
+numpy build and input file digests.  ``main`` makes the output directory,
+with its parents, before the command runs, and a failed command removes
+every directory it made; a directory that existed before is never removed.
+Exit codes: 0 success, 1 runtime/numeric failure (out of memory, a dead
+``--jobs`` worker and an I/O error that names no file, such as a full
+disk, included), 2 input or validation failure.
 
 Simulation output schema: ``returns.csv`` with columns ``day,R``,
 ``diagnostics.csv`` with per-day traces, and for model c additionally
@@ -52,8 +53,7 @@ def _sha256(path) -> str:
 
 def _out_dir(args) -> Path:
     """The output directory's path: --out, or <command>-<subcommand or
-    model> under $HERDSIM_OUT.  Each command makes it just before its first
-    write."""
+    model> under $HERDSIM_OUT.  `main` makes it before the command runs."""
     if args.out:
         return Path(args.out)
     name = f"{args.command}-{vars(args).get('what') or args.model}"
@@ -128,7 +128,6 @@ def cmd_calibrate(args, out: Path) -> tuple[dict, str]:
             tau=args.tau,
         )
         inputs = [args.search, args.volumes, args.index]
-    out.mkdir(parents=True, exist_ok=True)
     _write_report(out, values, lines)
     return (dict(inputs=inputs, outputs=[out / "report.json", out / "report.txt"]),
             f"report written to {out}")
@@ -153,7 +152,7 @@ def _run_one_seed(model: str, config: ModelConfig, out: Path):
     """Simulate one seed into `out`: the sha256 of its returns.csv and the
     paths of every file written."""
     output = run_model(model, config)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(exist_ok=True)  # an ensemble member's seed_<n>/
     written = [out / "returns.csv", out / "diagnostics.csv"]
     _returns_csv(output, written[0])
     _diagnostics_csv(output, written[1])
@@ -180,6 +179,12 @@ def cmd_simulate(args, out: Path) -> tuple[dict, str]:
                for i in range(args.ensemble)]
     inputs = [args.config] + ([args.calibration] if args.calibration else [])
     dirs = [out] if len(members) == 1 else [out / f"seed_{m.seed}" for m in members]
+    # another run's members would stay beside this run's, in no manifest
+    stale = [p.name + "/" for p in sorted(out.glob("seed_[0-9]*"))
+             if p.is_dir() and p not in dirs]
+    if stale:
+        raise InputError(f"{out} holds {', '.join(stale)} of another run; "
+                         "give this run another --out")
 
     jobs = min(args.jobs, len(members))
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
@@ -231,7 +236,6 @@ def cmd_analyze(args, out: Path) -> tuple[dict, str]:
                 "kurtosis_excess": float(np.mean(r**4) / np.mean(r**2) ** 2 - 3.0),
             }
             names = "acurve.csv", "stats.json"
-        out.mkdir(parents=True, exist_ok=True)
         outputs = [out / name for name in names]
         stats.write_curve_csv(curve, outputs[0])
         stats.write_results_json(outputs[1], results)
@@ -243,7 +247,6 @@ def cmd_analyze(args, out: Path) -> tuple[dict, str]:
         lo, hi = spectral.marchenko_pastur_bounds(
             len(panel.tickers), len(panel.dates)
         )
-        out.mkdir(parents=True, exist_ok=True)
         outputs = [out / "spectrum.json", out / "eigenvectors.csv",
                    out / "bounds.json"]
         spectral.write_spectrum_json(outputs[0], lam, report)
@@ -327,14 +330,17 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     out = _out_dir(args)
-    made = not os.path.exists(out)  # unlike Path.exists, never raises
+    # the topmost directory of --out that is missing: the run makes it
+    made = next((p for p in [*reversed(out.parents), out]
+                 if not os.path.exists(p)), None)  # unlike Path.exists, never raises
     try:
         try:  # each cmd_* returns its manifest fields and its result line
+            out.mkdir(parents=True, exist_ok=True)
             fields, done = args.run(args, out)
             _write_manifest(out, argv, **fields)
         except BaseException:
             if made:  # a failed run leaves no directory it made
-                shutil.rmtree(out, ignore_errors=True)
+                shutil.rmtree(made, ignore_errors=True)
             raise
         print(done)
         return 0

@@ -4,8 +4,8 @@ Normalization, volatility autocorrelation, return-volatility correlation,
 detrended-fluctuation Hurst exponents, Hill tail exponents and simple
 curve fits.  Every estimator takes a plain 1-d sequence of finite numbers.
 A correlation curve is a 1-d float array whose entry t - 1 is the value
-at lag t, for lags 1..n, and a fit is a dict of its model_id, params and
-residual_rms.
+at lag t, for lags 1..n.  fit_exponential returns a dict of its model_id,
+params and residual_rms; fit_power_law returns (amplitude, exponent).
 """
 
 from __future__ import annotations

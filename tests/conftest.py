@@ -28,8 +28,7 @@ def weekly_dates(n, start=date(2015, 1, 5)):
     return [start + timedelta(weeks=i) for i in range(n)]
 
 
-@pytest.fixture
-def index_csv(tmp_path):
+def write_index_csv(directory):
     """A 400-row synthetic index file with positive prices and volumes."""
     rng = np.random.default_rng(42)
     n = 400
@@ -39,11 +38,15 @@ def index_csv(tmp_path):
         (d.isoformat(), repr(float(c)), repr(float(v)))
         for d, c, v in zip(business_dates(n), closes, volumes)
     ]
-    return write_csv(tmp_path / "index.csv", ["date", "close", "volume"], rows)
+    return write_csv(directory / "index.csv", ["date", "close", "volume"], rows)
 
 
 @pytest.fixture
-def panel_files(tmp_path):
+def index_csv(tmp_path):
+    return write_index_csv(tmp_path)
+
+
+def write_panel_files(directory):
     """A 4-ticker, 60-day returns panel with 2 sectors."""
     rng = np.random.default_rng(7)
     tickers = ["AAA", "BBB", "CCC", "DDD"]
@@ -54,16 +57,20 @@ def panel_files(tmp_path):
         [d.isoformat()] + [repr(float(v)) for v in matrix[i]]
         for i, d in enumerate(business_dates(n))
     ]
-    panel = write_csv(tmp_path / "panel.csv", ["date"] + tickers, rows)
+    panel = write_csv(directory / "panel.csv", ["date"] + tickers, rows)
     sector_rows = [(t, sectors[t]) for t in tickers]
     sectors_path = write_csv(
-        tmp_path / "sectors.csv", ["ticker", "sector_id"], sector_rows
+        directory / "sectors.csv", ["ticker", "sector_id"], sector_rows
     )
     return panel, sectors_path, matrix, tickers, sectors
 
 
 @pytest.fixture
-def info_files(tmp_path):
+def panel_files(tmp_path):
+    return write_panel_files(tmp_path)
+
+
+def write_info_files(directory, index_name="index.csv"):
     """200 weeks of attention and trading volumes for two tickers, and a
     weekly index on the same weeks."""
     rng = np.random.default_rng(20)
@@ -84,14 +91,14 @@ def info_files(tmp_path):
             (w.isoformat(), ticker, repr(float(x))) for w, x in zip(weeks, v)
         ]
     search = write_csv(
-        tmp_path / "search.csv", ["week_start", "ticker", "volume"], attention
+        directory / "search.csv", ["week_start", "ticker", "volume"], attention
     )
     volumes = write_csv(
-        tmp_path / "volumes.csv", ["week_start", "ticker", "volume"], trading
+        directory / "volumes.csv", ["week_start", "ticker", "volume"], trading
     )
     closes = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
     index = write_csv(
-        tmp_path / "index.csv",
+        directory / index_name,
         ["date", "close", "volume"],
         [
             (w.isoformat(), repr(float(c)), "1")
@@ -99,6 +106,11 @@ def info_files(tmp_path):
         ],
     )
     return search, volumes, index
+
+
+@pytest.fixture
+def info_files(tmp_path):
+    return write_info_files(tmp_path)
 
 
 @pytest.fixture

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import weekly_dates, write_csv
+from conftest import (weekly_dates, write_csv, write_index_csv, write_info_files,
+                      write_panel_files)
 from herdsim import calibrate, errors, ingest, simcore, stats
 from herdsim.simcore import weighted_returns
-from herdsim.cli import build_parser, main
+from herdsim.cli import main
 
 
 def run(args):
@@ -309,6 +310,24 @@ class TestSimulate:
         assert run(["simulate", "a", "--config", cfg, "--out", out,
                     "--ensemble", 2, "--jobs", 1]) == 1
         assert not out.exists()
+
+    def test_ensemble_out_holding_another_runs_member(self, tmp_path, capsys):
+        # seeds 7-9, then 7-8 into the same --out: seed_9/ would stay, in
+        # no manifest, so the second run is refused and nothing changes
+        out = tmp_path / "e"
+        ensemble = ["simulate", "a", "--config", small_config(tmp_path),
+                    "--out", out, "--ensemble"]
+        assert run(ensemble + [3]) == 0
+        capsys.readouterr()
+        files = {path: digest(path) for path in out.rglob("*") if path.is_file()}
+        assert run(ensemble + [2]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out} holds seed_9/ of another run; "
+            "give this run another --out\n")
+        assert {path: digest(path) for path in out.rglob("*")
+                if path.is_file()} == files
+        assert run(ensemble + [3]) == 0  # the same ensemble again
+        assert_manifest_lists_its_outputs(out)
 
     def test_integral_float_counts_become_ints(self, tmp_path):
         kwargs = dict(N=2000, H_M=0.363, H_j=[0.491, 0.546], P_group=0.363, t_max=200)
@@ -884,7 +903,8 @@ def test_retired_command_lines_exit_2(capsys, args):
 
 def _readme_command_lines():
     """Each `herdsim ...` line in the code blocks of the README's "Command
-    line" section, continuations joined, split as the shell would."""
+    line" section, in order, continuations joined, split as the shell
+    would."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```sh\n(.*?)```", section, re.DOTALL)
@@ -893,9 +913,37 @@ def _readme_command_lines():
             for line in map(str.strip, lines) if line.startswith("herdsim ")]
 
 
+@pytest.fixture(scope="module")
+def readme_exit_codes(tmp_path_factory):
+    """The exit code of each README command line, keyed by the line: the
+    lines run in order through `main`, in a directory that holds small
+    inputs under the README's file names."""
+    root = tmp_path_factory.mktemp("readme")
+    write_index_csv(root)
+    write_panel_files(root)
+    write_info_files(root, index_name="weekly_index.csv")
+    # the calibration's M = 150 is the warmup too: 2050 days are left,
+    # and analyze stats needs 2000
+    (root / "config.json").write_text(json.dumps(
+        {"N": 1000, "M": 50, "t_max": 2200, "seed": 0}))
+    (root / "config_c.json").write_text(json.dumps(
+        {"N": 2000, "M": 50, "n": 10, "n_sec": 2, "H_M": 0.363,
+         "H_j": [0.491, 0.546], "P_group": 0.363, "t_max": 300}))
+    codes = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for argv in _readme_command_lines():
+            try:
+                codes[" ".join(argv)] = main(argv)
+            except SystemExit as exc:  # a line that does not parse
+                codes[" ".join(argv)] = exc.code
+    return codes
+
+
 @pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
-def test_readme_command_line_parses(argv):
-    build_parser().parse_args(argv)
+def test_readme_command_line_parses(argv, readme_exit_codes):
+    # each line parses and runs after the lines above it
+    assert readme_exit_codes[" ".join(argv)] == 0
 
 
 def test_default_out_root_env(tmp_path, monkeypatch, capsys, index_csv):
@@ -972,6 +1020,14 @@ class TestBadInputsExit2:
         blocker.write_text("")
         self.expect_exit_2(
             capsys, ["simulate", "a", "--config", small_config(tmp_path),
+                     "--out", blocker / "run"], "Not a directory")
+
+    def test_out_that_cannot_be_made_fails_before_the_input(self, tmp_path,
+                                                            capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        self.expect_exit_2(
+            capsys, ["simulate", "a", "--config", tmp_path / "ghost.json",
                      "--out", blocker / "run"], "Not a directory")
 
     def test_out_is_a_regular_file(self, tmp_path, capsys):
@@ -1161,8 +1217,9 @@ def test_every_error_class_has_its_exit_code(tmp_path, capsys, monkeypatch, erro
 
 
 class TestFailedWriteLeavesNoOut:
-    """A command whose write fails removes the --out it made, and no --out
-    that was there before it (simulate's case is in TestSimulate)."""
+    """A command whose write fails removes every directory it made, the
+    parents of --out included, and none that was there before it
+    (simulate's failing members are in TestSimulate)."""
 
     @staticmethod
     def full_disk(*args, **kwargs):
@@ -1193,6 +1250,24 @@ class TestFailedWriteLeavesNoOut:
         assert run(["analyze", "stats", "--in", returns, "--out", out]) == 1
         assert capsys.readouterr().err == "error: No space left on device\n"
         assert not out.exists()
+
+    def test_parents_made_for_out_go_too(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("herdsim.ingest.write_csv_table", self.full_disk)
+        config = small_config(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run(["simulate", "a", "--config", config,
+                    "--out", "a/b/run"]) == 1
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert list(work.iterdir()) == []
+
+    def test_ancestor_there_before_stays(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("herdsim.ingest.write_csv_table", self.full_disk)
+        (tmp_path / "a").mkdir()
+        assert run(["simulate", "a", "--config", small_config(tmp_path),
+                    "--out", tmp_path / "a" / "b" / "run"]) == 1
+        assert list((tmp_path / "a").iterdir()) == []
 
     def test_out_made_before_the_command_stays(self, tmp_path, monkeypatch):
         monkeypatch.setattr("herdsim.ingest.write_csv_table", self.full_disk)
