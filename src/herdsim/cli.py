@@ -179,9 +179,12 @@ def cmd_simulate(args, out: Path) -> tuple[dict, str]:
                for i in range(args.ensemble)]
     inputs = [args.config] + ([args.calibration] if args.calibration else [])
     dirs = [out] if len(members) == 1 else [out / f"seed_{m.seed}" for m in members]
-    # another run's members would stay beside this run's, in no manifest
+    # another run's entries would stay beside this run's, in no manifest
+    files = "returns.csv diagnostics.csv panel.csv sectors.csv ensemble.json".split()
+    ours = files[:4 if args.model == "c" else 2] if len(members) == 1 else files[4:]
     stale = [p.name + "/" for p in sorted(out.glob("seed_[0-9]*"))
              if p.is_dir() and p not in dirs]
+    stale += [name for name in files if name not in ours and (out / name).exists()]
     if stale:
         raise InputError(f"{out} holds {', '.join(stale)} of another run; "
                          "give this run another --out")

@@ -32,38 +32,43 @@ def group_count(members, size):
 
 
 def _spread_counts(buy, sell, pool, draws, rng: np.random.Generator):
-    """Buy/sell counts among `draws` picks that avoid repeats while possible,
-    one entry (a sector at the S-level, a stock at the I-level) at a time.
+    """Buy/sell counts among draws[k] picks that avoid repeats while
+    possible, one draw (a sector at the S-level, a stock at the I-level) at
+    a time.  Takes and returns lists.
 
-    Entry g picks draws[g] times among pool[g] targets, buy[g] of them
-    buying and sell[g] selling: each target once, in random order, before
-    any is taken twice.  Picks within the pool are a multivariate
-    hypergeometric draw; past it the whole pool is taken and the extra
-    picks are uniform, a binomial pair as in `draw_picks`.  Given the level
-    above, the entries are independent, so each is drawn by scalar calls,
-    and only where its count is random: no pick, buyer or seller left gives
-    0, and a pick of every candidate, or among buyers (sellers) only, gives
-    the forced count.
+    Entry g of buy, sell and pool serves len(draws) // len(pool)
+    consecutive draws: at the S-level one sector's, at the I-level the
+    stocks of the sector whose S-level outcome it is.  Each of those draws
+    picks among pool[g] targets, buy[g] of them buying and sell[g] selling:
+    each target once, in random order, before any is taken twice.  Picks
+    within the pool are a multivariate hypergeometric draw; past it the
+    whole pool is taken and the extra picks are uniform, a binomial pair as
+    in `draw_picks`.  Given the level above, the draws are independent, so
+    each is made by scalar calls, and only where its count is random: no
+    pick, buyer or seller left gives 0, and a pick of every candidate, or
+    among buyers (sellers) only, gives the forced count.
     """
     hypergeometric, binomial = rng.hypergeometric, rng.binomial
+    per = len(draws) // len(pool)
     buys, sells = [], []
-    for b, s, n, d in zip(buy.tolist(), sell.tolist(), pool.tolist(), draws.tolist()):
+    for g, (b, s, n) in enumerate(zip(buy, sell, pool)):
         rest = n - b  # the targets that do not buy
-        if d < n:  # distinct targets: buyers, then sellers among the rest
-            x = d if b == n else hypergeometric(b, rest, d) if b and d else 0
-            d -= x
-            y = (d if s == rest else s if d == rest
-                 else hypergeometric(s, rest - s, d) if s and d else 0)
-        else:  # the whole pool, then d - n uniform picks
-            d -= n
-            x = d if b == n else binomial(d, b / n) if b and d else 0
-            d -= x
-            y = d if s == rest else binomial(d, s / rest) if s and d else 0
-            x += b
-            y += s
-        buys.append(x)
-        sells.append(y)
-    return np.array(buys), np.array(sells)
+        for d in draws[g * per:(g + 1) * per]:
+            if d < n:  # distinct targets: buyers, then sellers among the rest
+                x = d if b == n else hypergeometric(b, rest, d) if b and d else 0
+                d -= x
+                y = (d if s == rest else s if d == rest
+                     else hypergeometric(s, rest - s, d) if s and d else 0)
+            else:  # the whole pool, then d - n uniform picks
+                d -= n
+                x = d if b == n else binomial(d, b / n) if b and d else 0
+                d -= x
+                y = d if s == rest else binomial(d, s / rest) if s and d else 0
+                x += b
+                y += s
+            buys.append(x)
+            sells.append(y)
+    return buys, sells
 
 
 def sample_day_returns(
@@ -89,35 +94,34 @@ def sample_day_returns(
     are drawn level by level instead of the maps themselves, which gives
     the same joint law over all stocks.
 
-    Each M-group's side comes from one uniform: 0 (buy) below p_group, 1
-    (sell) below 2 p_group, 2 (hold) above.  Every sector's slots are a
+    Each M-group's side comes from one uniform: buy below p_group, sell
+    below 2 p_group, hold above.  Two running counts over the uniforms,
+    of the buying and of the trading M-groups, read at slots - 1, give each
+    sector's buy/sell counts among its slots.  Every sector's slots are a
     prefix of the market's M-groups, so on a day when all M-groups decide
-    alike, every S-group, I-group and agent follows that one decision.
-    The day is then fixed by the M-level draw, and the levels below draw
-    nothing: the law is the same, the stream is shorter.
+    alike, which the two totals tell, every S-group, I-group and agent
+    follows that one decision.  The day is then fixed by the M-level draw,
+    and the levels below draw nothing: the law is the same, the stream is
+    shorter.
 
     On other days each sector's S-level counts and each stock's I-level
-    counts are drawn one entry at a time, skipping every count whose
-    outcome is fixed (`_spread_counts`), and the agents' counts are one
-    `draw_picks` array pair over all stocks.
+    counts are drawn one at a time on Python lists, skipping every count
+    whose outcome is fixed (`_spread_counts`), and the agents' counts are
+    one `draw_picks` array pair over all stocks.
     """
-    u = rng.random(int(slots.max()))
-    side = (u >= p_group).astype(np.int64) + (u >= 2.0 * p_group)
-    if (side == side[0]).all():
-        return agents_per_stock * (1, -1, 0)[side[0]]
-    buy_m = (side == 0).cumsum()[slots - 1]
-    sell_m = (side == 1).cumsum()[slots - 1]
-    buy_s, sell_s = _spread_counts(buy_m, sell_m, slots, sgroups, rng)
-
-    per_sector = len(igroups) // len(sgroups)
-    buy_i, sell_i = _spread_counts(
-        buy_s.repeat(per_sector),
-        sell_s.repeat(per_sector),
-        sgroups.repeat(per_sector),
-        igroups,
-        rng,
-    )
-    buys, sells = draw_picks(buy_i, sell_i, igroups, agents_per_stock, rng)
+    slot_list, sgroups = slots.tolist(), sgroups.tolist()
+    u = rng.random(max(slot_list))
+    buying = (u < p_group).cumsum()
+    trading = (u < 2.0 * p_group).cumsum()  # buying or selling
+    total, buy, trade = len(u), int(buying[-1]), int(trading[-1])
+    if max(buy, trade - buy, total - trade) == total:  # alike: 1, -1 or 0
+        return agents_per_stock * ((2 * buy - trade) // total)
+    buy_m, trade_m = buying[slots - 1].tolist(), trading[slots - 1].tolist()
+    sell_m = [t - b for t, b in zip(trade_m, buy_m)]
+    buy_s, sell_s = _spread_counts(buy_m, sell_m, slot_list, sgroups, rng)
+    buy_i, sell_i = _spread_counts(buy_s, sell_s, sgroups, igroups.tolist(), rng)
+    buys, sells = draw_picks(np.array(buy_i), np.array(sell_i), igroups,
+                             agents_per_stock, rng)
     return buys - sells
 
 
@@ -132,7 +136,9 @@ def run_model_c(config: ModelConfig) -> SimOutput:
     the first slots_j of them.  Each M-group buys with P_group, sells with
     P_group, holds otherwise, and all member agents follow.  On a day when
     every M-group decides alike, each stock's return is that decision
-    times its agent count, with no draw below the M-level.
+    times its agent count, with no draw below the M-level.  Each day's
+    I-group and slot counts are kept, and the diagnostics (the market's
+    M-groups, the mean I-group count) are taken from them after the loop.
     """
     config.validate_for("c")
     rng = np.random.default_rng(config.seed)
@@ -159,8 +165,8 @@ def run_model_c(config: ModelConfig) -> SimOutput:
     history = np.zeros((t_max, n_stocks), dtype=float)
 
     kept = t_max - warmup
-    mgroup_trace = np.empty(kept, dtype=np.int64)
-    igroup_trace = np.empty(kept)
+    igroup_trace = np.empty((kept, n_stocks), dtype=np.int64)
+    slot_trace = np.empty((kept, n_sectors), dtype=np.int64)
 
     # Bootstrap: every agent trades on its own at the group probability.
     history[:warmup] = independent_day_return(
@@ -172,17 +178,15 @@ def run_model_c(config: ModelConfig) -> SimOutput:
     for t in range(warmup, t_max):
         rprime = k * (w @ history[t - m : t, :])
         avg_i = np.minimum(np.maximum(np.abs(rprime), 1.0), holders)
-        igroups = group_count(agents_per_stock, avg_i)
+        i = t - warmup
+        igroups = igroup_trace[i] = group_count(agents_per_stock, avg_i)
         sector_igroups = igroups.reshape(n_sectors, per_sector).sum(axis=1)
         sgroups = group_count(sector_igroups, sgroup_scale)
-        slots = group_count(sgroups, n_stocks * h_m)  # n H_M S-groups a slot
+        # n H_M S-groups a slot
+        slots = slot_trace[i] = group_count(sgroups, n_stocks * h_m)
         history[t] = sample_day_returns(
             agents_per_stock, igroups, sgroups, slots, p_group, rng
         )
-
-        i = t - warmup
-        mgroup_trace[i] = slots.max()
-        igroup_trace[i] = igroups.mean()
 
     tickers = tuple(f"S{s + 1:03d}" for s in range(n_stocks))
     # sector ids 1..n_sec, zero-padded so they sort as strings in model order
@@ -191,8 +195,9 @@ def run_model_c(config: ModelConfig) -> SimOutput:
     return SimOutput(
         returns=history[warmup:].astype(np.int64),
         diagnostics={
-            "M_groups": mgroup_trace.astype(float),
-            "mean_I_groups": igroup_trace,
+            "M_groups": slot_trace.max(axis=1).astype(float),
+            # exact: every row sum is an integer below 2**53
+            "mean_I_groups": igroup_trace.mean(axis=1),
         },
         tickers=tickers,
         sector_of=sector_of,

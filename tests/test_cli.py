@@ -329,6 +329,42 @@ class TestSimulate:
         assert run(ensemble + [3]) == 0  # the same ensemble again
         assert_manifest_lists_its_outputs(out)
 
+    def test_single_run_into_another_models_out(self, tmp_path, capsys):
+        # model C's panel.csv and sectors.csv would stay beside model A's
+        # run, in no manifest
+        cfg = small_config(tmp_path, n=10, n_sec=2, H_M=0.363,
+                           H_j=[0.491, 0.546], P_group=0.363)
+        out = tmp_path / "x"
+        model_c = ["simulate", "c", "--config", cfg, "--out", out]
+        assert run(model_c) == 0
+        capsys.readouterr()
+        files = {path: digest(path) for path in out.rglob("*") if path.is_file()}
+        assert run(["simulate", "a", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out} holds panel.csv, sectors.csv of another run; "
+            "give this run another --out\n")
+        assert {path: digest(path) for path in out.rglob("*")
+                if path.is_file()} == files
+        assert run(model_c) == 0  # the same command again
+        assert_manifest_lists_its_outputs(out)
+
+    def test_ensemble_into_a_single_runs_out(self, tmp_path, capsys):
+        # the single run's returns.csv and diagnostics.csv would stay beside
+        # the ensemble's members
+        out = tmp_path / "y"
+        single = ["simulate", "a", "--config", small_config(tmp_path), "--out", out]
+        assert run(single) == 0
+        capsys.readouterr()
+        files = {path: digest(path) for path in out.rglob("*") if path.is_file()}
+        assert run(single + ["--ensemble", 2]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out} holds returns.csv, diagnostics.csv of another run; "
+            "give this run another --out\n")
+        assert {path: digest(path) for path in out.rglob("*")
+                if path.is_file()} == files
+        assert run(single) == 0  # the same command again
+        assert_manifest_lists_its_outputs(out)
+
     def test_integral_float_counts_become_ints(self, tmp_path):
         kwargs = dict(N=2000, H_M=0.363, H_j=[0.491, 0.546], P_group=0.363, t_max=200)
         (tmp_path / "i").mkdir()

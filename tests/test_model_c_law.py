@@ -548,3 +548,115 @@ def test_no_fixed_count_is_drawn_at_the_nyse_table(monkeypatch):
         if drawn == 200:
             break
     assert drawn == 200
+
+
+# ------------------------------------------------- the stream of the arrays
+#
+# sample_day_returns does its bookkeeping on Python lists.  The array-based
+# sampler it replaced is kept here as an oracle: the same generator calls
+# with the same arguments in the same order, so every day, every generator
+# state after it and every run must be equal.
+
+
+def _oracle_spread_counts(buy, sell, pool, draws, rng):
+    """_spread_counts on arrays, one entry per draw."""
+    hypergeometric, binomial = rng.hypergeometric, rng.binomial
+    buys, sells = [], []
+    for b, s, n, d in zip(buy.tolist(), sell.tolist(), pool.tolist(), draws.tolist()):
+        rest = n - b
+        if d < n:
+            x = d if b == n else hypergeometric(b, rest, d) if b and d else 0
+            d -= x
+            y = (d if s == rest else s if d == rest
+                 else hypergeometric(s, rest - s, d) if s and d else 0)
+        else:
+            d -= n
+            x = d if b == n else binomial(d, b / n) if b and d else 0
+            d -= x
+            y = d if s == rest else binomial(d, s / rest) if s and d else 0
+            x += b
+            y += s
+        buys.append(x)
+        sells.append(y)
+    return np.array(buys), np.array(sells)
+
+
+def oracle_day_returns(agents_per_stock, igroups, sgroups, slots, p_group, rng):
+    """sample_day_returns on arrays: a side array and fancy-indexed cumsums
+    at the M-level, sector counts repeated over their stocks."""
+    u = rng.random(int(slots.max()))
+    side = (u >= p_group).astype(np.int64) + (u >= 2.0 * p_group)
+    if (side == side[0]).all():
+        return agents_per_stock * (1, -1, 0)[side[0]]
+    buy_m = (side == 0).cumsum()[slots - 1]
+    sell_m = (side == 1).cumsum()[slots - 1]
+    buy_s, sell_s = _oracle_spread_counts(buy_m, sell_m, slots, sgroups, rng)
+    per_sector = len(igroups) // len(sgroups)
+    buy_i, sell_i = _oracle_spread_counts(
+        buy_s.repeat(per_sector), sell_s.repeat(per_sector),
+        sgroups.repeat(per_sector), igroups, rng)
+    buys, sells = multi_stock.draw_picks(buy_i, sell_i, igroups, agents_per_stock, rng)
+    return buys - sells
+
+
+def _assert_same_stream(states, seed):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for state in states:
+        r = multi_stock.sample_day_returns(**state, rng=rng)
+        assert np.array_equal(r, oracle_day_returns(**state, rng=twin))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(STATES) + sorted(EXACT_STATES))
+def test_sampler_keeps_the_array_stream_on_the_states(name):
+    state = {key: np.asarray(value) for key, value in
+             {**STATES, **EXACT_STATES}[name].items()}
+    state["p_group"] = float(state["p_group"])
+    _assert_same_stream([state] * 300, seed=len(name))
+
+
+def test_sampler_keeps_the_array_stream_at_the_nyse_table(monkeypatch):
+    states = []
+    sample = multi_stock.sample_day_returns
+
+    def keep(agents_per_stock, igroups, sgroups, slots, p_group, rng):
+        states.append(dict(agents_per_stock=agents_per_stock, igroups=igroups,
+                           sgroups=sgroups, slots=slots, p_group=p_group))
+        return sample(agents_per_stock, igroups, sgroups, slots, p_group, rng)
+
+    monkeypatch.setattr(multi_stock, "sample_day_returns", keep)
+    run_model_c(ModelConfig(**NYSE_RUN))
+    monkeypatch.undo()
+    _assert_same_stream(states, seed=32)
+
+
+# a small N with an unheld stock, one sector, one stock a sector, and a
+# tiny H_M with thousands of M-group slots a day
+ORACLE_RUNS = {
+    "unheld_stock": dict(N=12, M=50, n=6, n_sec=2, H_M=0.3, H_j=(0.4, 0.5),
+                         P_group=0.3, t_max=350, warmup=50, seed=3),
+    "one_sector": dict(N=2000, M=50, n=6, n_sec=1, H_M=0.2, H_j=(0.5,),
+                       P_group=0.3, t_max=350, warmup=50, seed=4),
+    "stock_sectors": dict(N=2000, M=50, n=4, n_sec=4, H_M=0.2,
+                          H_j=(0.3, 0.4, 0.5, 0.6), P_group=0.3, t_max=350,
+                          warmup=50, seed=5),
+    "tiny_market_degree": dict(N=10_000, M=50, n=10, n_sec=2, H_M=1e-4,
+                               H_j=(0.3, 0.4), P_group=0.3, t_max=70,
+                               warmup=50, seed=6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+def test_runs_equal_the_array_samplers_runs(name, monkeypatch):
+    config = ModelConfig(**ORACLE_RUNS[name])
+    if name == "unheld_stock":
+        agents = np.random.default_rng(config.seed).multinomial(
+            config.N, np.full(config.n, 1.0 / config.n))
+        assert (agents == 0).any()
+    run = run_model_c(config)
+    monkeypatch.setattr(multi_stock, "sample_day_returns", oracle_day_returns)
+    oracle = run_model_c(config)
+    assert np.array_equal(run.returns, oracle.returns)
+    assert run.diagnostics.keys() == oracle.diagnostics.keys()
+    for key, values in run.diagnostics.items():
+        assert np.array_equal(values, oracle.diagnostics[key])
