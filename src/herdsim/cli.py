@@ -137,7 +137,7 @@ def _returns_csv(out: SimOutput, path: Path) -> None:
     # R of a multi-stock run is the sum over its stocks, whose own returns
     # go to panel.csv
     days = len(out.returns)
-    R = out.returns.astype(np.int64).reshape(days, -1).sum(axis=1)
+    R = out.returns.astype(np.int64, copy=False).reshape(days, -1).sum(axis=1)
     ingest.write_csv_table(path, ["day", "R"], map(str, range(1, days + 1)), [R])
 
 

@@ -458,7 +458,10 @@ def write_json(path, obj) -> None:
         fh.write(text + "\n")
 
 
+# Python holds about 100 bytes a formatted cell, so a block of 16,384 cells
+# (labels included) holds about 1.6 MB.
 _WRITE_BLOCK_ROWS = 1024
+_WRITE_BLOCK_CELLS = 16384
 
 
 def write_csv_table(path, header, labels, columns) -> None:
@@ -469,15 +472,18 @@ def write_csv_table(path, header, labels, columns) -> None:
     The bytes equal csv.writer's for cells that need no quoting
     (comma-separated, `\r\n` after each row). Formatting a block of rows
     column by column is several times faster than a `writerow` call per
-    row, and the block size bounds the memory held in Python strings.
+    row. A block holds at most `_WRITE_BLOCK_ROWS` rows and, unless one row
+    is wider, at most `_WRITE_BLOCK_CELLS` cells, so the memory held in
+    Python strings stays bounded at every width.
     """
     labels = iter(labels)
+    block = max(1, min(_WRITE_BLOCK_ROWS, _WRITE_BLOCK_CELLS // (len(columns) + 1)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            stop = start + _WRITE_BLOCK_ROWS
+        for start in range(0, len(columns[0]), block):
+            stop = start + block
             cells = [map(repr, column[start:stop].tolist()) for column in columns]
-            rows = zip(islice(labels, _WRITE_BLOCK_ROWS), *cells)
+            rows = zip(islice(labels, block), *cells)
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 

@@ -6,6 +6,8 @@ the same bytes.
 """
 
 import csv
+import itertools
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -56,6 +58,10 @@ AWKWARD = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300,
                     -1.7976931348623157e308, 0.1, 1 / 3, 123456789.0, -7.0])
 
 
+def save_panel(panel, path):
+    ingest.save_returns_panel(panel, path, path.with_name("sectors.csv"))
+
+
 def assert_same_bytes(write, reference, obj, tmp_path):
     write(obj, tmp_path / "new.csv")
     reference(obj, tmp_path / "ref.csv")
@@ -91,7 +97,61 @@ def test_save_returns_panel_matches_reference(dates, tmp_path):
         dates=dates, tickers=("X", "Y,Z", "W"),
         sector_of={"X": "1", "Y,Z": "1", "W": "2"}, matrix=matrix,
     )
-    def save(panel, path):
-        ingest.save_returns_panel(panel, path, tmp_path / "sectors.csv")
+    assert_same_bytes(save_panel, reference_save_returns_panel, panel, tmp_path)
 
-    assert_same_bytes(save, reference_save_returns_panel, panel, tmp_path)
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """The row count of each block the writers format: write_csv_table
+    takes one islice of its labels per block."""
+    sizes = []
+    def islice(labels, rows):
+        sizes.append(rows)
+        return itertools.islice(labels, rows)
+    monkeypatch.setattr(ingest, "islice", islice)
+    return sizes
+
+
+def wide_panel(rows, width, seed):
+    tickers = tuple(f"S{j}" for j in range(width))
+    values = np.random.default_rng(seed).integers(-40, 41, (rows, width))
+    return ingest.ReturnsPanel(
+        dates=tuple(range(1, rows + 1)), tickers=tickers,
+        sector_of={t: str(j % 5) for j, t in enumerate(tickers)},
+        matrix=values * 0.25 + np.resize(AWKWARD, width),
+    )
+
+
+def test_simulation_writers_over_three_blocks_match_reference(blocks, tmp_path):
+    days = 2 * ingest._WRITE_BLOCK_ROWS + 1
+    rng = np.random.default_rng(5)
+    out = SimOutput(
+        returns=rng.integers(-50, 51, (days, 3)),
+        diagnostics={"x": rng.standard_normal(days), "awkward": np.resize(AWKWARD, days),
+                     "counts": np.arange(days)},
+    )
+    assert_same_bytes(cli._returns_csv, reference_returns_csv, out, tmp_path)
+    assert_same_bytes(cli._diagnostics_csv, reference_diagnostics_csv, out, tmp_path)
+    assert blocks == [ingest._WRITE_BLOCK_ROWS] * 6
+
+
+@pytest.mark.parametrize("rows, width, block", [
+    (2500, 50, 321),  # model C's panel at the NYSE table: 8 blocks
+    (3, 16400, 1),  # a row wider than a block of 16,384 cells
+])
+def test_wide_panels_match_reference(rows, width, block, blocks, tmp_path):
+    panel = wide_panel(rows, width, seed=width)
+    assert_same_bytes(save_panel, reference_save_returns_panel, panel, tmp_path)
+    assert blocks == [block] * -(-rows // block)
+
+
+def test_wide_table_is_written_in_bounded_memory(tmp_path):
+    columns = np.random.default_rng(7).standard_normal((4000, 64))
+    labels = map(str, range(64))
+    tracemalloc.start()
+    try:
+        ingest.write_csv_table(tmp_path / "wide.csv", ["day"] * 4001, labels, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
